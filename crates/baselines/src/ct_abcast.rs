@@ -225,7 +225,7 @@ impl<S: StateMachine> CtServer<S> {
             self.delivery_order.push(*id);
             self.position += 1;
             let (response, _undo) = self.sm.apply(&request.command);
-            ctx.annotate(format!("A-deliver({id}) @{}", self.position));
+            ctx.annotate_with(|| format!("A-deliver({id}) @{}", self.position));
             ctx.send(
                 request.client,
                 CtWire::Reply(CtReply {

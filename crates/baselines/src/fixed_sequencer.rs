@@ -183,7 +183,7 @@ impl<S: StateMachine> SequencerServer<S> {
         self.delivery_order.push(id);
         self.position += 1;
         let (response, _undo) = self.sm.apply(&request.command);
-        ctx.annotate(format!("deliver({id}) @{}", self.position));
+        ctx.annotate_with(|| format!("deliver({id}) @{}", self.position));
         ctx.send(
             request.client,
             SeqWire::Reply(SeqReply {

@@ -56,6 +56,7 @@ pub fn figure_1a(seed: u64) -> FigureOutcome {
             0 => vec![StackCommand::Push(7), StackCommand::Push(3)],
             _ => vec![StackCommand::Pop],
         });
+    cluster.world.record_annotations(true);
     cluster.run_to_completion(SimTime::from_secs(5));
     let report = cluster.audit();
     FigureOutcome {
@@ -90,6 +91,7 @@ pub fn figure_1b(seed: u64) -> FigureOutcome {
             1 => vec![StackCommand::Push(3)],
             _ => vec![StackCommand::Pop],
         });
+    cluster.world.record_annotations(true);
     let [p0, p1, p2] = [cluster.servers[0], cluster.servers[1], cluster.servers[2]];
     let clients = cluster.clients.clone();
     // The push(x) of client 1 travels slowly towards p1 and p2, so after the
@@ -146,6 +148,7 @@ pub fn figure_2(seed: u64) -> FigureOutcome {
     };
     let mut cluster: Cluster<CounterMachine> =
         Cluster::build(&config, CounterMachine::default, counter_workloads);
+    cluster.world.record_annotations(true);
     let done = cluster.run_to_completion(SimTime::from_secs(5));
     let consistent = done
         && cluster.check_replica_consistency().is_ok()
@@ -191,6 +194,7 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
             1 => vec![CounterCommand::Add(3)],                         // m3
             _ => vec![CounterCommand::Add(4)],                         // m4
         });
+    cluster.world.record_annotations(true);
     let [p0, p1, p2] = [cluster.servers[0], cluster.servers[1], cluster.servers[2]];
     let clients = cluster.clients.clone();
     // m3/m4 are issued while p2 is partitioned away; the sequencer p0 and p1
@@ -259,6 +263,7 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
             1 => vec![CounterCommand::Add(3)],                         // m3
             _ => vec![CounterCommand::Add(4)],                         // m4
         });
+    cluster.world.record_annotations(true);
     let servers = cluster.servers.clone();
     let clients = cluster.clients.clone();
     let minority = vec![servers[0], servers[1], clients[1], clients[2]];
@@ -312,6 +317,7 @@ pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
             1 => vec![StackCommand::Push(3)],
             _ => vec![StackCommand::Pop],
         });
+    cluster.world.record_annotations(true);
     let [p0, p1, p2] = [cluster.servers[0], cluster.servers[1], cluster.servers[2]];
     let clients = cluster.clients.clone();
     let mut group_a = vec![p0];

@@ -5,7 +5,8 @@
 //! * [`FifoLink`] — reliable FIFO point-to-point channels over lossy,
 //!   reordering links (sequence numbers, cumulative acks, retransmission);
 //! * [`ReliableCaster`] — the paper's `R-multicast(m, Π)` / `R-broadcast`
-//!   primitives (Validity, Agreement, Integrity) built on relaying;
+//!   primitives (Validity, Agreement, Integrity): one wire per member from
+//!   the sender, relay on first reception for broadcasts among members;
 //! * [`Outgoing`] / [`MsgId`] — shared plumbing for writing protocol
 //!   components as pure, host-driven state machines.
 //!

@@ -10,22 +10,29 @@
 //! * **Integrity** — every process R-delivers `m` at most once, and only if it
 //!   was previously R-multicast.
 //!
-//! The classic crash-stop construction over reliable channels is used: the
-//! sender sends `m` to every member of `Π`; when a member receives `m` for the
-//! first time it *relays* `m` to every member of `Π` and then delivers it.
-//! Relaying guarantees Agreement even if the sender crashes in the middle of
-//! its send loop. Duplicates are suppressed with a per-message identifier.
+//! [`ReliableCaster`] is the classic crash-stop construction over reliable
+//! channels: the sender sends `m` to every member of `Π`; when a member
+//! receives `m` for the first time it *relays* `m` to every member of `Π`
+//! and then delivers it. Relaying guarantees Agreement even if the sender
+//! crashes in the middle of its send loop, at the price of O(n²) wires per
+//! message. Duplicates are suppressed with a per-message identifier.
 //!
-//! The sender does not need to belong to `Π` (the OAR clients multicast their
-//! requests to the server group without being members); when it does belong to
-//! the group ([`ReliableCaster::broadcast`]), it also delivers its own message,
-//! which gives the `R-broadcast` primitive used for `PhaseII` notifications.
+//! The OAR servers pay that price only for the rare `(k, PhaseII)`
+//! notification — a member R-broadcasts it
+//! ([`ReliableCaster::broadcast_shared`]: it also delivers its own message)
+//! and every receiver relays ([`ReliableCaster::on_wire_shared`]). Client
+//! requests are multicast by a sender outside `Π`
+//! ([`ReliableCaster::multicast_shared`]) and are **not** relayed on
+//! reception: one wire per member, with Agreement restored by repair on
+//! evidence of need — a holder that sees a request stay unordered pushes it,
+//! a member that sees an id ordered without its payload pulls it (the
+//! `oar` crate's server, *Request dissemination*).
 
 use std::collections::HashSet;
 
 use oar_simnet::ProcessId;
 
-use crate::component::{MsgId, Outgoing};
+use crate::component::MsgId;
 
 /// Wire format of the reliable multicast: the payload plus the identifier used
 /// for duplicate suppression.
@@ -91,17 +98,6 @@ impl<M: Clone> ReliableCaster<M> {
         (id, wire, targets)
     }
 
-    /// `R-multicast(m, Π)` returning one pre-cloned wire message per group
-    /// member. Prefer [`ReliableCaster::multicast_shared`] on hot paths.
-    pub fn multicast(&mut self, payload: M) -> (MsgId, Vec<Outgoing<CastWire<M>>>) {
-        let (id, wire, targets) = self.multicast_shared(payload);
-        let out = targets
-            .into_iter()
-            .map(|p| Outgoing::new(p, wire.clone()))
-            .collect();
-        (id, out)
-    }
-
     /// `R-broadcast(m)` for a sender that *is* a member of `Π`, without
     /// cloning the payload per destination: returns the wire message once,
     /// the destinations, and the local delivery of the sender's own message.
@@ -115,18 +111,6 @@ impl<M: Clone> ReliableCaster<M> {
             payload: wire.payload.clone(),
         };
         (wire, targets, local)
-    }
-
-    /// `R-broadcast(m)` returning one pre-cloned wire message per other group
-    /// member plus the local delivery. Prefer
-    /// [`ReliableCaster::broadcast_shared`] on hot paths.
-    pub fn broadcast(&mut self, payload: M) -> (Vec<Outgoing<CastWire<M>>>, Delivery<M>) {
-        let (wire, targets, local) = self.broadcast_shared(payload);
-        let out = targets
-            .into_iter()
-            .map(|p| Outgoing::new(p, wire.clone()))
-            .collect();
-        (out, local)
     }
 
     /// Handles an incoming multicast wire message, without cloning the relay
@@ -164,24 +148,6 @@ impl<M: Clone> ReliableCaster<M> {
         (Some(delivery), Some((wire, targets)))
     }
 
-    /// Handles an incoming multicast wire message, returning one pre-cloned
-    /// relay per destination. Prefer [`ReliableCaster::on_wire_shared`] on hot
-    /// paths.
-    pub fn on_wire(
-        &mut self,
-        wire: CastWire<M>,
-    ) -> (Option<Delivery<M>>, Vec<Outgoing<CastWire<M>>>) {
-        let (delivery, relay) = self.on_wire_shared(wire);
-        let relays = match relay {
-            None => Vec::new(),
-            Some((wire, targets)) => targets
-                .into_iter()
-                .map(|p| Outgoing::new(p, wire.clone()))
-                .collect(),
-        };
-        (delivery, relays)
-    }
-
     /// Number of distinct multicasts seen so far (delivered or self-sent).
     pub fn seen_count(&self) -> usize {
         self.seen.len()
@@ -215,14 +181,13 @@ impl<M: Clone> ReliableCaster<M> {
     /// was present.
     ///
     /// The `seen` set otherwise grows with the lifetime of the process; the
-    /// OAR servers bound it by forgetting a multicast's id once the request
-    /// it carried is *settled* under the epoch-watermark rule — the same
-    /// condition that lets them prune the payload. Forgetting is safe-but-
-    /// noisy rather than unsafe: should a stale relay of a forgotten
-    /// multicast still arrive, it is re-delivered (and re-relayed) once, and
-    /// the layer above discards it by its own settled-request check —
+    /// OAR servers bound it by forgetting a `PhaseII` broadcast's id once its
+    /// epoch is acknowledged group-wide under the epoch-watermark rule.
+    /// Forgetting is safe-but-noisy rather than unsafe: should a stale relay
+    /// of a forgotten multicast still arrive, it is re-delivered (and
+    /// re-relayed) once, and the layer above discards it by its own check —
     /// Integrity moves from this set to the caller's, which is why only ids
-    /// the caller can recognise as settled may be forgotten.
+    /// the caller can recognise as obsolete may be forgotten.
     pub fn forget(&mut self, id: &MsgId) -> bool {
         self.seen.remove(id)
     }
@@ -247,14 +212,44 @@ pub struct Delivery<M> {
 mod tests {
     use super::*;
 
+    use crate::component::Outgoing;
+
     fn group3() -> Vec<ProcessId> {
         vec![ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)]
+    }
+
+    /// One wire per destination, the way a host's `send_all` fans it out.
+    fn fan_out<M: Clone>(
+        wire: &CastWire<M>,
+        targets: Vec<ProcessId>,
+    ) -> Vec<Outgoing<CastWire<M>>> {
+        targets
+            .into_iter()
+            .map(|p| Outgoing::new(p, wire.clone()))
+            .collect()
+    }
+
+    fn multicast<M: Clone>(
+        caster: &mut ReliableCaster<M>,
+        payload: M,
+    ) -> (MsgId, Vec<Outgoing<CastWire<M>>>) {
+        let (id, wire, targets) = caster.multicast_shared(payload);
+        (id, fan_out(&wire, targets))
+    }
+
+    fn on_wire<M: Clone>(
+        caster: &mut ReliableCaster<M>,
+        wire: CastWire<M>,
+    ) -> (Option<Delivery<M>>, Vec<Outgoing<CastWire<M>>>) {
+        let (delivery, relay) = caster.on_wire_shared(wire);
+        let relays = relay.map_or_else(Vec::new, |(wire, targets)| fan_out(&wire, targets));
+        (delivery, relays)
     }
 
     #[test]
     fn multicast_from_external_sender_reaches_all_members() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (id, out) = client.multicast("req");
+        let (id, out) = multicast(&mut client, "req");
         assert_eq!(out.len(), 3);
         assert_eq!(id.origin, ProcessId::new(9));
         let targets: Vec<ProcessId> = out.iter().map(|o| o.to).collect();
@@ -266,9 +261,9 @@ mod tests {
     fn first_reception_delivers_and_relays() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
+        let (_, out) = multicast(&mut client, "req");
         let to_p0 = out.into_iter().find(|o| o.to == ProcessId::new(0)).unwrap();
-        let (delivery, relays) = server0.on_wire(to_p0.wire);
+        let (delivery, relays) = on_wire(&mut server0, to_p0.wire);
         let delivery = delivery.expect("first copy must be delivered");
         assert_eq!(delivery.payload, "req");
         assert_eq!(delivery.origin, ProcessId::new(9));
@@ -281,10 +276,10 @@ mod tests {
     fn duplicates_are_not_redelivered() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
+        let (_, out) = multicast(&mut client, "req");
         let wire = out[0].wire.clone();
-        let (d1, _) = server0.on_wire(wire.clone());
-        let (d2, relays2) = server0.on_wire(wire);
+        let (d1, _) = on_wire(&mut server0, wire.clone());
+        let (d2, relays2) = on_wire(&mut server0, wire);
         assert!(d1.is_some());
         assert!(d2.is_none());
         assert!(relays2.is_empty());
@@ -295,9 +290,9 @@ mod tests {
     fn forget_ages_out_and_permits_one_redelivery() {
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
         let mut server0: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (_, out) = client.multicast("req");
+        let (_, out) = multicast(&mut client, "req");
         let wire = out[0].wire.clone();
-        let (d1, _) = server0.on_wire(wire.clone());
+        let (d1, _) = on_wire(&mut server0, wire.clone());
         assert!(d1.is_some());
         assert_eq!(server0.seen_count(), 1);
         assert!(server0.forget(&wire.id));
@@ -305,7 +300,7 @@ mod tests {
         assert_eq!(server0.seen_count(), 0);
         // A stale duplicate after forgetting is re-delivered once (the layer
         // above suppresses it by its settled-request check) and re-tracked.
-        let (d2, _) = server0.on_wire(wire);
+        let (d2, _) = on_wire(&mut server0, wire);
         assert!(d2.is_some());
         assert_eq!(server0.seen_count(), 1);
     }
@@ -313,7 +308,8 @@ mod tests {
     #[test]
     fn broadcast_delivers_locally_and_ignores_own_relay() {
         let mut p0: ReliableCaster<u32> = ReliableCaster::new(ProcessId::new(0), group3());
-        let (out, local) = p0.broadcast(42);
+        let (wire, targets, local) = p0.broadcast_shared(42);
+        let out = fan_out(&wire, targets);
         assert_eq!(local.payload, 42);
         assert_eq!(local.origin, ProcessId::new(0));
         assert_eq!(out.len(), 2);
@@ -323,7 +319,7 @@ mod tests {
             origin: ProcessId::new(0),
             payload: 42,
         };
-        let (d, _) = p0.on_wire(echo);
+        let (d, _) = on_wire(&mut p0, echo);
         assert!(d.is_none());
     }
 
@@ -338,8 +334,8 @@ mod tests {
             &[ProcessId::new(0), ProcessId::new(1), ProcessId::new(3)]
         );
         let mut client: ReliableCaster<&str> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (_, out) = client.multicast("req");
-        let (d, relays) = p0.on_wire(out[0].wire.clone());
+        let (_, out) = multicast(&mut client, "req");
+        let (d, relays) = on_wire(&mut p0, out[0].wire.clone());
         assert!(d.is_some());
         // The relay reaches the newcomer instead of the fenced-out member.
         let relay_targets: Vec<ProcessId> = relays.iter().map(|o| o.to).collect();
@@ -349,8 +345,8 @@ mod tests {
     #[test]
     fn distinct_multicasts_get_distinct_ids() {
         let mut client: ReliableCaster<u32> = ReliableCaster::new(ProcessId::new(9), group3());
-        let (id1, _) = client.multicast(1);
-        let (id2, _) = client.multicast(2);
+        let (id1, _) = multicast(&mut client, 1);
+        let (id2, _) = multicast(&mut client, 2);
         assert_ne!(id1, id2);
     }
 
@@ -365,21 +361,21 @@ mod tests {
             .iter()
             .map(|&p| ReliableCaster::new(p, group.clone()))
             .collect();
-        let (_, out) = client.multicast("req");
+        let (_, out) = multicast(&mut client, "req");
         // Sender crashes after only the copy to p1 made it out.
         let only = out.into_iter().find(|o| o.to == ProcessId::new(1)).unwrap();
-        let (d1, relays) = servers[1].on_wire(only.wire);
+        let (d1, relays) = on_wire(&mut servers[1], only.wire);
         assert!(d1.is_some());
         let mut delivered = vec![false, true, false];
         for relay in relays {
             let idx = relay.to.index();
-            let (d, more) = servers[idx].on_wire(relay.wire);
+            let (d, more) = on_wire(&mut servers[idx], relay.wire);
             if d.is_some() {
                 delivered[idx] = true;
             }
             // second-level relays are harmless duplicates
             for r in more {
-                let (d, _) = servers[r.to.index()].on_wire(r.wire);
+                let (d, _) = on_wire(&mut servers[r.to.index()], r.wire);
                 if d.is_some() {
                     delivered[r.to.index()] = true;
                 }

@@ -46,18 +46,30 @@
 //!   through the event-driven held-catch-up path, and every interleaving
 //!   must keep total order, at-most-once and external consistency and
 //!   terminate.
+//! * [`OarScenario::partial_multicast`] — a client dies mid-multicast: its
+//!   request reaches one non-sequencer only. Servers do not relay requests
+//!   on reception, so Agreement rests on the tick-driven repairs (push on
+//!   stall, pull of ordered-but-missing payloads); maintenance ticks are
+//!   therefore a scheduling choice here ([`tick_choice`]), placed against
+//!   every interleaving together with a crash of the sequencer. Every path
+//!   must keep the propositions and deliver the request at every live
+//!   replica.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use oar::message::OarWire;
+use oar::message::{OarWire, Request, RequestId};
 use oar::state_machine::{CounterCommand, CounterMachine};
 use oar::{
     check_external_consistency, check_server_consistency, spawn_replacement, Cluster,
     ClusterConfig, CompletedRequest, OarClient, OarConfig, OarConfigBuilder, OarServer,
 };
-use oar_simnet::{ForkError, NetConfig, PendingEventInfo, ProcessId, SimDuration, SimTime, World};
+use oar_channels::CastWire;
+use oar_simnet::{
+    ForkError, GroupId, NetConfig, PendingEventInfo, Process, ProcessId, Runtime, SimDuration,
+    SimTime, Timer, TimerId, TimerTag, World,
+};
 
 use crate::{Checker, McChoice, McConfig, McReport};
 
@@ -238,6 +250,87 @@ pub fn force_suspect_choice(
     }
 }
 
+/// A choice letting two consecutive maintenance ticks pass at server `at`
+/// with no message delivered in between — the stretch of time after which
+/// the request repairs act: a payload still missing is pulled, a held
+/// request still unordered is pushed. The packaged configurations keep the
+/// tick *timer* beyond the horizon (a periodic timer would make the space
+/// infinite); this choice fires the same `on_timer` callback, at most once
+/// per path, and `round` distinguishes the copies a scenario offers when one
+/// stretch may not be enough (a pull whose first donor is dead).
+///
+/// Gated on [`OarServer::repair_due`], so a tick is only taken where it does
+/// something; the gate reads `at`'s state alone, so transitions at other
+/// processes can neither enable nor disable it (sound under sleep sets).
+pub fn tick_choice(at: ProcessId, round: usize) -> McChoice<Wire> {
+    McChoice {
+        id: format!("ticks@{at}#{round}"),
+        affects: Some(at),
+        fault: false,
+        enabled: Rc::new(move |world: &World<Wire>| {
+            !world.is_crashed(at) && {
+                let server = world.process_ref::<OarServer<CounterMachine>>(at);
+                !server.is_recovering() && server.repair_due()
+            }
+        }),
+        apply: Rc::new(move |world: &mut World<Wire>| {
+            world.invoke_now(at, |proc, ctx| {
+                let tick = Timer {
+                    id: TimerId(u64::MAX),
+                    tag: TimerTag::Tick,
+                };
+                proc.on_timer(ctx, tick);
+                proc.on_timer(ctx, tick);
+            });
+        }),
+    }
+}
+
+/// A client that dies in the middle of its multicast: its one request
+/// reaches `recipients` only, and nobody collects the replies.
+#[derive(Clone)]
+struct DyingClient {
+    id: ProcessId,
+    recipients: Vec<ProcessId>,
+}
+
+impl DyingClient {
+    fn request_id(&self) -> RequestId {
+        RequestId::new(self.id, 0)
+    }
+}
+
+impl Process<Wire> for DyingClient {
+    fn on_start(&mut self, rt: &mut dyn Runtime<Wire>) {
+        let id = self.request_id();
+        let request = Request {
+            id,
+            client: self.id,
+            group: GroupId::default(),
+            txn: None,
+            reconfig: None,
+            route_epoch: 0,
+            command: CounterCommand::Add(7),
+        };
+        let wire = CastWire {
+            id,
+            origin: self.id,
+            payload: request,
+        };
+        rt.send_all(&self.recipients, OarWire::Request(wire));
+    }
+
+    fn on_message(&mut self, _rt: &mut dyn Runtime<Wire>, _from: ProcessId, _msg: Wire) {}
+
+    fn fork(&self) -> Option<Box<dyn Process<Wire>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn state_digest(&self) -> Option<u64> {
+        Some(0)
+    }
+}
+
 /// The safety invariant of every OAR scenario: the paper's propositions over
 /// the alive, fully-caught-up replicas (a crashed replica holds no state; a
 /// replica mid-catch-up deliberately holds blank state — same population
@@ -276,11 +369,30 @@ pub fn oar_invariant(
 /// [`World::run_until`] execution (differential tests) and keeps the
 /// deadlock check honest — a state with work still in flight is neither
 /// done nor stuck.
-pub fn oar_goal(clients: Vec<ProcessId>, horizon: SimTime) -> impl Fn(&World<Wire>) -> bool {
+///
+///
+/// `must_deliver` lists requests no client waits for (a dying client's):
+/// each must be delivered — Opt-delivered and not undone, or settled — at
+/// every live replica of `servers`, which is R-multicast's Agreement as the
+/// replicated service sees it.
+pub fn oar_goal(
+    servers: Vec<ProcessId>,
+    clients: Vec<ProcessId>,
+    must_deliver: Vec<RequestId>,
+    horizon: SimTime,
+) -> impl Fn(&World<Wire>) -> bool {
     move |world: &World<Wire>| {
+        let delivered_everywhere = |id: &RequestId| {
+            servers
+                .iter()
+                .filter(|&&s| s.index() < world.num_processes() && !world.is_crashed(s))
+                .map(|&s| world.process_ref::<OarServer<CounterMachine>>(s))
+                .all(|server| server.is_recovering() || server.has_delivered(id))
+        };
         clients
             .iter()
             .all(|&c| world.process_ref::<OarClient<CounterMachine>>(c).is_done())
+            && must_deliver.iter().all(delivered_everywhere)
             && world
                 .pending_events()
                 .into_iter()
@@ -304,6 +416,9 @@ pub struct OarScenario {
     /// (simnet assigns dense pids in spawn order); [`OarScenario::servers`]
     /// includes them so the invariant covers a replacement once it exists.
     pub spare_servers: usize,
+    /// The servers a [`OarScenario::partial_multicast`] dying client's one
+    /// request reaches (empty: the scenario has no such client).
+    pub partial_to: Vec<ProcessId>,
     /// The fault/control choices available to the checker.
     pub choices: Vec<McChoice<Wire>>,
     /// Exploration bounds.
@@ -321,6 +436,7 @@ impl OarScenario {
             cluster: mc_cluster_config(3, num_clients, timer_free_oar(|b| b)),
             requests_per_client,
             spare_servers: 0,
+            partial_to: Vec::new(),
             choices: Vec::new(),
             mc: McConfig {
                 horizon: HORIZON,
@@ -352,6 +468,7 @@ impl OarScenario {
             cluster: mc_cluster_config(3, 1, oar),
             requests_per_client: 2,
             spare_servers: 0,
+            partial_to: Vec::new(),
             choices: vec![
                 crash_choice(s1),
                 force_suspect_choice(s0, s1, true),
@@ -398,6 +515,7 @@ impl OarScenario {
             cluster: mc_cluster_config(3, 1, oar),
             requests_per_client: 4,
             spare_servers: 0,
+            partial_to: Vec::new(),
             choices: vec![
                 {
                     let mut crash = crash_choice(s2);
@@ -445,6 +563,7 @@ impl OarScenario {
             cluster: mc_cluster_config(3, 1, oar),
             requests_per_client: 2,
             spare_servers: 1,
+            partial_to: Vec::new(),
             choices: vec![
                 crash_choice(s2),
                 replace_choice(2, 3, oar),
@@ -457,6 +576,62 @@ impl OarScenario {
                 ..McConfig::default()
             },
         }
+    }
+
+    /// Partial-multicast scenario (Agreement without the relay): 3 replicas
+    /// and a client that dies mid-multicast — its request reaches `s1`, a
+    /// non-sequencer, and nobody else. The checker places two-tick
+    /// stretches ([`tick_choice`], two per server) against every
+    /// interleaving, may crash the sequencer `s0` at any point and let the
+    /// survivors justifiedly suspect it. Whatever the schedule — pushed to a
+    /// live sequencer and ordered; pushed between the survivors and settled
+    /// by the conservative close; proposed by its one holder and pulled by
+    /// the other replica once decided — the request must end up delivered
+    /// at every live replica, with the propositions holding throughout.
+    ///
+    /// A fault choice stays available until it fires, so with the crash in
+    /// the repertoire every maximal path contains it and the paths on which
+    /// the sequencer lives are never terminal: `crash: false` removes it
+    /// (fault budget 0), which is the arm that shows the push alone
+    /// suffices.
+    pub fn partial_multicast(crash: bool) -> Self {
+        let oar = timer_free_oar(|b| b);
+        let servers: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
+        let (s0, s1, s2) = (servers[0], servers[1], servers[2]);
+        let mut choices = vec![
+            crash_choice(s0),
+            force_suspect_choice(s1, s0, true),
+            force_suspect_choice(s2, s0, true),
+        ];
+        for round in 0..2 {
+            choices.extend(servers.iter().map(|&s| tick_choice(s, round)));
+        }
+        OarScenario {
+            name: if crash {
+                "partial-multicast(crash)"
+            } else {
+                "partial-multicast"
+            },
+            cluster: mc_cluster_config(3, 0, oar),
+            requests_per_client: 0,
+            spare_servers: 0,
+            partial_to: vec![s1],
+            choices,
+            mc: McConfig {
+                horizon: HORIZON,
+                max_faults: usize::from(crash),
+                ..McConfig::default()
+            },
+        }
+    }
+
+    /// The dying client of a partial-multicast scenario (its process id
+    /// follows the deployment's).
+    fn dying_client(&self) -> Option<DyingClient> {
+        (!self.partial_to.is_empty()).then(|| DyingClient {
+            id: ProcessId::new(self.cluster.num_servers + self.cluster.num_clients),
+            recipients: self.partial_to.clone(),
+        })
     }
 
     /// The server process ids of this scenario: the initial deployment plus
@@ -490,7 +665,11 @@ impl OarScenario {
 
     /// Builds the world to explore.
     pub fn world(&self) -> World<Wire> {
-        self.build_cluster().world
+        let mut world = self.build_cluster().world;
+        if let Some(client) = self.dying_client() {
+            world.add_process(client);
+        }
+        world
     }
 
     /// Builds the checker (invariant = safety propositions, goal =
@@ -500,7 +679,12 @@ impl OarScenario {
             self.mc.clone(),
             self.choices.clone(),
             oar_invariant(self.servers(), self.clients()),
-            oar_goal(self.clients(), self.mc.horizon),
+            oar_goal(
+                self.servers(),
+                self.clients(),
+                self.dying_client().iter().map(|c| c.request_id()).collect(),
+                self.mc.horizon,
+            ),
             wire_digest,
         )
     }
@@ -517,6 +701,7 @@ impl OarScenario {
             cluster: self.cluster.clone(),
             requests_per_client: self.requests_per_client,
             spare_servers: self.spare_servers,
+            partial_to: self.partial_to.clone(),
             choices: self.choices.clone(),
             mc: self.mc.clone(),
         };
@@ -535,8 +720,9 @@ mod tests {
     /// (no truncation) and every path satisfies all four predicates — total
     /// order and at-most-once (server consistency), external consistency,
     /// and termination (every terminal state is a goal state). The debug
-    /// profile runs the 1-request instance (~8k states); the release-mode
-    /// smoke harness runs the 2-request instance (~500k states).
+    /// profile runs the 1-request instance (71 states — a request is three
+    /// wires now, not nine); the release-mode smoke harness runs the
+    /// 2-request instance (815 states).
     #[test]
     fn clean_exploration_is_exhaustive_and_safe() {
         let report = OarScenario::clean(1, 1).run().expect("forkable");
@@ -552,9 +738,8 @@ mod tests {
     /// state deduplication, so the comparison isolates POR); the raw arm
     /// runs with no reduction at all, bounded at twice the reduced state
     /// count plus one — it must hit that bound, proving the raw space is
-    /// more than twice the reduced one. (The actual margin is ~300×:
-    /// release-mode measurement puts the raw 1-request space above 2·10⁷
-    /// states against 69 485 reduced.)
+    /// more than twice the reduced one. (The actual margin is ~18×: the raw
+    /// 1-request space has 2 661 states against 146 reduced.)
     #[test]
     fn por_prunes_at_least_half_the_states() {
         let scenario = OarScenario::clean(1, 1);
@@ -683,7 +868,7 @@ mod tests {
         (scenario.choices[3].apply)(&mut world); // suspect(s2)@s1
         world.run_until(HORIZON);
         assert!(
-            oar_goal(scenario.clients(), HORIZON)(&world),
+            oar_goal(scenario.servers(), scenario.clients(), Vec::new(), HORIZON)(&world),
             "the replaced group must finish the workload and drain"
         );
         let spare = ProcessId::new(4);
@@ -716,6 +901,56 @@ mod tests {
         assert!(report.ok(), "violations: {:?}", report.violations);
         assert_eq!(report.deadlocks, 0);
         assert!(report.goal_states > 0);
+    }
+
+    /// Partial-multicast gate (directed path): with the sequencer alive, the
+    /// request sits at its one holder until a two-tick stretch passes there;
+    /// the push then reaches the sequencer and the request is delivered at
+    /// all three replicas — no timer fires inside the horizon.
+    #[test]
+    fn partial_multicast_is_pushed_to_the_sequencer_and_delivered() {
+        let scenario = OarScenario::partial_multicast(false);
+        let goal = scenario.checker().goal;
+        let mut world = scenario.world();
+        world.run_until(SimTime::from_secs(1));
+        assert!(!goal(&world), "nothing moves without a tick");
+        let holder_ticks = scenario
+            .choices
+            .iter()
+            .find(|c| c.id == "ticks@p1#0")
+            .expect("the holder's tick choice");
+        assert!((holder_ticks.enabled)(&world));
+        (holder_ticks.apply)(&mut world);
+        world.run_until(HORIZON);
+        assert!(goal(&world), "pushed, ordered and delivered everywhere");
+        assert!(
+            scenario
+                .choices
+                .iter()
+                .filter(|c| c.id.starts_with("ticks"))
+                .all(|c| !(c.enabled)(&world)),
+            "no repair left to do"
+        );
+        oar_invariant(scenario.servers(), scenario.clients())(&world).expect("safety holds");
+    }
+
+    /// Partial-multicast gate (exploration): every explored interleaving of
+    /// tick stretches, sequencer crash, suspicion and repair traffic keeps
+    /// the safety propositions and ends with the dying client's request
+    /// delivered at every live replica — no schedule strands it at its holder.
+    /// Both arms — sequencer alive throughout, sequencer crashing at any
+    /// point — are small enough (~34k states) to sweep exhaustively.
+    #[test]
+    fn partial_multicast_paths_are_safe_and_deliver() {
+        for crash in [false, true] {
+            let report = OarScenario::partial_multicast(crash)
+                .run()
+                .expect("forkable");
+            assert!(report.ok(), "violations: {:?}", report.violations);
+            assert!(!report.truncated, "exploration must finish: {report:?}");
+            assert_eq!(report.deadlocks, 0);
+            assert!(report.goal_states > 0);
+        }
     }
 
     /// Differential gate (stepwise): a plain timed execution only ever

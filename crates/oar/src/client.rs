@@ -266,7 +266,7 @@ impl<S: StateMachine> OarClient<S> {
             // agree; the wire is built once and shared across all servers.
             wire.payload.id = id;
             ctx.send_all(&targets, OarWire::Request(wire));
-            ctx.annotate(format!("OAR-multicast({id})"));
+            ctx.annotate_with(|| format!("OAR-multicast({id})"));
             self.outstanding.insert(
                 id,
                 Outstanding {
@@ -307,12 +307,14 @@ impl<S: StateMachine> OarClient<S> {
             return;
         };
         let outstanding = self.outstanding.remove(&request).expect("outstanding");
-        ctx.annotate(format!(
-            "adopt({}, pos={}, |W|={})",
-            request,
-            reply.position,
-            reply.weight.len()
-        ));
+        ctx.annotate_with(|| {
+            format!(
+                "adopt({}, pos={}, |W|={})",
+                request,
+                reply.position,
+                reply.weight.len()
+            )
+        });
         self.completed.push(CompletedRequest {
             id: request,
             index: outstanding.index,

@@ -99,6 +99,22 @@ pub fn check_server_consistency<S: StateMachine>(servers: &[&OarServer<S>]) -> R
     Ok(())
 }
 
+/// The global delivery position of every request `server` still retains
+/// (settled log after the compaction base, plus the current optimistic
+/// deliveries). Positions count from 1 across the compacted prefix: the
+/// retained sequence starts at `a_base + 1`.
+pub(crate) fn retained_positions<S: StateMachine>(
+    server: &OarServer<S>,
+) -> HashMap<RequestId, u64> {
+    let base = server.a_base();
+    server
+        .committed_sequence()
+        .iter()
+        .enumerate()
+        .map(|(i, id)| (*id, base + (i + 1) as u64))
+        .collect()
+}
+
 /// Checks external consistency (Proposition 7) over the given (alive)
 /// servers and the per-client completed-request logs: every response adopted
 /// by a client matches, at every server that delivered the request without
@@ -111,21 +127,9 @@ pub fn check_external_consistency<S: StateMachine>(
     servers: &[&OarServer<S>],
     clients: &[&[CompletedRequest<S::Response>]],
 ) -> Result<(), String> {
-    // Build, per server, the final position of every settled request.
-    // Positions are global: the retained sequence starts after the
-    // compacted prefix, at `a_base + 1`.
     let per_server: Vec<(oar_simnet::ProcessId, HashMap<RequestId, u64>)> = servers
         .iter()
-        .map(|server| {
-            let base = server.a_base();
-            let positions = server
-                .committed_sequence()
-                .iter()
-                .enumerate()
-                .map(|(i, id)| (*id, base + (i + 1) as u64))
-                .collect();
-            (server.id(), positions)
-        })
+        .map(|server| (server.id(), retained_positions(server)))
         .collect();
     for (c_idx, completed) in clients.iter().enumerate() {
         for done in *completed {

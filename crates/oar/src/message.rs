@@ -245,8 +245,9 @@ impl fmt::Display for CnsvValue {
 /// The top-level wire message exchanged by all processes of an OAR deployment.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OarWire<C, R> {
-    /// A client request travelling through the reliable multicast layer
-    /// (initial send from the client or relay between servers).
+    /// A client request, R-multicast by its client: one wire per member of
+    /// the group. Servers never pass this wire on — copies between servers
+    /// travel in [`OarWire::PayloadFill`].
     Request(CastWire<Request<C>>),
     /// A server's replies to one client, coalesced per delivery batch.
     Replies(ReplyBatch<R>),
@@ -290,17 +291,23 @@ pub enum OarWire<C, R> {
     },
     /// A donor's answer to a [`OarWire::CatchUpRequest`].
     CatchUpReply(Box<CatchUpReply<C>>),
-    /// A rejoined replica asking a peer for request payloads it saw ordered
-    /// (in an `OrderMsg` or a consensus decision) but whose `R-multicast`
-    /// relay was lost while it was down. The multicast layer never re-sends
-    /// — every live member already delivered — so without this wire a
-    /// rejoiner could stall on a decision forever.
+    /// The pull half of the request repair: a replica asking a peer for
+    /// request payloads it saw ordered (in an `OrderMsg` or a consensus
+    /// decision) but never received from their client — it was down when
+    /// they were sent, or the client died mid-multicast. Clients never
+    /// re-send, so without this wire the replica could stall on a decision
+    /// forever.
     PayloadFetch {
         /// The request ids whose payloads are missing.
         ids: Vec<RequestId>,
     },
-    /// The payloads answering a [`OarWire::PayloadFetch`] (only the ids the
-    /// donor still holds; the requester re-asks another peer for the rest).
+    /// Request payloads passed from one server to another: the answer to a
+    /// [`OarWire::PayloadFetch`] (only the ids the donor still holds; the
+    /// requester re-asks another peer for the rest), the push of requests
+    /// that stalled unordered at their holder, or the immediate forward of a
+    /// request no client will bring (to members a `Replace` fence admitted,
+    /// and of the `MigrateState` install request). The receiver never passes
+    /// it on.
     PayloadFill {
         /// The full requests, ready to feed the normal delivery path.
         requests: Vec<Request<C>>,
@@ -445,17 +452,17 @@ pub struct CatchUpReply<C> {
     /// door-drop filters age exactly as far as the donor's.
     pub gc_floor: u64,
     /// Ids of every settled request the donor still tracks, so the rejoiner
-    /// drops stale relays of settled requests at the door instead of
-    /// re-relaying them (the PR 3 ping-pong class).
+    /// drops late copies of settled requests at the door instead of
+    /// delivering them again.
     pub settled: Vec<RequestId>,
     /// The donor's state digest after image + delta, which the rejoiner must
     /// reproduce exactly before resuming.
     pub digest: u64,
     /// The donor's *unsettled* payloads (`R_delivered ⊖ A_delivered`), in
-    /// request-id order. Reliable multicast only re-sends among processes
-    /// that were live when a request spread, so a request multicast while
-    /// the rejoiner was down would otherwise never reach it — fatal once
-    /// sequencer rotation makes the rejoiner responsible for ordering it.
+    /// request-id order. Clients never re-send, so a request multicast while
+    /// the rejoiner was down would otherwise reach it only through the stall
+    /// repair — too late once sequencer rotation makes the rejoiner
+    /// responsible for ordering it.
     pub pending: Vec<Request<C>>,
     /// The donor's group membership at transfer time — a rejoiner that was
     /// down across a settled `Replace` fence must adopt the post-replacement

@@ -2,10 +2,12 @@
 //!
 //! Each server is a single [`Process`] that composes:
 //!
-//! * a [`ReliableCaster`] receiving (and relaying) client requests — Task 0;
+//! * the reception buffer of client requests — Task 0 — with the two
+//!   tick-driven repairs that give `R-multicast` its Agreement property
+//!   without relaying (see *Request dissemination* below);
 //! * the sequencer logic — Task 1a (ordering) and Task 1b (Opt-delivery);
 //! * a [`HeartbeatFd`] whose suspicion of the sequencer triggers Task 1c;
-//! * a second [`ReliableCaster`] for the `(k, PhaseII)` broadcast;
+//! * a [`ReliableCaster`] for the `(k, PhaseII)` broadcast;
 //! * one [`MajConsensus`] instance per epoch implementing the reduction of
 //!   `Cnsv-order` to consensus — Task 2;
 //! * the replicated [`StateMachine`] with its undo stack, so that
@@ -14,12 +16,36 @@
 //! The server progresses through epochs; the sequencer of epoch `k` is
 //! `Π[k mod |Π|]` (the rotating-coordinator rule of §5.3).
 //!
+//! # Request dissemination
+//!
+//! A client addresses every member of `Π` itself, so in a failure-free run
+//! each request crosses the group exactly once: `n` wires, no relay. What
+//! the classic relay-on-first-reception bought — Agreement when the client
+//! dies in the middle of its send loop — comes from two repairs on the
+//! maintenance tick, both silent while nothing is wrong:
+//!
+//! * **pull** (`maybe_fetch_payloads`): an id this server saw ordered or
+//!   decided whose payload is still missing after a full tick is fetched
+//!   from a peer (`PayloadFetch` / `PayloadFill`);
+//! * **push on stall** (`maybe_push_stalled`): a request held in
+//!   `R_delivered` that is neither ordered nor settled across two
+//!   consecutive ticks is sent to the peers, once per holder, batched in
+//!   `PayloadFill` wires — the classic relay, deferred until the sequencer
+//!   has visibly not got the request.
+//!
+//! Every correct holder of a request therefore eventually pushes it or is
+//! pulled from, which is Agreement. Two senders keep an immediate forward
+//! because no client copy will ever arrive where it is needed: the
+//! server-crafted `MigrateState` install request, and first-hand client
+//! copies at a group that a `Replace` fence re-rostered (clients keep
+//! addressing the roster they were built with).
+//!
 //! # Hot-path data structures
 //!
 //! The per-request work of the optimistic phase is O(1) amortised:
 //!
 //! * `O_delivered` and `A_delivered` are indexed [`Seq`]s, so the membership
-//!   tests of Tasks 1a/1b (`delivered_already`) cost O(1) instead of a scan;
+//!   tests of Tasks 1a/1b (`has_delivered`) cost O(1) instead of a scan;
 //! * the not-yet-deliverable suffix of the sequencer order is a `VecDeque`
 //!   plus a membership `HashSet`, so draining it is O(1) per request;
 //! * the sequencer keeps a cursor into `R_delivered` (`order_cursor`) marking
@@ -79,7 +105,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
-use oar_channels::{CastWire, Delivery, ReliableCaster};
+use oar_channels::ReliableCaster;
 use oar_consensus::{ConsensusSend, ConsensusWire, Decision, MajConsensus};
 use oar_fd::{FdEvent, HeartbeatFd};
 use oar_sequence::Seq;
@@ -161,8 +187,9 @@ const CATCHUP_BACKOFF_CAP: u32 = 3;
 /// one tick; eight is comfortably past any burst of probe races.
 const SYNC_VOTE_EXPIRY_TICKS: u64 = 8;
 
-/// At most this many missing payloads are named in one `PayloadFetch` wire;
-/// the rest follow on later ticks once the first batch lands.
+/// At most this many payloads are named in one `PayloadFetch` wire (the
+/// rest follow on later ticks once the first batch lands) or carried by one
+/// pushed `PayloadFill`.
 const FETCH_BATCH: usize = 64;
 
 /// One link of the chained order-hash over settled request ids:
@@ -276,8 +303,8 @@ pub struct ServerStats {
     /// the `txn-smoke` gate relies on that to show the fast path is
     /// wire-identical to the plain sharded client.
     pub txn_prepares: u64,
-    /// Current and peak total size of the reliable-multicast duplicate-
-    /// suppression (`seen`) sets, bounded by the same epoch-watermark rule
+    /// Current and peak size of the `PhaseII` broadcast's duplicate-
+    /// suppression (`seen`) set, bounded by the same epoch-watermark rule
     /// as `payloads`.
     pub seen: PeakGauge,
     /// Size of the last (current) and largest `OrderMsg` batch this server
@@ -335,11 +362,14 @@ pub struct ServerStats {
     /// Delivery position of the snapshot image installed by the last
     /// successful catch-up (the prefix the rejoiner did *not* replay).
     pub catch_up_snapshot_position: u64,
-    /// `PayloadFetch` wires sent to repair payloads whose multicast relay
-    /// was lost across a restart.
+    /// `PayloadFetch` wires sent to pull payloads of ordered or decided
+    /// requests that never arrived from their client.
     pub payload_fetches: u64,
     /// `PayloadFill` wires served to peers (donor side).
     pub payload_fills: u64,
+    /// `PayloadFill` wires pushed to peers for requests that stalled
+    /// unordered (one per destination). 0 in a failure-free run.
+    pub payload_pushes: u64,
     /// Consensus instances whose messages were re-sent after stalling (the
     /// crash-recovery repair of the quasi-reliable-channel assumption).
     pub consensus_retransmits: u64,
@@ -419,7 +449,6 @@ pub struct OarServer<S: StateMachine> {
     flush_timer_pending: bool,
 
     // --- components ---
-    request_cast: ReliableCaster<Request<S::Command>>,
     phase2_cast: ReliableCaster<PhaseIIMsg>,
     fd: HeartbeatFd,
     consensus: Option<MajConsensus<CnsvValue>>,
@@ -496,6 +525,16 @@ pub struct OarServer<S: StateMachine> {
     prev_missing: HashSet<RequestId>,
     /// Rotates the target peer of successive `PayloadFetch` wires.
     fetch_round: u64,
+    /// Stall scan over `r_delivered`: every request before `stall_cursor`
+    /// has been examined (pushed, or found ordered); the ones before
+    /// `stall_mark` were already held at the previous maintenance tick, so
+    /// a tick examines `[stall_cursor, stall_mark)` — requests held for a
+    /// full tick — and nothing else. Both restart from 0 when `r_delivered`
+    /// is rebuilt, and `pushed` keeps the rescan from pushing an id twice.
+    stall_cursor: usize,
+    stall_mark: usize,
+    /// Unsettled requests this server has already pushed to its peers.
+    pushed: HashSet<RequestId>,
     /// Maintenance ticks the current consensus instance has spent undecided:
     /// after two full ticks its (idempotent) messages are re-sent, repairing
     /// estimates/proposals that were unicast to a peer while it was down.
@@ -511,6 +550,10 @@ pub struct OarServer<S: StateMachine> {
     /// migrated-away door check; the whole list travels in `Redirect`s so a
     /// stale client can repair its router in one round-trip.
     migrations: Vec<MigrationRecord>,
+    /// Other members admitted by a settled `Replace` fence. Clients keep
+    /// addressing the roster they were built with and are never told, so
+    /// first-hand client copies are forwarded to these members on reception.
+    admitted: Vec<ProcessId>,
 
     // --- Merkle anti-entropy ---
     /// Rotates the probe target of successive anti-entropy ticks.
@@ -566,7 +609,6 @@ impl<S: StateMachine> OarServer<S> {
         let settled_digest = sm.digest();
         OarServer {
             id,
-            request_cast: ReliableCaster::new(id, group.clone()),
             phase2_cast: ReliableCaster::new(id, group.clone()),
             fd: HeartbeatFd::new(id, group.clone(), config.fd),
             consensus: None,
@@ -608,9 +650,13 @@ impl<S: StateMachine> OarServer<S> {
             opt_freeze_epoch: None,
             prev_missing: HashSet::new(),
             fetch_round: 0,
+            stall_cursor: 0,
+            stall_mark: 0,
+            pushed: HashSet::new(),
             cnsv_stall_ticks: 0,
             route_epoch: 0,
             migrations: Vec::new(),
+            admitted: Vec::new(),
             sync_cursor: 0,
             sync_tick: 0,
             sync_votes: BTreeMap::new(),
@@ -657,15 +703,15 @@ impl<S: StateMachine> OarServer<S> {
         self.config.group
     }
 
-    /// Total size of the reliable-multicast duplicate-suppression sets
-    /// (request + PhaseII casters) — the quantity aged out by the
-    /// epoch-watermark rule.
+    /// Size of the `PhaseII` caster's duplicate-suppression set — the
+    /// quantity aged out by the epoch-watermark rule. (Client requests need
+    /// no such set: `payloads` and `settled` recognise every copy.)
     pub fn seen_len(&self) -> usize {
-        self.request_cast.seen_count() + self.phase2_cast.seen_count()
+        self.phase2_cast.seen_count()
     }
 
     /// Updates the `seen` gauge after any insertion into or pruning of the
-    /// casters' duplicate-suppression sets.
+    /// caster's duplicate-suppression set.
     fn record_seen(&mut self) {
         self.stats.seen.record(self.seen_len() as u64);
     }
@@ -840,6 +886,22 @@ impl<S: StateMachine> OarServer<S> {
         self.sm.anti_entropy_repair(key, value)
     }
 
+    /// Whether the maintenance tick has request repair to do here: an
+    /// ordered or decided id whose payload is missing (pull), or a held
+    /// request that is neither ordered nor settled and was not pushed yet
+    /// (push on stall). Model-checker support: ticks are a scheduling choice
+    /// there, worth taking only where they do something.
+    pub fn repair_due(&self) -> bool {
+        let missing =
+            |id: &RequestId| !self.payloads.contains_key(id) && !self.settled.contains(id);
+        !self.pending_missing.is_empty()
+            || self.order_queue.iter().any(missing)
+            || self
+                .r_delivered
+                .iter()
+                .any(|id| self.is_unordered(id) && !self.pushed.contains(id))
+    }
+
     /// Forces this server to suspect the current sequencer (wrong-suspicion
     /// injection used by the experiments on Opt-undeliver frequency).
     pub fn force_suspect_sequencer(
@@ -877,9 +939,17 @@ impl<S: StateMachine> OarServer<S> {
     // helpers
     // ------------------------------------------------------------------
 
-    /// O(1): both `settled` and the indexed `o_delivered` are hash probes.
-    fn delivered_already(&self, id: &RequestId) -> bool {
+    /// Whether this server has delivered `id` and not undone it — settled in
+    /// a closed epoch (however long ago: the answer survives log compaction)
+    /// or Opt-delivered in the current one. O(1): two hash probes.
+    pub fn has_delivered(&self, id: &RequestId) -> bool {
         self.settled.contains(id) || self.o_delivered.contains(id)
+    }
+
+    /// Whether `id` is still waiting for the sequencer: neither delivered nor
+    /// named by an order this server has accepted.
+    fn is_unordered(&self, id: &RequestId) -> bool {
+        !self.has_delivered(id) && !self.order_queued.contains(id)
     }
 
     /// Every group member except this server: the destination list of the
@@ -897,21 +967,18 @@ impl<S: StateMachine> OarServer<S> {
         self.r_delivered.len() - self.order_cursor
     }
 
-    fn annotate(&self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>, text: String) {
-        ctx.annotate(text);
-    }
-
-    /// Task 0 (Fig. 6 lines 6–7): buffer an incoming client request.
+    /// Task 0 (Fig. 6 lines 6–7): buffer an incoming client request — the
+    /// R-delivery, at most once per request whichever way its copies arrive
+    /// (from the client, pushed or forwarded by a peer, pulled).
     fn handle_request_delivery(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        delivery: Delivery<Request<S::Command>>,
+        request: Request<S::Command>,
     ) {
-        let request = delivery.payload;
         let id = request.id;
         debug_assert_eq!(
             request.group, self.config.group,
-            "misroutes are dropped at the door, before the caster"
+            "misroutes are dropped at the door"
         );
         if self.payloads.contains_key(&id) || self.settled.contains(&id) {
             return;
@@ -922,7 +989,6 @@ impl<S: StateMachine> OarServer<S> {
         let fence = request.reconfig.is_some();
         self.payloads.insert(id, request);
         self.stats.payloads.record(self.payloads.len() as u64);
-        self.record_seen();
         self.r_delivered.push(id);
         // Feed the adaptive controller on every server (not just the current
         // sequencer): O(1), and it keeps a fail-over successor's rate
@@ -1033,16 +1099,7 @@ impl<S: StateMachine> OarServer<S> {
         }
         let mut batch: Seq<RequestId> = Seq::with_capacity(self.order_backlog());
         for id in &self.r_delivered.as_slice()[self.order_cursor..] {
-            if !self.delivered_already(id) && !self.order_queued.contains(id) {
-                // A relayed copy of a migrated-away request can slip into
-                // `R_delivered` after the migration fence pruned the
-                // first-hand ones; never order it (its client was already
-                // redirected by the pruning replicas).
-                if let Some(request) = self.payloads.get(id) {
-                    if self.migrated_away(&request.command) {
-                        continue;
-                    }
-                }
+            if self.is_unordered(id) {
                 batch.push(*id);
             }
         }
@@ -1079,7 +1136,7 @@ impl<S: StateMachine> OarServer<S> {
         order: Seq<RequestId>,
     ) {
         for id in order.iter() {
-            if !self.delivered_already(id) && self.order_queued.insert(*id) {
+            if !self.has_delivered(id) && self.order_queued.insert(*id) {
                 self.order_queue.push_back(*id);
             }
         }
@@ -1112,7 +1169,7 @@ impl<S: StateMachine> OarServer<S> {
         let mut batch: Vec<RequestId> = Vec::new();
         let mut cut_epoch = false;
         while let Some(&next) = self.order_queue.front() {
-            if self.delivered_already(&next) {
+            if self.has_delivered(&next) {
                 self.order_queue.pop_front();
                 self.order_queued.remove(&next);
                 continue;
@@ -1173,7 +1230,7 @@ impl<S: StateMachine> OarServer<S> {
                 request: id,
                 position: self.position,
             });
-            self.annotate(ctx, format!("Opt-deliver({id}) @{}", self.position));
+            ctx.annotate_with(|| format!("Opt-deliver({id}) @{}", self.position));
             pending.entry(request.client).or_default().push(ReplyItem {
                 request: id,
                 position: self.position,
@@ -1283,13 +1340,13 @@ impl<S: StateMachine> OarServer<S> {
         self.phase = Phase::Conservative;
         self.phase2_started = true;
         self.stats.phase2_entered += 1;
-        self.annotate(ctx, format!("PhaseII(epoch={})", self.epoch));
+        ctx.annotate_with(|| format!("PhaseII(epoch={})", self.epoch));
 
         // Fig. 6 line 23: O_notdelivered = (R_delivered ⊖ A_delivered) ⊖ O_delivered.
         let o_notdelivered: Seq<RequestId> = self
             .r_delivered
             .iter()
-            .filter(|id| !self.delivered_already(id))
+            .filter(|id| !self.has_delivered(id))
             .copied()
             .collect();
 
@@ -1371,10 +1428,10 @@ impl<S: StateMachine> OarServer<S> {
     }
 
     /// Adopts the epoch's decision and records which payloads it still waits
-    /// for. Requests decided by others but not yet received here will arrive
-    /// by the agreement property of R-multicast; each arrival knocks its id
-    /// out of `pending_missing` (O(1)) and the decision applies when the set
-    /// drains — no periodic rescan needed.
+    /// for. Requests decided by others but not yet received here arrive from
+    /// their client, or are pulled on the next ticks; each arrival knocks
+    /// its id out of `pending_missing` (O(1)) and the decision applies when
+    /// the set drains — no periodic rescan needed.
     fn set_pending_decision(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
@@ -1429,7 +1486,7 @@ impl<S: StateMachine> OarServer<S> {
                 epoch: self.epoch,
                 request: *id,
             });
-            self.annotate(ctx, format!("Opt-undeliver({id})"));
+            ctx.annotate_with(|| format!("Opt-undeliver({id})"));
         }
 
         // Lines 27–29: A-deliver the new sequence and reply with weight Π,
@@ -1461,7 +1518,7 @@ impl<S: StateMachine> OarServer<S> {
                     request: id,
                     position: self.position,
                 });
-                self.annotate(ctx, format!("A-deliver({id}) @{}", self.position));
+                ctx.annotate_with(|| format!("A-deliver({id}) @{}", self.position));
                 pending.entry(request.client).or_default().push(ReplyItem {
                     request: id,
                     position: self.position,
@@ -1534,7 +1591,7 @@ impl<S: StateMachine> OarServer<S> {
                 self.take_snapshot();
             }
         }
-        self.annotate(ctx, format!("epoch {} starts", self.epoch));
+        ctx.annotate_with(|| format!("epoch {} starts", self.epoch));
 
         // Serve the catch-up transfers held for members a fence just
         // admitted — after the epoch reset, so the reply carries the fresh
@@ -1569,6 +1626,7 @@ impl<S: StateMachine> OarServer<S> {
             .filter(|id| !settled.contains(id))
             .copied()
             .collect();
+        self.reset_stall_scan();
 
         // Replay buffered messages that were waiting for this epoch.
         let epoch = self.epoch;
@@ -1655,7 +1713,7 @@ impl<S: StateMachine> OarServer<S> {
             .position(|&p| p == old)
             .expect("checked above");
         self.group[slot] = new;
-        self.request_cast.replace_member(old, new);
+        self.admit(old, new);
         self.phase2_cast.replace_member(old, new);
         self.fd.replace_member(old, new, ctx.now());
         // The fenced replica's watermark no longer participates in the GC
@@ -1663,7 +1721,7 @@ impl<S: StateMachine> OarServer<S> {
         // catch-up completes — conservative, never unsafe.
         self.peer_settled.remove(&old);
         self.stats.reconfigs_applied += 1;
-        self.annotate(ctx, format!("reconfig: replace {old} -> {new}"));
+        ctx.annotate_with(|| format!("reconfig: replace {old} -> {new}"));
         // Note: if this server *is* `old` (fenced while still alive), it has
         // just removed itself from its own group view: it will never be
         // sequencer again, never count towards quorum, and its peers ignore
@@ -1709,16 +1767,15 @@ impl<S: StateMachine> OarServer<S> {
         let digest = entries_digest(&entries);
         self.stats.migrations_out += 1;
         self.stats.migrate_out_digest = digest;
-        self.annotate(
-            ctx,
+        ctx.annotate_with(|| {
             format!(
                 "reconfig: migrate [{}..{:?}) -> {:?} ({} entries)",
                 record.range.start,
                 record.range.end,
                 record.to_group,
                 entries.len()
-            ),
-        );
+            )
+        });
         for &to in to_members {
             self.stats.migrate_state_wires += 1;
             ctx.send(
@@ -1768,10 +1825,11 @@ impl<S: StateMachine> OarServer<S> {
             .copied()
             .collect();
         self.order_cursor = self.order_cursor.min(self.r_delivered.len());
+        self.reset_stall_scan();
+        // A late copy of a dropped request is turned away by the
+        // migrated-away check of whichever door it arrives at.
         for id in &gone {
             self.payloads.remove(id);
-            // Keep the caster's seen entry: a late relay of the dropped
-            // request must stay suppressed, not re-delivered.
         }
         self.stats.payloads.record(self.payloads.len() as u64);
         self.stats.redirected += gone.len() as u64;
@@ -1810,8 +1868,10 @@ impl<S: StateMachine> OarServer<S> {
     /// feeds a *deterministically identified* install request through this
     /// group's ordinary total order. Every donor replica sends the hand-off
     /// to every recipient member, and every recipient crafts the bit-same
-    /// request — the multicast seen-set dedups the copies, so the range
-    /// installs exactly once, at one agreed position. Install is
+    /// request — `payloads`/`settled` dedup the copies, so the range
+    /// installs exactly once, at one agreed position. No client multicasts
+    /// this request, so the first member to craft it forwards it to its
+    /// peers at once instead of waiting for the stall repair. Install is
     /// insert-if-absent: a client write redirected ahead of the install
     /// keeps its effect whichever side of the install it lands on.
     fn handle_migrate_state(
@@ -1825,7 +1885,7 @@ impl<S: StateMachine> OarServer<S> {
             return;
         }
         if entries_digest(&entries) != digest {
-            self.annotate(ctx, "migrate-state digest mismatch dropped".to_string());
+            ctx.annotate_with(|| "migrate-state digest mismatch dropped".to_string());
             return;
         }
         self.stats.migrate_in_digest = digest;
@@ -1846,18 +1906,16 @@ impl<S: StateMachine> OarServer<S> {
             route_epoch: self.route_epoch,
             command,
         };
-        let wire = CastWire {
-            id,
-            origin,
-            payload: request,
-        };
-        let (delivery, relay) = self.request_cast.on_wire_shared(wire);
-        if let Some((wire, targets)) = relay {
-            ctx.send_all(&targets, OarWire::Request(wire));
+        if self.payloads.contains_key(&id) || self.settled.contains(&id) {
+            return;
         }
-        if let Some(delivery) = delivery {
-            self.handle_request_delivery(ctx, delivery);
-        }
+        ctx.send_all(
+            &self.peers(),
+            OarWire::PayloadFill {
+                requests: vec![request.clone()],
+            },
+        );
+        self.handle_request_delivery(ctx, request);
     }
 
     // ------------------------------------------------------------------
@@ -2040,13 +2098,12 @@ impl<S: StateMachine> OarServer<S> {
     }
 
     /// Prunes the payloads of requests decided in epochs every live replica
-    /// has acknowledged — and ages the same epochs out of the reliable-
-    /// multicast duplicate-suppression sets, which would otherwise grow with
+    /// has acknowledged — and ages the same epochs out of the `PhaseII`
+    /// caster's duplicate-suppression set, which would otherwise grow with
     /// the lifetime of the server. A server's own watermark participates in
     /// the minimum, so nothing an unfinished local epoch still needs is
-    /// touched. Forgetting a settled request's multicast id is safe: should
-    /// a stale relay still arrive, `handle_request_delivery` discards it via
-    /// the `settled` set (and `handle_phase2_delivery` via the epoch check).
+    /// touched. A late copy of a pruned request is discarded via the
+    /// `settled` set, a stale `PhaseII` relay via the epoch check.
     fn maybe_gc(&mut self) {
         let floor = self.acked_watermark();
         let mut changed = false;
@@ -2057,7 +2114,6 @@ impl<S: StateMachine> OarServer<S> {
                         self.stats.payloads_pruned += 1;
                         changed = true;
                     }
-                    self.request_cast.forget(&id);
                 }
             }
             self.gc_floor += 1;
@@ -2130,7 +2186,7 @@ impl<S: StateMachine> OarServer<S> {
                 group: self.group.clone(),
             },
         );
-        self.annotate(ctx, format!("catch-up attempt {attempt} -> {donor}"));
+        ctx.annotate_with(|| format!("catch-up attempt {attempt} -> {donor}"));
         let backoff = 1u64 << (attempt.min(CATCHUP_BACKOFF_CAP as u64) as u32);
         ctx.set_timer(self.config.catch_up_retry.saturating_mul(backoff), CATCHUP);
     }
@@ -2169,14 +2225,13 @@ impl<S: StateMachine> OarServer<S> {
             route_epoch: self.route_epoch,
             migrations: self.migrations.clone(),
         };
-        self.annotate(
-            ctx,
+        ctx.annotate_with(|| {
             format!(
                 "catch-up reply -> {to}: snapshot @{} + delta {}",
                 self.snapshot.position,
                 self.settled_log.len()
-            ),
-        );
+            )
+        });
         ctx.send(to, OarWire::CatchUpReply(Box::new(reply)));
     }
 
@@ -2204,14 +2259,14 @@ impl<S: StateMachine> OarServer<S> {
             // silently miss every decision settled between this transfer and
             // the fence. Stay recovering and retry until a donor has fenced
             // us in.
-            self.annotate(ctx, format!("catch-up donor {donor} has not fenced us in"));
+            ctx.annotate_with(|| format!("catch-up donor {donor} has not fenced us in"));
             return retry(self, ctx);
         }
         if let Some(image) = &reply.image {
             if !self.sm.install(image) {
                 // An image of a foreign type cannot be installed; the state
                 // is untouched, so another attempt is safe.
-                self.annotate(ctx, format!("catch-up image from {donor} rejected"));
+                ctx.annotate_with(|| format!("catch-up image from {donor} rejected"));
                 return retry(self, ctx);
             }
             debug_assert_eq!(self.sm.digest(), reply.snapshot_digest);
@@ -2262,7 +2317,7 @@ impl<S: StateMachine> OarServer<S> {
                 .filter(|p| !self.group.contains(p))
                 .collect();
             for (old, new) in removed.into_iter().zip(added) {
-                self.request_cast.replace_member(old, new);
+                self.admit(old, new);
                 self.phase2_cast.replace_member(old, new);
                 self.fd.replace_member(old, new, ctx.now());
                 self.peer_settled.remove(&old);
@@ -2286,7 +2341,7 @@ impl<S: StateMachine> OarServer<S> {
                 reply.image.is_some(),
                 "catch-up digest mismatch on a non-snapshottable machine"
             );
-            self.annotate(ctx, format!("catch-up digest mismatch from {donor}"));
+            ctx.annotate_with(|| format!("catch-up digest mismatch from {donor}"));
             return retry(self, ctx);
         }
         self.stats.catch_up_delta = reply.delta.len() as u64;
@@ -2295,16 +2350,15 @@ impl<S: StateMachine> OarServer<S> {
             .a_delivered_len
             .record(self.a_delivered.len() as u64);
         self.catch_up_attempt = None;
-        self.annotate(
-            ctx,
+        ctx.annotate_with(|| {
             format!(
                 "caught up from {donor}: snapshot @{} + delta {} -> pos {}, epoch {}",
                 reply.snapshot_position,
                 reply.delta.len(),
                 self.position,
                 self.epoch
-            ),
-        );
+            )
+        });
         // Resume participation: maintenance tick (heartbeats re-admit this
         // replica at its peers' failure detectors) and an immediate
         // watermark announcement so the peers' payload GC stops waiting on
@@ -2316,10 +2370,9 @@ impl<S: StateMachine> OarServer<S> {
                 settled: self.settled_watermark(),
             },
         );
-        // Adopt the donor's unsettled payloads: their multicast spread while
-        // this replica was down and will never be re-sent, yet sequencer
-        // rotation may make this replica responsible for ordering them. The
-        // fill path marks them seen without re-relaying.
+        // Adopt the donor's unsettled payloads: their clients sent them while
+        // this replica was down and will never re-send, yet sequencer
+        // rotation may make this replica responsible for ordering them.
         self.handle_payload_fill(ctx, reply.pending.clone());
         // Replay what arrived during the transfer; the door checks (settled
         // set, epoch guards, GC floor) discard whatever it already covered.
@@ -2370,13 +2423,13 @@ impl<S: StateMachine> OarServer<S> {
         }
     }
 
-    /// Repairs payloads whose `R-multicast` relay was lost while this
-    /// replica was down: the multicast layer never re-sends once every live
-    /// member delivered, so an ordered request (in `order_queue`) or a
-    /// decided one (in `pending_missing`) could otherwise stall forever.
-    /// Runs on the maintenance tick; only ids already missing at the
-    /// *previous* tick are fetched, so ordinary in-flight payloads arrive on
-    /// their own without repair traffic.
+    /// The pull half of the request repair: fetches payloads this server
+    /// never received from their client (it was down, or the client died
+    /// mid-multicast) — clients never re-send, so an ordered request (in
+    /// `order_queue`) or a decided one (in `pending_missing`) could otherwise
+    /// stall forever. Runs on the maintenance tick; only ids already missing
+    /// at the *previous* tick are fetched, so ordinary in-flight payloads
+    /// arrive on their own without repair traffic.
     fn maybe_fetch_payloads(&mut self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>) {
         let mut missing: Vec<RequestId> = Vec::new();
         for id in self.order_queue.iter() {
@@ -2412,7 +2465,7 @@ impl<S: StateMachine> OarServer<S> {
         let donor = peers[(self.fetch_round as usize) % peers.len()];
         self.fetch_round += 1;
         self.stats.payload_fetches += 1;
-        self.annotate(ctx, format!("payload fetch ({}) -> {donor}", stuck.len()));
+        ctx.annotate_with(|| format!("payload fetch ({}) -> {donor}", stuck.len()));
         ctx.send(donor, OarWire::PayloadFetch { ids: stuck });
     }
 
@@ -2442,17 +2495,17 @@ impl<S: StateMachine> OarServer<S> {
         }
         self.cnsv_stall_ticks = 0;
         self.stats.consensus_retransmits += 1;
-        self.annotate(ctx, format!("consensus retransmit (epoch={})", self.epoch));
+        ctx.annotate_with(|| format!("consensus retransmit (epoch={})", self.epoch));
         let consensus = self.consensus.as_mut().expect("checked above");
         let output = consensus.retransmit();
         self.dispatch_consensus_output(ctx, output.messages, output.decision);
     }
 
-    /// Feeds payloads served by a peer's `PayloadFill` through the normal
-    /// delivery path. The caster marks them seen (so a stale relay arriving
-    /// later is suppressed) but the fill is **not** relayed — it is a
-    /// point-to-point repair, and re-relaying settled traffic is exactly the
-    /// ping-pong class the door filters exist to prevent.
+    /// The door for request copies that come from a peer — pulled, pushed on
+    /// stall, forwarded to an admitted member, or adopted from a catch-up
+    /// donor: settled and migrated-away requests are dropped, the rest take
+    /// the normal delivery path. Nothing is passed on from here; a receiver
+    /// that ends up holding the request unordered pushes it once itself.
     fn handle_payload_fill(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
@@ -2467,15 +2520,60 @@ impl<S: StateMachine> OarServer<S> {
             if self.migrated_away(&request.command) {
                 continue;
             }
-            let wire = CastWire {
-                id: request.id,
-                origin: request.client,
-                payload: request,
-            };
-            let (delivery, _relay) = self.request_cast.on_wire_shared(wire);
-            if let Some(delivery) = delivery {
-                self.handle_request_delivery(ctx, delivery);
+            self.handle_request_delivery(ctx, request);
+        }
+    }
+
+    /// The push half of the request repair: a request this server holds in
+    /// `R_delivered` that is neither ordered nor settled after a full tick
+    /// has visibly not reached the sequencer — its client died mid-multicast,
+    /// or the sequencer was down when it was sent. It is sent to the peers,
+    /// once per holder and batched, which is the relay the classic
+    /// R-multicast does on every first reception. Costs a scan of the
+    /// requests received since the tick before last, and no wire, while
+    /// ordering keeps up.
+    fn maybe_push_stalled(&mut self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>) {
+        let mut stalled: Vec<Request<S::Command>> = Vec::new();
+        for id in &self.r_delivered.as_slice()[self.stall_cursor..self.stall_mark] {
+            if !self.is_unordered(id) {
+                continue;
             }
+            if let Some(request) = self.payloads.get(id) {
+                if self.pushed.insert(*id) {
+                    stalled.push(request.clone());
+                }
+            }
+        }
+        self.stall_cursor = self.stall_mark;
+        self.stall_mark = self.r_delivered.len();
+        if stalled.is_empty() {
+            return;
+        }
+        let peers = self.peers();
+        while !stalled.is_empty() && !peers.is_empty() {
+            let rest = stalled.split_off(stalled.len().min(FETCH_BATCH));
+            self.stats.payload_pushes += peers.len() as u64;
+            ctx.annotate_with(|| format!("payload push ({})", stalled.len()));
+            ctx.send_all(&peers, OarWire::PayloadFill { requests: stalled });
+            stalled = rest;
+        }
+    }
+
+    /// Restarts the stall scan after `r_delivered` was rebuilt (positions
+    /// shifted, and a request ordered in the closed epoch may be unordered
+    /// again), forgetting the pushed ids that are gone from it.
+    fn reset_stall_scan(&mut self) {
+        self.stall_cursor = 0;
+        self.stall_mark = 0;
+        let held = &self.r_delivered;
+        self.pushed.retain(|id| held.contains(id));
+    }
+
+    /// Records that a `Replace` fence put `new` into `old`'s roster slot.
+    fn admit(&mut self, old: ProcessId, new: ProcessId) {
+        self.admitted.retain(|&p| p != old);
+        if new != self.id {
+            self.admitted.push(new);
         }
     }
 
@@ -2508,7 +2606,6 @@ impl<S: StateMachine> OarServer<S> {
             adaptive: self.adaptive.clone(),
             flush_deadline: self.flush_deadline,
             flush_timer_pending: self.flush_timer_pending,
-            request_cast: self.request_cast.clone(),
             phase2_cast: self.phase2_cast.clone(),
             fd: self.fd.clone(),
             consensus: self.consensus.clone(),
@@ -2532,9 +2629,13 @@ impl<S: StateMachine> OarServer<S> {
             opt_freeze_epoch: self.opt_freeze_epoch,
             prev_missing: self.prev_missing.clone(),
             fetch_round: self.fetch_round,
+            stall_cursor: self.stall_cursor,
+            stall_mark: self.stall_mark,
+            pushed: self.pushed.clone(),
             cnsv_stall_ticks: self.cnsv_stall_ticks,
             route_epoch: self.route_epoch,
             migrations: self.migrations.clone(),
+            admitted: self.admitted.clone(),
             sync_cursor: self.sync_cursor,
             sync_tick: self.sync_tick,
             sync_votes: self.sync_votes.clone(),
@@ -2549,7 +2650,7 @@ impl<S: StateMachine> OarServer<S> {
     /// [`Process::state_digest`] (model-checker state deduplication).
     ///
     /// Covered: epoch machinery, the three delivery sequences, the ordering
-    /// queue, the components (casters via [`ReliableCaster::digest_view`],
+    /// queue, the components (caster via [`ReliableCaster::digest_view`],
     /// failure detector via its suspect set, consensus and the out-of-epoch
     /// buffers via their deterministic `Debug` form), the recovery layer and
     /// the state machine's own [`StateMachine::digest`]. Excluded: the
@@ -2591,7 +2692,6 @@ impl<S: StateMachine> OarServer<S> {
         format!("{:?}", self.flush_deadline).hash(&mut h);
         self.flush_timer_pending.hash(&mut h);
         format!("{:?}", self.adaptive).hash(&mut h);
-        self.request_cast.digest_view().hash(&mut h);
         self.phase2_cast.digest_view().hash(&mut h);
         for p in self.fd.suspects() {
             p.index().hash(&mut h);
@@ -2621,9 +2721,13 @@ impl<S: StateMachine> OarServer<S> {
         self.opt_freeze_epoch.hash(&mut h);
         sorted(self.prev_missing.iter().copied()).hash(&mut h);
         self.fetch_round.hash(&mut h);
+        self.stall_cursor.hash(&mut h);
+        self.stall_mark.hash(&mut h);
+        sorted(self.pushed.iter().copied()).hash(&mut h);
         self.cnsv_stall_ticks.hash(&mut h);
         self.route_epoch.hash(&mut h);
         format!("{:?}", self.migrations).hash(&mut h);
+        self.admitted.hash(&mut h);
         self.sync_cursor.hash(&mut h);
         self.sync_tick.hash(&mut h);
         format!("{:?}", self.sync_votes).hash(&mut h);
@@ -2673,6 +2777,7 @@ impl<S: StateMachine> Process<OarWire<S::Command, S::Response>> for OarServer<S>
                 // watermarks, fetches) is periodic or answered by peers with
                 // live state, and a recovering replica cannot donate.
                 OarWire::Request(_)
+                | OarWire::PayloadFill { .. }
                 | OarWire::Order(_)
                 | OarWire::PhaseII(_)
                 | OarWire::Consensus(_) => {
@@ -2689,59 +2794,50 @@ impl<S: StateMachine> Process<OarWire<S::Command, S::Response>> for OarServer<S>
         }
         match msg {
             OarWire::Request(wire) => {
+                let request = wire.payload;
                 // Sharded deployments: a request stamped for another group
-                // reached the wrong shard. Count it and drop it at the door —
-                // feeding it to the caster would relay the misroute to the
-                // whole (wrong) group and pin its id in `seen` forever, since
-                // a request this group never orders is never settled here.
-                if wire.payload.group != self.config.group {
+                // reached the wrong shard. Count it and drop it at the door:
+                // a request this group never orders is never settled here,
+                // so buffering it would pin it forever.
+                if request.group != self.config.group {
                     self.stats.misrouted += 1;
-                    self.annotate(
-                        ctx,
-                        format!("misroute({}, {})", wire.id, wire.payload.group),
-                    );
+                    ctx.annotate_with(|| format!("misroute({}, {})", request.id, request.group));
                     return;
                 }
-                // A copy of an already-settled request — possible once the
-                // seen-set aging forgot its multicast id — is dropped at the
-                // door too. Feeding it back in would re-relay it, and two
-                // servers that both aged the id out could bounce it between
-                // each other indefinitely; dropping here is safe because
-                // every server relays on its own first (pre-settlement)
-                // reception, so no delivery path is lost.
-                if self.settled.contains(&wire.id) {
+                // A late copy of an already-settled request (a redirected
+                // client re-sending, a slow link).
+                if self.settled.contains(&request.id) {
                     return;
                 }
                 // Routing door: a request stamped with a stale boundary
                 // epoch, or touching a key this group migrated away, is
-                // dropped and its client pointed at the new owner. Only
-                // first-hand copies are checked (`from == origin`): relayed
-                // copies of pre-fence requests must keep spreading so the
-                // group still agrees on them, and the seen-set suppresses
-                // relays of anything the fence pruned.
-                if from == wire.origin
-                    && (wire.payload.route_epoch < self.route_epoch
-                        || self.migrated_away(&wire.payload.command))
-                {
+                // dropped and its client pointed at the new owner. Copies
+                // that peers pass on arrive in `PayloadFill` and skip the
+                // epoch check: a pre-fence request one member accepted must
+                // stay acceptable to the others.
+                if request.route_epoch < self.route_epoch || self.migrated_away(&request.command) {
                     self.stats.redirected += 1;
-                    self.annotate(ctx, format!("redirect({})", wire.id));
+                    ctx.annotate_with(|| format!("redirect({})", request.id));
                     ctx.send(
-                        wire.payload.client,
+                        request.client,
                         OarWire::Redirect {
                             records: self.migrations.clone(),
-                            dropped: vec![wire.id],
+                            dropped: vec![request.id],
                         },
                     );
                     return;
                 }
-                let (delivery, relay) = self.request_cast.on_wire_shared(wire);
-                if let Some((wire, targets)) = relay {
-                    // One shared allocation for all relay recipients.
-                    ctx.send_all(&targets, OarWire::Request(wire));
+                // Clients address the roster they were built with: members a
+                // `Replace` fence admitted since get the request from here.
+                if !self.admitted.is_empty() && !self.payloads.contains_key(&request.id) {
+                    ctx.send_all(
+                        &self.admitted,
+                        OarWire::PayloadFill {
+                            requests: vec![request.clone()],
+                        },
+                    );
                 }
-                if let Some(delivery) = delivery {
-                    self.handle_request_delivery(ctx, delivery);
-                }
+                self.handle_request_delivery(ctx, request);
             }
             OarWire::Order(OrderMsg {
                 epoch,
@@ -2827,7 +2923,7 @@ impl<S: StateMachine> Process<OarWire<S::Command, S::Response>> for OarServer<S>
                     // the old roster and the requester would silently miss
                     // it. Hold the request and serve it the moment the fence
                     // applies (end of `apply_decision`).
-                    self.annotate(ctx, format!("catch-up from non-member {from} held"));
+                    ctx.annotate_with(|| format!("catch-up from non-member {from} held"));
                     self.held_catch_ups.retain(|(p, _)| *p != from);
                     self.held_catch_ups.push((from, attempt));
                 }
@@ -3081,9 +3177,11 @@ impl<S: StateMachine> Process<OarWire<S::Command, S::Response>> for OarServer<S>
         if !self.config.bug_skip_handoff_recheck {
             self.maybe_start_phase2(ctx);
         }
-        // Payload repair for gaps the multicast layer will never re-send
-        // (relays lost across a restart).
+        // Request repair, silent while every request reaches the sequencer
+        // from its client: pull what was ordered or decided without its
+        // payload arriving, push what is held but stays unordered.
         self.maybe_fetch_payloads(ctx);
+        self.maybe_push_stalled(ctx);
         // Consensus repair for the same reason: estimates/proposals unicast
         // to a peer that was down are lost for good, and if that peer was
         // the round's coordinator the instance wedges with nobody suspected.
@@ -3132,12 +3230,11 @@ mod tests {
         }
     }
 
-    /// Feeds one wire message to the server and returns the actions it
-    /// produced.
-    fn deliver(
+    /// Runs `f` against the server with a throwaway runtime context, the
+    /// way a callback sees one, and returns the actions it produced.
+    fn drive(
         server: &mut OarServer<CounterMachine>,
-        from: ProcessId,
-        msg: Wire,
+        f: impl FnOnce(&mut OarServer<CounterMachine>, &mut dyn oar_simnet::Runtime<Wire>),
     ) -> Vec<Action<Wire>> {
         let mut rng = SimRng::new(1);
         let mut actions = Vec::new();
@@ -3149,8 +3246,18 @@ mod tests {
             &mut actions,
             &mut next_timer,
         );
-        server.on_message(&mut ctx, from, msg);
+        f(server, &mut ctx);
         actions
+    }
+
+    /// Feeds one wire message to the server and returns the actions it
+    /// produced.
+    fn deliver(
+        server: &mut OarServer<CounterMachine>,
+        from: ProcessId,
+        msg: Wire,
+    ) -> Vec<Action<Wire>> {
+        drive(server, |s, ctx| s.on_message(ctx, from, msg))
     }
 
     fn request_wire(client: ProcessId, seq: u64, add: i64) -> (RequestId, Wire) {
@@ -3274,16 +3381,16 @@ mod tests {
         assert_eq!(server.stats().payloads_pruned, 1);
         assert_eq!(server.stats().payloads.peak(), 1);
         assert_eq!(server.acked_watermark(), 1);
-        // The multicast id was aged out of the duplicate-suppression set
-        // alongside the payload (the epoch's PhaseII ids likewise).
+        // The epoch's PhaseII id was aged out of the duplicate-suppression
+        // set alongside the payload.
         assert_eq!(server.seen_len(), 0, "settled seen ids aged out");
-        assert_eq!(server.stats().seen.peak(), 2, "request + own PhaseII");
-        // A stale relay of the settled request is discarded by the settled
-        // check and does not re-grow the seen set.
+        assert_eq!(server.stats().seen.peak(), 1, "own PhaseII");
+        // A late copy of the settled request is discarded by the settled
+        // check: nothing is buffered again.
         let (_, stale) = request_wire(client, 0, 3);
         deliver(&mut server, client, stale);
-        assert_eq!(server.seen_len(), 0);
-        assert!(!server.stable_sequence().is_empty());
+        assert_eq!(server.payloads_len(), 0);
+        assert_eq!(server.stats().opt_delivered, 1);
     }
 
     /// Requests stamped for another group are counted and dropped, never
@@ -3637,6 +3744,159 @@ mod tests {
         assert_eq!(server.stats().payload_fills, 1);
     }
 
+    /// Three servers wired to each other through a FIFO queue, without a
+    /// simulator: wires to processes outside the group (clients) are
+    /// dropped, as are wires to the server marked `down`, and every other
+    /// server-to-server wire is logged.
+    struct Trio {
+        servers: Vec<OarServer<CounterMachine>>,
+        down: Option<usize>,
+        queue: VecDeque<(ProcessId, ProcessId, Wire)>,
+        log: Vec<(ProcessId, ProcessId, Wire)>,
+    }
+
+    impl Trio {
+        fn new(config: OarConfig) -> Self {
+            let group: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
+            let servers = group
+                .iter()
+                .map(|&id| OarServer::new(id, group.clone(), config, CounterMachine::default()))
+                .collect();
+            Trio {
+                servers,
+                down: None,
+                queue: VecDeque::new(),
+                log: Vec::new(),
+            }
+        }
+
+        fn collect(&mut self, from: ProcessId, actions: Vec<Action<Wire>>) {
+            for action in &actions {
+                if let Some((to, wire)) = sent(action) {
+                    if to.index() < self.servers.len() && Some(to.index()) != self.down {
+                        self.queue.push_back((from, to, wire.clone()));
+                        self.log.push((from, to, wire.clone()));
+                    }
+                }
+            }
+        }
+
+        /// Delivers queued wires until none is left.
+        fn pump(&mut self) {
+            while let Some((from, to, wire)) = self.queue.pop_front() {
+                let actions = deliver(&mut self.servers[to.index()], from, wire);
+                self.collect(to, actions);
+            }
+        }
+
+        /// One maintenance tick at every live server, then delivery to
+        /// quiescence.
+        fn tick_all(&mut self) {
+            for i in 0..self.servers.len() {
+                if Some(i) == self.down {
+                    continue;
+                }
+                let timer = Timer {
+                    id: oar_simnet::TimerId(0),
+                    tag: TICK,
+                };
+                let actions = drive(&mut self.servers[i], |s, ctx| s.on_timer(ctx, timer));
+                self.collect(ProcessId::new(i), actions);
+            }
+            self.pump();
+        }
+
+        fn pushes(&self) -> u64 {
+            self.servers.iter().map(|s| s.stats().payload_pushes).sum()
+        }
+
+        fn fills_on_the_wire(&self) -> usize {
+            self.log
+                .iter()
+                .filter(|(_, _, w)| matches!(w, OarWire::PayloadFill { .. }))
+                .count()
+        }
+    }
+
+    /// Agreement without the relay: a client dies mid-multicast, its request
+    /// reached one non-sequencer only. Nothing moves until that holder has
+    /// seen the request stay unordered across two ticks; then it pushes it
+    /// once (n-1 wires), the sequencer orders it, the epoch cut settles it at
+    /// all three replicas, and no further tick pushes anything — the
+    /// receivers of the push find the request ordered and keep quiet.
+    #[test]
+    fn request_held_by_one_non_sequencer_is_pushed_once_and_settles_everywhere() {
+        let mut trio = Trio::new(OarConfig {
+            epoch_cut_after: Some(1),
+            ..OarConfig::default()
+        });
+        let client = ProcessId::new(9);
+        let (rid, request) = request_wire(client, 0, 5);
+        let actions = deliver(&mut trio.servers[1], client, request);
+        trio.collect(ProcessId::new(1), actions);
+        trio.pump();
+        assert_eq!(
+            trio.fills_on_the_wire(),
+            0,
+            "first reception relays nothing"
+        );
+
+        trio.tick_all();
+        assert_eq!(trio.pushes(), 0, "held for less than a full tick");
+        trio.tick_all();
+        assert_eq!(trio.servers[1].stats().payload_pushes, 2, "n-1 push wires");
+        for server in &trio.servers {
+            assert!(
+                server.stable_sequence().contains(&rid),
+                "{} must have settled the request",
+                server.id()
+            );
+            assert_eq!(server.state_machine().value(), 5);
+        }
+        for _ in 0..4 {
+            trio.tick_all();
+        }
+        assert_eq!(trio.pushes(), 2, "one holder pushed, once");
+        assert_eq!(trio.fills_on_the_wire(), 2, "no ping-pong");
+        let fetches: u64 = trio.servers.iter().map(|s| s.stats().payload_fetches).sum();
+        assert_eq!(fetches, 0, "the push made every pull unnecessary");
+
+        // A late push of the settled request is dropped at the door.
+        let (_, late) = request_wire(client, 0, 5);
+        let OarWire::Request(cast) = late else {
+            unreachable!()
+        };
+        let fill = OarWire::PayloadFill {
+            requests: vec![cast.payload],
+        };
+        let actions = deliver(&mut trio.servers[2], ProcessId::new(1), fill);
+        assert!(actions.iter().all(|a| sent(a).is_none()), "no reaction");
+        assert_eq!(trio.servers[2].payloads_len(), 0, "nothing buffered again");
+        assert_eq!(trio.servers[2].state_machine().value(), 5);
+    }
+
+    /// The repair is bounded around a crashed sequencer: every holder pushes
+    /// a stalled request at most once, however long it stays unordered.
+    #[test]
+    fn stalled_requests_are_pushed_at_most_once_per_holder() {
+        let mut trio = Trio::new(OarConfig::default());
+        trio.down = Some(0); // the sequencer: never hears, never orders
+        let client = ProcessId::new(9);
+        let (_, request) = request_wire(client, 0, 5);
+        let actions = deliver(&mut trio.servers[1], client, request);
+        trio.collect(ProcessId::new(1), actions);
+        for _ in 0..8 {
+            trio.tick_all();
+        }
+        assert_eq!(trio.servers[1].stats().payload_pushes, 2);
+        assert_eq!(
+            trio.servers[2].stats().payload_pushes,
+            2,
+            "the receiver of the push became a holder and pushed once too"
+        );
+        assert_eq!(trio.pushes(), 4, "n-1 wires per holder, whatever the wait");
+    }
+
     /// A settled `Replace` fence swaps the fenced member's slot in place:
     /// quorum, sequencer rotation, the failure detector and the GC
     /// accounting all see the new member; the old one is gone everywhere.
@@ -3778,25 +4038,6 @@ mod tests {
             )),
             "stale-routed client must receive the records and its dropped id"
         );
-    }
-
-    /// Runs `f` against the server with a throwaway runtime context, the
-    /// way timer-driven paths see one.
-    fn drive(
-        server: &mut OarServer<CounterMachine>,
-        f: impl FnOnce(&mut OarServer<CounterMachine>, &mut dyn oar_simnet::Runtime<Wire>),
-    ) {
-        let mut rng = SimRng::new(1);
-        let mut actions = Vec::new();
-        let mut next_timer = 0u64;
-        let mut ctx = Context::new(
-            SimTime::from_millis(1),
-            server.id(),
-            &mut rng,
-            &mut actions,
-            &mut next_timer,
-        );
-        f(server, &mut ctx);
     }
 
     /// A leaf-repair vote that cannot resolve — a member crashed before

@@ -29,7 +29,6 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use oar_channels::CastWire;
-use oar_sequence::Seq;
 use oar_simnet::{
     GroupId, NetConfig, NetStats, Process, ProcessId, Runtime, Samples, SimDuration, SimTime,
     Timer, TimerTag, World,
@@ -39,6 +38,7 @@ use crate::adaptive::{PipelineController, PipelineStats};
 use crate::client::{CompletedRequest, QuorumTracker};
 use crate::config::OarConfig;
 use crate::config::{ClientConfig, PipelineMode};
+use crate::consistency::{check_server_consistency, retained_positions};
 use crate::message::{majority, OarWire, ReconfigCmd, Reply, ReplyBatch, Request, RequestId};
 use crate::server::{OarServer, ServerStats};
 use crate::shard::{KeyRange, MigrationRecord, ShardKey, ShardRouter};
@@ -252,8 +252,8 @@ where
 
     /// Submits requests until the pipeline window is full or the workload is
     /// exhausted. Each request is R-multicast to the servers of its owning
-    /// group only (the client is not a member, so the group's internal relay
-    /// provides Agreement).
+    /// group only (one wire per member; the servers' push/pull repair
+    /// provides Agreement should this client die mid-send).
     ///
     /// With a static pipeline the window is global; with adaptive pipelining
     /// the head-of-line command must fit its *owning group's* window —
@@ -299,7 +299,7 @@ where
                 },
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate(format!("OAR-multicast({id}, {group})"));
+            ctx.annotate_with(|| format!("OAR-multicast({id}, {group})"));
             self.outstanding.insert(
                 id,
                 Outstanding {
@@ -351,13 +351,15 @@ where
         if let Some(a) = self.adaptive.as_mut() {
             a.in_flight[outstanding.group.index()] -= 1;
         }
-        ctx.annotate(format!(
-            "adopt({}, {}, pos={}, |W|={})",
-            request,
-            outstanding.group,
-            reply.position,
-            reply.weight.len()
-        ));
+        ctx.annotate_with(|| {
+            format!(
+                "adopt({}, {}, pos={}, |W|={})",
+                request,
+                outstanding.group,
+                reply.position,
+                reply.weight.len()
+            )
+        });
         self.completed.push(ShardCompleted {
             group: outstanding.group,
             request: CompletedRequest {
@@ -426,9 +428,8 @@ where
                 outstanding.quorum = QuorumTracker::new();
             }
             // Same group: the first-hand copy was door-dropped for the stale
-            // stamp alone, so re-send under the fresh one; if a pre-fence
-            // relay spread it after all, the group's seen-set absorbs the
-            // duplicate.
+            // stamp alone, so re-send under the fresh one; members that
+            // accepted the pre-fence copy recognise the duplicate by its id.
             outstanding.route_epoch = route_epoch;
             let wire = CastWire {
                 id,
@@ -444,7 +445,7 @@ where
                 },
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate(format!("OAR-redirect({id}, {group})"));
+            ctx.annotate_with(|| format!("OAR-redirect({id}, {group})"));
         }
     }
 }
@@ -687,7 +688,7 @@ where
     }
 
     /// Network statistics attributed to group `g` (message sends by its
-    /// servers: ordering, relays, replies, consensus, heartbeats).
+    /// servers: ordering, replies, consensus, heartbeats, repair).
     pub fn group_net_stats(&self, g: usize) -> NetStats {
         self.world.group_stats(GroupId::new(g))
     }
@@ -862,40 +863,14 @@ where
     /// reply matches, at every alive server of the *owning* group that
     /// settled the request, the position at which that server processed it.
     pub fn check_external_consistency(&self) -> Result<(), String> {
-        // Final settled position of every request, per server, per group.
-        let mut per_group: Vec<Vec<HashMap<RequestId, u64>>> = Vec::new();
-        for servers in &self.groups {
-            let mut maps = Vec::new();
-            for &s in servers {
-                if self.world.is_crashed(s) {
-                    maps.push(HashMap::new());
-                    continue;
-                }
-                let server = self.world.process_ref::<OarServer<S>>(s);
-                let mut positions = HashMap::new();
-                for (i, id) in server.committed_sequence().iter().enumerate() {
-                    positions.insert(*id, (i + 1) as u64);
-                }
-                maps.push(positions);
-            }
-            per_group.push(maps);
-        }
-        for (c_idx, &c) in self.clients.iter().enumerate() {
+        let adopted = self.clients.iter().flat_map(|&c| {
             let client = self.world.process_ref::<ShardedClient<S>>(c);
-            for done in client.completed() {
-                for (s_idx, positions) in per_group[done.group.index()].iter().enumerate() {
-                    if let Some(&pos) = positions.get(&done.request.id) {
-                        if pos != done.request.position {
-                            return Err(format!(
-                                "client {c_idx} adopted position {} for {} but server {} of {} settled it at {}",
-                                done.request.position, done.request.id, s_idx, done.group, pos
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+            client
+                .completed()
+                .iter()
+                .map(|done| (done.group, done.request.id, done.request.position))
+        });
+        check_adopted_positions::<S>(&self.world, &self.groups, adopted)
     }
 }
 
@@ -940,56 +915,67 @@ pub(crate) fn check_groups_consistency<S: StateMachine>(
     world: &World<OarWire<S::Command, S::Response>>,
     groups: &[Vec<ProcessId>],
 ) -> Result<(), String> {
-    let mut owner_of: HashMap<RequestId, GroupId> = HashMap::new();
+    let mut owner_of: HashMap<RequestId, usize> = HashMap::new();
     for (g, servers) in groups.iter().enumerate() {
-        let alive: Vec<ProcessId> = servers
-            .iter()
-            .copied()
-            .filter(|&s| !world.is_crashed(s))
-            .collect();
-        let sequences: Vec<(ProcessId, Seq<RequestId>)> = alive
-            .iter()
-            .map(|&s| (s, world.process_ref::<OarServer<S>>(s).committed_sequence()))
-            .collect();
-        for (p, seq) in &sequences {
-            let mut seen = std::collections::HashSet::new();
-            for id in seq.iter() {
-                if !seen.insert(*id) {
-                    return Err(format!("group {g}: server {p} delivered {id} twice"));
-                }
-                match owner_of.insert(*id, GroupId::new(g)) {
-                    Some(other) if other != GroupId::new(g) => {
-                        return Err(format!(
-                            "cross-group leak: {id} delivered by groups {other} and g{g}"
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (i, (p, sp)) in sequences.iter().enumerate() {
-            for (q, sq) in sequences.iter().skip(i + 1) {
-                if !(sp.is_prefix_of(sq) || sq.is_prefix_of(sp)) {
+        let alive = alive_servers::<S>(world, servers);
+        check_server_consistency(&alive).map_err(|e| format!("group {g}: {e}"))?;
+        for id in alive.iter().flat_map(|s| s.committed_sequence()) {
+            match owner_of.insert(id, g) {
+                Some(other) if other != g => {
                     return Err(format!(
-                        "group {g}: total order violated between {p} and {q}: {sp} vs {sq}"
+                        "cross-group leak: {id} delivered by groups g{other} and g{g}"
                     ));
                 }
+                _ => {}
             }
         }
-        // Digest equality for equal-length sequences.
-        let mut by_len: HashMap<usize, (ProcessId, u64)> = HashMap::new();
-        for &s in &alive {
-            let server = world.process_ref::<OarServer<S>>(s);
-            let len = server.committed_sequence().len();
-            let digest = server.state_machine().digest();
-            if let Some((other, other_digest)) = by_len.get(&len) {
-                if *other_digest != digest {
+    }
+    Ok(())
+}
+
+/// The replicas of one group that hold comparable state: not crashed, not
+/// mid-catch-up.
+pub(crate) fn alive_servers<'w, S: StateMachine>(
+    world: &'w World<OarWire<S::Command, S::Response>>,
+    servers: &[ProcessId],
+) -> Vec<&'w OarServer<S>> {
+    servers
+        .iter()
+        .filter(|&&s| !world.is_crashed(s))
+        .map(|&s| world.process_ref::<OarServer<S>>(s))
+        .filter(|server| !server.is_recovering())
+        .collect()
+}
+
+/// External consistency per group (Proposition 7): every `(group, request,
+/// position)` a client adopted matches, at every alive server of the owning
+/// group that still retains the request, the position at which that server
+/// processed it. Compaction-aware: positions are global, and a request a
+/// replica compacted into its snapshot is compared at the others.
+pub(crate) fn check_adopted_positions<S: StateMachine>(
+    world: &World<OarWire<S::Command, S::Response>>,
+    groups: &[Vec<ProcessId>],
+    adopted: impl IntoIterator<Item = (GroupId, RequestId, u64)>,
+) -> Result<(), String> {
+    let per_group: Vec<Vec<(ProcessId, HashMap<RequestId, u64>)>> = groups
+        .iter()
+        .map(|servers| {
+            alive_servers::<S>(world, servers)
+                .into_iter()
+                .map(|server| (server.id(), retained_positions(server)))
+                .collect()
+        })
+        .collect();
+    for (group, request, position) in adopted {
+        for (s, positions) in &per_group[group.index()] {
+            match positions.get(&request) {
+                Some(&pos) if pos != position => {
                     return Err(format!(
-                        "group {g}: servers {other} and {s} delivered {len} requests but diverge"
+                        "a client adopted position {position} for {request} but server {s} \
+                         of {group} settled it at {pos}"
                     ));
                 }
-            } else {
-                by_len.insert(len, (s, digest));
+                _ => {}
             }
         }
     }

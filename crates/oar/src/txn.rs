@@ -66,7 +66,10 @@ use crate::message::{
 };
 use crate::server::{OarServer, ServerStats};
 use crate::shard::{MigrationRecord, ShardKey, ShardRouter};
-use crate::sharded::{build_group_servers, check_groups_consistency, ShardedConfig};
+use crate::sharded::{
+    alive_servers, build_group_servers, check_adopted_positions, check_groups_consistency,
+    ShardedConfig,
+};
 use crate::state_machine::StateMachine;
 
 /// Timer tag used for the think-time delay between two transactions.
@@ -334,7 +337,7 @@ where
                 },
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate(format!("OAR-multicast({id}, {group})"));
+            ctx.annotate_with(|| format!("OAR-multicast({id}, {group})"));
             self.request_txn.insert(id, txn);
             outstanding.pending.insert(
                 id,
@@ -404,10 +407,7 @@ where
         }
         let mut outstanding = self.outstanding.remove(&txn).expect("checked above");
         outstanding.adopted.sort_by_key(|p| p.group.index());
-        ctx.annotate(format!(
-            "txn-commit({txn}, |groups|={})",
-            outstanding.adopted.len()
-        ));
+        ctx.annotate_with(|| format!("txn-commit({txn}, |groups|={})", outstanding.adopted.len()));
         self.completed.push(TxnCompleted {
             id: txn,
             index: outstanding.index,
@@ -483,7 +483,7 @@ where
                 },
             };
             ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate(format!("OAR-redirect({id}, {group})"));
+            ctx.annotate_with(|| format!("OAR-redirect({id}, {group})"));
         }
     }
 }
@@ -708,16 +708,8 @@ where
             let client = self.world.process_ref::<TxnClient<S>>(c);
             for txn in client.completed() {
                 for part in &txn.parts {
-                    let applied = self.groups[part.group.index()]
-                        .iter()
-                        .filter(|&&s| !self.world.is_crashed(s))
-                        .any(|&s| {
-                            self.world
-                                .process_ref::<OarServer<S>>(s)
-                                .committed_sequence()
-                                .contains(&part.request)
-                        });
-                    if !applied {
+                    let servers = alive_servers::<S>(&self.world, &self.groups[part.group.index()]);
+                    if !servers.iter().any(|s| s.has_delivered(&part.request)) {
                         return Err(format!(
                             "atomicity violated: client {c_idx} committed {} but group {} \
                              has no trace of its prepare {}",
@@ -732,46 +724,18 @@ where
 
     /// External consistency per part (Proposition 7 lifted to transactions):
     /// every adopted per-group position matches, at every alive server of
-    /// the owning group that settled the prepare, the position at which that
+    /// the owning group that retains the prepare, the position at which that
     /// server processed it.
     pub fn check_external_consistency(&self) -> Result<(), String> {
-        // Final settled position of every request, per server, per group.
-        let mut per_group: Vec<Vec<HashMap<RequestId, u64>>> = Vec::new();
-        for servers in &self.groups {
-            let mut maps = Vec::new();
-            for &s in servers {
-                if self.world.is_crashed(s) {
-                    maps.push(HashMap::new());
-                    continue;
-                }
-                let server = self.world.process_ref::<OarServer<S>>(s);
-                let mut positions = HashMap::new();
-                for (i, id) in server.committed_sequence().iter().enumerate() {
-                    positions.insert(*id, (i + 1) as u64);
-                }
-                maps.push(positions);
-            }
-            per_group.push(maps);
-        }
-        for (c_idx, &c) in self.clients.iter().enumerate() {
+        let adopted = self.clients.iter().flat_map(|&c| {
             let client = self.world.process_ref::<TxnClient<S>>(c);
-            for txn in client.completed() {
-                for part in &txn.parts {
-                    for (s_idx, positions) in per_group[part.group.index()].iter().enumerate() {
-                        if let Some(&pos) = positions.get(&part.request) {
-                            if pos != part.position {
-                                return Err(format!(
-                                    "client {c_idx} adopted position {} for {} of {} but \
-                                     server {} of {} settled it at {}",
-                                    part.position, part.request, txn.id, s_idx, part.group, pos
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+            client
+                .completed()
+                .iter()
+                .flat_map(|txn| &txn.parts)
+                .map(|part| (part.group, part.request, part.position))
+        });
+        check_adopted_positions::<S>(&self.world, &self.groups, adopted)
     }
 
     /// Runs every transactional check: per-group propositions, cross-group

@@ -187,6 +187,10 @@ impl<M: Clone + Send + 'static> Runtime<M> for RtContext<'_, M> {
     /// Annotations are a simulator trace feature; the real-clock backend
     /// discards them (they are debugging aid, not protocol state).
     fn annotate(&mut self, _text: String) {}
+
+    fn annotating(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

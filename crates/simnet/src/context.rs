@@ -90,6 +90,7 @@ pub struct Context<'a, M> {
     rng: &'a mut SimRng,
     actions: &'a mut Vec<Action<M>>,
     next_timer_id: &'a mut u64,
+    annotating: bool,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -108,7 +109,16 @@ impl<'a, M> Context<'a, M> {
             rng,
             actions,
             next_timer_id,
+            annotating: true,
         }
+    }
+
+    /// Sets whether annotations are kept (the default, so a test driver sees
+    /// them in its action buffer) or dropped unformatted: the simulator
+    /// passes its tracer's setting.
+    pub fn with_annotations(mut self, on: bool) -> Self {
+        self.annotating = on;
+        self
     }
 }
 
@@ -174,7 +184,13 @@ impl<M> Runtime<M> for Context<'_, M> {
 
     /// Records a protocol-level annotation in the simulation trace.
     fn annotate(&mut self, text: String) {
-        self.actions.push(Action::Annotate(text));
+        if self.annotating {
+            self.actions.push(Action::Annotate(text));
+        }
+    }
+
+    fn annotating(&self) -> bool {
+        self.annotating
     }
 }
 
@@ -232,6 +248,27 @@ mod tests {
         assert!(matches!(actions[4], Action::CancelTimer { id: TimerId(0) }));
         assert!(matches!(&actions[5], Action::Annotate(s) if s == "hello"));
         assert_eq!(next_timer, 1);
+    }
+
+    #[test]
+    fn unobserved_annotations_are_never_formatted() {
+        let mut rng = SimRng::new(1);
+        let mut actions: Vec<Action<u32>> = Vec::new();
+        let mut next_timer = 0u64;
+        let mut ctx = Context::new(
+            SimTime::ZERO,
+            ProcessId(0),
+            &mut rng,
+            &mut actions,
+            &mut next_timer,
+        );
+        let rt: &mut dyn Runtime<u32> = &mut ctx;
+        rt.annotate_with(|| "kept".to_string());
+        let mut ctx = ctx.with_annotations(false);
+        let rt: &mut dyn Runtime<u32> = &mut ctx;
+        rt.annotate_with(|| unreachable!("nobody keeps the text, so it is not built"));
+        assert_eq!(actions.len(), 1);
+        assert!(matches!(&actions[0], Action::Annotate(s) if s == "kept"));
     }
 
     #[test]

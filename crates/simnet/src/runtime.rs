@@ -93,7 +93,28 @@ pub trait Runtime<M> {
     fn cancel_timer(&mut self, id: TimerId);
 
     /// Records a protocol-level annotation (e.g. "Opt-deliver(m3)") in the
-    /// runtime's trace. The simnet tracer stores these; the real-clock
-    /// backend discards them (they are debugging aid, not protocol state).
+    /// runtime's trace. The simnet tracer stores these when annotation
+    /// recording is on; the real-clock backend discards them (they are
+    /// debugging aid, not protocol state). Hot paths go through
+    /// `annotate_with` (on `dyn Runtime`) so the text is only built when
+    /// somebody keeps it.
     fn annotate(&mut self, text: String);
+
+    /// Whether [`annotate`](Runtime::annotate) keeps what it is given. A
+    /// runtime that discards annotations returns `false`, which lets callers
+    /// skip formatting the text altogether.
+    fn annotating(&self) -> bool {
+        true
+    }
+}
+
+impl<M> dyn Runtime<M> + '_ {
+    /// [`annotate`](Runtime::annotate) with the text built on demand: an
+    /// unobserved run (the real-clock backend, a simulation that does not
+    /// record annotations) formats and allocates nothing.
+    pub fn annotate_with(&mut self, text: impl FnOnce() -> String) {
+        if self.annotating() {
+            self.annotate(text());
+        }
+    }
 }

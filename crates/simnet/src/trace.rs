@@ -144,14 +144,18 @@ pub struct Tracer {
     /// Per-group statistics, attributed to the *sender's* group (timers to
     /// the owning process's group).
     group_stats: BTreeMap<GroupId, NetStats>,
-    /// When `false`, only statistics and annotations are kept (long runs).
+    /// When `false`, per-message events are not stored (long runs).
     record_network_events: bool,
+    /// When `false` (the default), annotations are not stored either — and
+    /// processes are told so, so they never format them.
+    record_annotations: bool,
 }
 
 impl Tracer {
     /// Creates a tracer. If `record_network_events` is false, per-message
-    /// events are not stored (annotations still are), which keeps memory flat
-    /// for long benchmark runs.
+    /// events are not stored, which keeps memory flat for long benchmark
+    /// runs. Annotations are off until [`Tracer::record_annotations`] turns
+    /// them on.
     pub fn new(record_network_events: bool) -> Self {
         Tracer {
             events: Vec::new(),
@@ -159,7 +163,28 @@ impl Tracer {
             group_of: HashMap::new(),
             group_stats: BTreeMap::new(),
             record_network_events,
+            record_annotations: false,
         }
+    }
+
+    /// Drops the recorded events and statistics and switches per-message
+    /// recording; group assignments and the annotation setting are kept.
+    pub fn reset(&mut self, record_network_events: bool) {
+        self.events.clear();
+        self.stats = NetStats::default();
+        self.group_stats.clear();
+        self.record_network_events = record_network_events;
+    }
+
+    /// Turns the recording of protocol-level annotations on or off.
+    pub fn record_annotations(&mut self, enabled: bool) {
+        self.record_annotations = enabled;
+    }
+
+    /// Whether annotations are recorded: asked for, or part of a full
+    /// network trace.
+    pub fn records_annotations(&self) -> bool {
+        self.record_annotations || self.record_network_events
     }
 
     /// Declares `process` a member of `group` for per-group statistics.
@@ -213,12 +238,12 @@ impl Tracer {
         let keep = self.record_network_events
             || matches!(
                 kind,
-                TraceKind::Annotation { .. }
-                    | TraceKind::Crashed { .. }
+                TraceKind::Crashed { .. }
                     | TraceKind::Restarted { .. }
                     | TraceKind::PartitionStarted
                     | TraceKind::PartitionHealed
-            );
+            )
+            || (self.record_annotations && matches!(kind, TraceKind::Annotation { .. }));
         if keep {
             self.events.push(TraceEvent { time, kind });
         }
@@ -366,6 +391,7 @@ mod tests {
     #[test]
     fn network_events_can_be_suppressed() {
         let mut t = Tracer::new(false);
+        t.record_annotations(true);
         t.record(
             SimTime::ZERO,
             TraceKind::MessageSent {

@@ -286,17 +286,21 @@ impl<M: Clone + 'static> World<M> {
         }
     }
 
+    /// Enables or disables recording of the processes' protocol-level
+    /// annotations (off by default: an unobserved run then formats none).
+    /// A full network trace ([`World::record_network_events`]) includes them
+    /// regardless.
+    pub fn record_annotations(&mut self, enabled: bool) {
+        self.tracer.record_annotations(enabled);
+    }
+
     /// Enables or disables recording of per-message network trace events
-    /// (annotations and crash/partition events are always recorded). Resets
-    /// the recorded events and statistics; group assignments are kept.
+    /// (crash/partition events are always recorded, annotations with the
+    /// network trace or on their own via [`World::record_annotations`]).
+    /// Resets the recorded events and statistics; group assignments and the
+    /// annotation setting are kept.
     pub fn record_network_events(&mut self, enabled: bool) {
-        let mut tracer = Tracer::new(enabled);
-        for id in self.process_ids() {
-            if let Some(g) = self.tracer.group_of(id) {
-                tracer.assign_group(id, g);
-            }
-        }
-        self.tracer = tracer;
+        self.tracer.reset(enabled);
     }
 
     /// Declares `process` a member of replication group `group`. Sharded
@@ -496,19 +500,7 @@ impl<M: Clone + 'static> World<M> {
         if self.slots[process.0].crashed {
             return;
         }
-        let mut actions: Vec<Action<M>> = Vec::new();
-        {
-            let slot = &mut self.slots[process.0];
-            let mut ctx = Context::new(
-                self.now,
-                process,
-                &mut self.rng,
-                &mut actions,
-                &mut self.next_timer_id,
-            );
-            f(slot.process.as_mut(), &mut ctx);
-        }
-        self.apply_actions(process, actions);
+        self.run_callback(process, f);
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -922,6 +914,28 @@ impl<M: Clone + 'static> World<M> {
     // internals
     // ------------------------------------------------------------------
 
+    /// Runs one callback of `pid` against a fresh [`Context`] and applies the
+    /// actions it recorded.
+    fn run_callback(
+        &mut self,
+        pid: ProcessId,
+        f: impl FnOnce(&mut dyn Process<M>, &mut Context<'_, M>),
+    ) {
+        let mut actions: Vec<Action<M>> = Vec::new();
+        {
+            let mut ctx = Context::new(
+                self.now,
+                pid,
+                &mut self.rng,
+                &mut actions,
+                &mut self.next_timer_id,
+            )
+            .with_annotations(self.tracer.records_annotations());
+            f(self.slots[pid.0].process.as_mut(), &mut ctx);
+        }
+        self.apply_actions(pid, actions);
+    }
+
     fn ensure_started(&mut self) {
         for idx in 0..self.slots.len() {
             if self.slots[idx].started || self.slots[idx].crashed {
@@ -929,19 +943,7 @@ impl<M: Clone + 'static> World<M> {
             }
             self.slots[idx].started = true;
             let pid = ProcessId(idx);
-            let mut actions: Vec<Action<M>> = Vec::new();
-            {
-                let slot = &mut self.slots[idx];
-                let mut ctx = Context::new(
-                    self.now,
-                    pid,
-                    &mut self.rng,
-                    &mut actions,
-                    &mut self.next_timer_id,
-                );
-                slot.process.on_start(&mut ctx);
-            }
-            self.apply_actions(pid, actions);
+            self.run_callback(pid, |process, ctx| process.on_start(ctx));
         }
     }
 
@@ -989,19 +991,7 @@ impl<M: Clone + 'static> World<M> {
                 // Materialise the payload: free for owned messages and for
                 // the last reference of a shared one, one clone otherwise.
                 let msg = msg.materialize();
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[to.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        to,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    slot.process.on_message(&mut ctx, from, msg);
-                }
-                self.apply_actions(to, actions);
+                self.run_callback(to, |process, ctx| process.on_message(ctx, from, msg));
             }
             EventKind::Timer {
                 at,
@@ -1016,19 +1006,7 @@ impl<M: Clone + 'static> World<M> {
                     return;
                 }
                 self.tracer.record(self.now, TraceKind::TimerFired { at });
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[at.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        at,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    slot.process.on_timer(&mut ctx, Timer { id, tag });
-                }
-                self.apply_actions(at, actions);
+                self.run_callback(at, |process, ctx| process.on_timer(ctx, Timer { id, tag }));
             }
             EventKind::Crash { at } => self.apply_crash(at),
             EventKind::Restart { at, make } => self.apply_restart(at, make()),
@@ -1041,19 +1019,7 @@ impl<M: Clone + 'static> World<M> {
                 if self.slots[at.0].crashed {
                     return;
                 }
-                let mut actions: Vec<Action<M>> = Vec::new();
-                {
-                    let slot = &mut self.slots[at.0];
-                    let mut ctx = Context::new(
-                        self.now,
-                        at,
-                        &mut self.rng,
-                        &mut actions,
-                        &mut self.next_timer_id,
-                    );
-                    f(slot.process.as_mut(), &mut ctx);
-                }
-                self.apply_actions(at, actions);
+                self.run_callback(at, f);
             }
         }
     }
@@ -1083,19 +1049,7 @@ impl<M: Clone + 'static> World<M> {
             .record(self.now, TraceKind::Restarted { process });
         // Boot the fresh incarnation immediately: the same `on_start` hook a
         // process gets when the world first runs.
-        let mut actions: Vec<Action<M>> = Vec::new();
-        {
-            let slot = &mut self.slots[process.0];
-            let mut ctx = Context::new(
-                self.now,
-                process,
-                &mut self.rng,
-                &mut actions,
-                &mut self.next_timer_id,
-            );
-            slot.process.on_start(&mut ctx);
-        }
-        self.apply_actions(process, actions);
+        self.run_callback(process, |process, ctx| process.on_start(ctx));
     }
 
     fn apply_heal(&mut self) {
@@ -1686,11 +1640,22 @@ mod tests {
 
     #[test]
     fn annotations_recorded_in_trace() {
-        let mut world: World<Msg> = World::new(NetConfig::lan(), 14);
-        let _a = world.add_process(PingPong::new(vec![ProcessId(1)], 1));
-        let b = world.add_process(PingPong::new(vec![], 0));
-        world.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(world.tracer().annotations_of(b), vec!["ping 0"]);
+        let run = |record: bool| {
+            let mut world: World<Msg> = World::new(NetConfig::lan(), 14);
+            world.record_annotations(record);
+            let _a = world.add_process(PingPong::new(vec![ProcessId(1)], 1));
+            let b = world.add_process(PingPong::new(vec![], 0));
+            world.run_until_quiescent(SimTime::from_secs(1));
+            world
+                .tracer()
+                .annotations_of(b)
+                .into_iter()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(true), vec!["ping 0"]);
+        // Off (the default): nothing is kept, and processes are told so.
+        assert!(run(false).is_empty());
     }
 
     #[test]

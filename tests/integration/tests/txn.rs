@@ -112,6 +112,55 @@ fn committed_multi_group_txns_settle_in_every_participating_group() {
     }
 }
 
+/// The checks hold with log compaction on: epochs cut every 4 requests and
+/// a snapshot every 2 epochs compact most committed prepares out of the
+/// replicas' retained logs, so atomicity must be answered from the settled
+/// set and adopted positions compared past the compaction base. (With
+/// positions counted from the start of the *retained* log, every adoption
+/// past the first snapshot used to be reported as a mismatch, and every
+/// compacted prepare as missing.)
+#[test]
+fn checks_are_compaction_aware_with_snapshots_on() {
+    let config = ShardedConfig {
+        oar: OarConfig {
+            epoch_cut_after: Some(4),
+            snapshot_every: Some(2),
+            ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
+        },
+        client_pipeline: 4,
+        ..txn_config(2, 11)
+    };
+    let mut cluster: TxnCluster<KvMachine> =
+        TxnCluster::build(&config, KvMachine::new, |c| spanning_workload(c, 60));
+    assert!(
+        cluster.run_to_completion(SimTime::from_secs(30)),
+        "workload did not commit"
+    );
+    assert_eq!(cluster.completed_txns().len(), 120);
+    assert!(cluster.multi_group_commits() > 0);
+    let compacted = cluster.sum_stats(|st| st.compacted);
+    assert!(
+        compacted > 0,
+        "the run must compact, or the test is vacuous"
+    );
+    let some_replica = cluster
+        .world
+        .process_ref::<OarServer<KvMachine>>(cluster.groups[0][0]);
+    assert!(some_replica.a_base() > 0);
+    assert!(
+        cluster
+            .completed_txns()
+            .iter()
+            .any(|txn| txn.parts.iter().any(|part| !some_replica
+                .committed_sequence()
+                .contains(&part.request)
+                && some_replica.has_delivered(&part.request))),
+        "some committed prepare must be gone from the retained log"
+    );
+    run_checks(&cluster, "snapshots on");
+    cluster.check_all().expect("check_all with snapshots on");
+}
+
 /// Read-your-committed-writes across groups: once a transaction's commit is
 /// reported, a subsequent read transaction by the same (closed-loop) client
 /// observes that commit's writes in **every** group — the optimistic quorum
