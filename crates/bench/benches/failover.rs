@@ -33,7 +33,7 @@ fn bench_failover(c: &mut Criterion) {
                         .schedule_crash(ProcessId::new(0), SimTime::from_millis(5));
                     assert!(cluster.run_to_completion(SimTime::from_secs(300)));
                     cluster.check_replica_consistency().unwrap();
-                    cluster.total_phase2_entries()
+                    cluster.sum_stats(|s| s.phase2_entered)
                 })
             },
         );

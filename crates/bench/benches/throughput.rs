@@ -2,18 +2,18 @@
 //! as the number of concurrent clients grows, for the unbatched (`max_batch =
 //! 1`, the paper's Fig. 6 behaviour), batched-sequencer, and batched +
 //! pipelined (reply-coalescing) variants. Each point also records the
-//! protocol's traffic counters — `order_messages_sent`,
-//! `reply_messages_sent`, `replies_sent`, `peak_payloads` — so the
-//! `BENCH_throughput.json` trajectory shows the amortisation, not just the
-//! timing. The cross-protocol comparison is produced by `harness --
-//! throughput`.
+//! protocol's traffic counters — the integer view of the harness row of the
+//! same deployment — so the `BENCH_throughput.json` trajectory shows the
+//! amortisation, not just the timing. The cross-protocol comparison is
+//! produced by `harness -- throughput`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oar::OarConfig;
 use oar_bench::experiments::{
-    build_sharded_cluster, build_throughput_cluster, build_txn_cluster, build_txn_plain_cluster,
-    BATCHED_MAX_BATCH, PIPELINE_DEPTH,
+    build_sharded_cluster, build_throughput_cluster, build_txn_cluster, sharded_experiment,
+    txn_experiment, with_metrics, BATCHED_MAX_BATCH, PIPELINE_DEPTH,
 };
+use oar_bench::row::Row;
 use oar_simnet::SimTime;
 
 const SEED: u64 = 11;
@@ -34,10 +34,9 @@ fn run_cluster(
 
 /// One un-timed instrumentation run of the same deployment, returning the
 /// traffic counters attached to the bench point. Latency percentiles ride
-/// along (in µs, the counters are integers) so the `BENCH_throughput.json`
-/// trajectory shows the latency *cost* of each batching setting next to its
-/// wire savings; adaptive runs additionally record their convergence
-/// counters.
+/// along (as integer µs) so the `BENCH_throughput.json` trajectory shows the
+/// latency *cost* of each batching setting next to its wire savings; adaptive
+/// runs additionally record their convergence counters.
 fn traffic_counters(
     oar: OarConfig,
     clients: usize,
@@ -47,43 +46,26 @@ fn traffic_counters(
     let mut cluster =
         build_throughput_cluster(oar, 3, clients, requests_per_client, pipeline, SEED);
     assert!(cluster.run_to_completion(SimTime::from_secs(600)));
-    let lat = cluster.latencies();
-    let us = |q: f64| (lat.quantile(q).unwrap_or(0.0) * 1_000.0).round() as u64;
-    let mut counters = vec![
-        (
-            "order_messages_sent".to_string(),
-            cluster.total_order_messages(),
-        ),
-        (
-            "reply_messages_sent".to_string(),
-            cluster.total_reply_messages(),
-        ),
-        ("replies_sent".to_string(), cluster.total_replies()),
-        ("peak_payloads".to_string(), cluster.peak_payloads()),
-        ("apply_ns".to_string(), cluster.total_apply_ns()),
-        ("p50_latency_us".to_string(), us(0.5)),
-        ("p95_latency_us".to_string(), us(0.95)),
-        ("p99_latency_us".to_string(), us(0.99)),
+    let mut names = vec![
+        "order_messages_sent",
+        "reply_messages_sent",
+        "replies_sent",
+        "peak_payloads",
+        "apply_ns",
+        "p50_latency_ms",
+        "p95_latency_ms",
+        "p99_latency_ms",
     ];
     if oar.adaptive.is_some() {
-        counters.extend([
-            (
-                "effective_batch_peak".to_string(),
-                cluster.peak_effective_batch(),
-            ),
-            ("target_raises".to_string(), cluster.total_target_raises()),
-            ("target_drops".to_string(), cluster.total_target_drops()),
-            (
-                "deadline_flushes".to_string(),
-                cluster.total_deadline_flushes(),
-            ),
-            (
-                "client_window_peak".to_string(),
-                cluster.peak_client_window(),
-            ),
+        names.extend([
+            "effective_batch_peak",
+            "target_raises",
+            "target_drops",
+            "deadline_flushes",
+            "client_window_peak",
         ]);
     }
-    counters
+    with_metrics(Row::new("bench", "point"), &cluster, &names).counters()
 }
 
 /// Times one sharded run to completion (per-group checks live in the tests,
@@ -94,36 +76,6 @@ fn run_sharded(groups: usize, clients_per_group: usize, requests_per_client: usi
     cluster.completed_requests().len()
 }
 
-/// Un-timed instrumentation run of the sharded deployment: aggregate
-/// misroutes (must stay 0) plus per-group wire counters, so the
-/// `BENCH_throughput.json` trajectory records how ordering and reply traffic
-/// split across sequencers.
-fn sharded_counters(
-    groups: usize,
-    clients_per_group: usize,
-    requests_per_client: usize,
-) -> Vec<(String, u64)> {
-    let mut cluster = build_sharded_cluster(groups, clients_per_group, requests_per_client, SEED);
-    assert!(cluster.run_to_completion(SimTime::from_secs(600)));
-    let mut counters = vec![
-        ("misroutes".to_string(), cluster.total_misroutes()),
-        ("peak_seen".to_string(), cluster.peak_seen()),
-        ("peak_payloads".to_string(), cluster.peak_payloads()),
-    ];
-    for g in 0..groups {
-        counters.push((
-            format!("g{g}_order_messages"),
-            cluster.sum_group_stats(g, |st| st.order_messages_sent),
-        ));
-        counters.push((
-            format!("g{g}_reply_messages"),
-            cluster.sum_group_stats(g, |st| st.reply_messages_sent),
-        ));
-        counters.push((format!("g{g}_wire_sent"), cluster.group_net_stats(g).sent));
-    }
-    counters
-}
-
 /// Times one transactional run to completion (atomicity and consistency
 /// checks live in the tests and the harness gate, outside the measured
 /// loop).
@@ -131,45 +83,6 @@ fn run_txn(groups: usize, clients: usize, txns_per_client: usize, multi_group: b
     let mut cluster = build_txn_cluster(groups, clients, txns_per_client, multi_group, SEED);
     assert!(cluster.run_to_completion(SimTime::from_secs(600)));
     cluster.completed_txns().len()
-}
-
-/// Un-timed instrumentation run of the fast path: the wire-identity pair
-/// (transactional vs plain sharded client, identical commands), so the
-/// `BENCH_throughput.json` trajectory records the fast-path overhead (the
-/// two wire counters must stay equal, the envelope counter 0).
-fn txn_fastpath_counters(
-    groups: usize,
-    clients: usize,
-    txns_per_client: usize,
-) -> Vec<(String, u64)> {
-    let mut fast = build_txn_cluster(groups, clients, txns_per_client, false, SEED);
-    assert!(fast.run_to_completion(SimTime::from_secs(600)));
-    let mut plain = build_txn_plain_cluster(groups, clients, txns_per_client, SEED);
-    assert!(plain.run_to_completion(SimTime::from_secs(600)));
-    vec![
-        ("fastpath_wires_txn".to_string(), fast.total_wires()),
-        ("fastpath_wires_plain".to_string(), plain.world.stats().sent),
-        (
-            "fastpath_txn_prepares".to_string(),
-            fast.total_txn_prepares(),
-        ),
-    ]
-}
-
-/// Un-timed instrumentation run of the multi-group commit: how many
-/// transactions actually spanned groups, the prepare traffic, and the
-/// misroute ceiling.
-fn txn_multi_counters(groups: usize, clients: usize, txns_per_client: usize) -> Vec<(String, u64)> {
-    let mut multi = build_txn_cluster(groups, clients, txns_per_client, true, SEED);
-    assert!(multi.run_to_completion(SimTime::from_secs(600)));
-    vec![
-        (
-            "multi_group_txns".to_string(),
-            multi.multi_group_commits() as u64,
-        ),
-        ("txn_prepares".to_string(), multi.total_txn_prepares()),
-        ("misroutes".to_string(), multi.total_misroutes()),
-    ]
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -222,11 +135,11 @@ fn bench_throughput(c: &mut Criterion) {
         sharded.bench_with_input(BenchmarkId::new("hash", groups), &groups, |b, &groups| {
             b.iter(|| run_sharded(groups, clients_per_group, requests_per_client))
         });
-        sharded.attach_counters(sharded_counters(
-            groups,
-            clients_per_group,
-            requests_per_client,
-        ));
+        // The T-SHARD row of the same deployment: aggregate misroutes (must
+        // stay 0) plus the per-group wire counters, so the trajectory
+        // records how ordering and reply traffic split across sequencers.
+        let rows = sharded_experiment(&[groups], clients_per_group, requests_per_client, SEED);
+        sharded.attach_counters(rows[0].counters());
     }
     sharded.finish();
 
@@ -239,16 +152,20 @@ fn bench_throughput(c: &mut Criterion) {
     let txns_per_client = 20usize;
     for &groups in &[1usize, 2, 4] {
         txn.throughput(Throughput::Elements((txn_clients * txns_per_client) as u64));
+        // The T-TXN row of the same deployments rides on both points: the
+        // fast-path wire-identity pair (the two wire counters must stay
+        // equal, the envelope counter 0) and the multi-group commit counts.
+        let counters = txn_experiment(&[groups], txn_clients, txns_per_client, SEED)[0].counters();
         txn.bench_with_input(
             BenchmarkId::new("fastpath", groups),
             &groups,
             |b, &groups| b.iter(|| run_txn(groups, txn_clients, txns_per_client, false)),
         );
-        txn.attach_counters(txn_fastpath_counters(groups, txn_clients, txns_per_client));
+        txn.attach_counters(counters.clone());
         txn.bench_with_input(BenchmarkId::new("multi", groups), &groups, |b, &groups| {
             b.iter(|| run_txn(groups, txn_clients, txns_per_client, true))
         });
-        txn.attach_counters(txn_multi_counters(groups, txn_clients, txns_per_client));
+        txn.attach_counters(counters);
     }
     txn.finish();
 }

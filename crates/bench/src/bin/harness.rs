@@ -1,970 +1,42 @@
-//! Experiment harness: regenerates every figure scenario and every
-//! quantitative experiment of the OAR reproduction and prints the resulting
-//! rows (human-readable table + JSON line per row).
-//!
-//! Usage:
+//! Experiment harness: runs the experiments of [`oar_bench::registry`] and
+//! prints their rows (a table plus one `JSON <label> {...}` line per row).
+//! A gated experiment exits 1 when one of its bounds is violated.
 //!
 //! ```text
-//! cargo run --release -p oar-bench --bin harness -- all
-//! cargo run --release -p oar-bench --bin harness -- figures
-//! cargo run --release -p oar-bench --bin harness -- latency
-//! cargo run --release -p oar-bench --bin harness -- failover
-//! cargo run --release -p oar-bench --bin harness -- undo
-//! cargo run --release -p oar-bench --bin harness -- throughput
-//! cargo run --release -p oar-bench --bin harness -- gc
-//! cargo run --release -p oar-bench --bin harness -- soak
-//! cargo run --release -p oar-bench --bin harness -- soak-smoke
-//! cargo run --release -p oar-bench --bin harness -- sharded
-//! cargo run --release -p oar-bench --bin harness -- sharded-smoke
-//! cargo run --release -p oar-bench --bin harness -- txn
-//! cargo run --release -p oar-bench --bin harness -- txn-smoke
-//! cargo run --release -p oar-bench --bin harness -- adaptive
-//! cargo run --release -p oar-bench --bin harness -- adaptive-smoke
-//! cargo run --release -p oar-bench --bin harness -- parallel
-//! cargo run --release -p oar-bench --bin harness -- parallel-smoke
-//! cargo run --release -p oar-bench --bin harness -- realtime
-//! cargo run --release -p oar-bench --bin harness -- realtime-smoke
-//! cargo run --release -p oar-bench --bin harness -- mc
-//! cargo run --release -p oar-bench --bin harness -- mc-smoke
-//! cargo run --release -p oar-bench --bin harness -- fig1a|fig1b|fig2|fig3|fig4
+//! cargo run --release -p oar-bench --bin harness -- <experiment>        # full size
+//! cargo run --release -p oar-bench --bin harness -- <experiment>-smoke  # the CI gate
+//! cargo run --release -p oar-bench --bin harness -- all | figures | gates
 //! ```
 //!
-//! `soak` / `soak-smoke` exit non-zero when the traffic-amortisation or
-//! payload-GC/seen-set bounds are violated; `sharded` / `sharded-smoke` when
-//! aggregate throughput fails to scale ≥2x from 1 to 4 groups at fixed
-//! per-group load, or any request is misrouted; `txn` / `txn-smoke` when a
-//! multi-group transaction commits non-atomically, the single-group fast
-//! path sends even one wire more than the plain sharded client, or a
-//! `TxnPrepare` envelope leaks onto the fast path; `adaptive` /
-//! `adaptive-smoke` when the load-driven batch controller adds latency at 1
-//! client (>5% over the best closed-loop static), fails to beat unbatched by
-//! ≥15% at 8 clients, fails to converge (no ramp, shallow batches, windows
-//! below the cap), or a skewed 2-group run does not show per-group
-//! independent convergence; `parallel` / `parallel-smoke` when the
-//! conflict-graph apply scheduler fails to reach ≥1.8× serial throughput at
-//! 4 workers on a disjoint write batch, drifts more than 10% from serial on a
-//! fully-conflicting one, or a parallel cluster's digests/responses diverge
-//! from its serial twin (the smoke variants are the CI gates); `realtime` /
-//! `realtime-smoke` when the wall-clock open-loop run on the `oar-rtnet`
-//! backend fails to drain, measures no positive req/s, or violates the
-//! total-order/at-most-once/external-consistency propositions on real
-//! threads (the rows are also merged into `BENCH_throughput.json` as the
-//! `realtime` group); `mc` / `mc-smoke` when the model checker's exhaustive
-//! failure-free exploration truncates or violates a predicate, partial-order
-//! reduction fails to prune ≥50% of the raw interleavings, either historical
-//! bug is not re-found (or its counterexample does not reproduce on a plain
-//! world), a fixed control arm yields a violation, or the smoke run exceeds
-//! its 240 s wall-clock budget.
+//! Run it with no known name to list the experiments; `gates` prints the
+//! Markdown gate table kept in `docs/BENCHMARKS.md`.
 
-use oar_bench::json::ToJson;
-use oar_bench::{experiments, figures};
-
-const SEED: u64 = 20010614;
-
-fn print_json<T: ToJson>(label: &str, rows: &[T]) {
-    for row in rows {
-        println!("JSON {label} {}", row.to_json());
-    }
-}
-
-fn run_figures(which: Option<&str>) {
-    println!("== Figure scenarios (paper Figures 1-4) ==");
-    let outcomes: Vec<figures::FigureOutcome> = match which {
-        Some("fig1a") => vec![figures::figure_1a(SEED)],
-        Some("fig1b") => vec![figures::figure_1b(SEED), figures::figure_1b_oar(SEED)],
-        Some("fig2") => vec![figures::figure_2(SEED)],
-        Some("fig3") => vec![figures::figure_3(SEED)],
-        Some("fig4") => vec![figures::figure_4(SEED)],
-        _ => figures::all_figures(SEED),
-    };
-    println!(
-        "{:<10} {:>7} {:>9} {:>7} {:>8} {:>14} {:>11}",
-        "figure", "servers", "completed", "undone", "phase2", "client-incons.", "as-expected"
-    );
-    for o in &outcomes {
-        println!(
-            "{:<10} {:>7} {:>9} {:>7} {:>8} {:>14} {:>11}",
-            o.id,
-            o.servers,
-            o.completed_requests,
-            o.undeliveries,
-            o.phase2_entries,
-            o.client_inconsistencies,
-            o.consistent
-        );
-    }
-    print_json("figure", &outcomes);
-}
-
-fn run_latency() {
-    println!("== T-LAT: failure-free latency vs group size ==");
-    let rows = experiments::latency_experiment(&[3, 5, 7, 9], 100, SEED);
-    println!(
-        "{:<16} {:>3} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "protocol", "n", "reqs", "mean(ms)", "p50(ms)", "p95(ms)", "p99(ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:<16} {:>3} {:>6} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            r.protocol,
-            r.servers,
-            r.requests,
-            r.latency_ms.mean,
-            r.latency_ms.p50,
-            r.latency_ms.p95,
-            r.latency_ms.p99
-        );
-    }
-    print_json("latency", &rows);
-}
-
-fn run_failover() {
-    println!("== T-FAILOVER: recovery time after a sequencer crash ==");
-    let rows = experiments::failover_experiment(&[3, 5], &[10, 25, 50, 100], SEED);
-    println!(
-        "{:<3} {:>12} {:>13} {:>8} {:>11}",
-        "n", "fd-timeout", "recovery(ms)", "undone", "consistent"
-    );
-    for r in &rows {
-        println!(
-            "{:<3} {:>12} {:>13.3} {:>8} {:>11}",
-            r.servers, r.fd_timeout_ms, r.recovery_ms, r.undeliveries, r.consistent
-        );
-    }
-    print_json("failover", &rows);
-}
-
-fn run_undo() {
-    println!("== T-UNDO: Opt-undeliver frequency under failures ==");
-    let rows = experiments::undo_experiment(SEED);
-    println!(
-        "{:<26} {:>3} {:>6} {:>8} {:>8} {:>10} {:>8} {:>11}",
-        "scenario", "n", "reqs", "opt-dlv", "undone", "undo-rate", "phase2", "consistent"
-    );
-    for r in &rows {
-        println!(
-            "{:<26} {:>3} {:>6} {:>8} {:>8} {:>10.4} {:>8} {:>11}",
-            r.scenario,
-            r.servers,
-            r.requests,
-            r.opt_deliveries,
-            r.opt_undeliveries,
-            r.undo_rate,
-            r.phase2_entries,
-            r.consistent
-        );
-    }
-    print_json("undo", &rows);
-}
-
-fn run_throughput() {
-    println!("== T-THROUGHPUT: closed-loop throughput vs client count ==");
-    let rows = experiments::throughput_experiment(3, &[1, 2, 4, 8], 50, SEED);
-    println!(
-        "{:<16} {:>3} {:>7} {:>6} {:>10} {:>13} {:>10} {:>11} {:>9} {:>9}",
-        "protocol",
-        "n",
-        "clients",
-        "reqs",
-        "req/s(sim)",
-        "mean-lat(ms)",
-        "order-msgs",
-        "reply-wires",
-        "peak-pyld",
-        "apply(us)"
-    );
-    for r in &rows {
-        println!(
-            "{:<16} {:>3} {:>7} {:>6} {:>10.1} {:>13.3} {:>10} {:>11} {:>9} {:>9}",
-            r.protocol,
-            r.servers,
-            r.clients,
-            r.requests,
-            r.requests_per_second,
-            r.mean_latency_ms,
-            r.order_messages_sent,
-            r.reply_messages_sent,
-            r.peak_payloads,
-            r.apply_ns / 1_000
-        );
-    }
-    print_json("throughput", &rows);
-}
-
-fn run_soak(clients: usize, requests_per_client: usize) -> bool {
-    println!(
-        "== T-SOAK: {} requests across epochs (batched + pipelined + epoch cuts) ==",
-        clients * requests_per_client
-    );
-    let row = experiments::soak_experiment(clients, requests_per_client, SEED);
-    println!(
-        "{:<6} {:>7} {:>6} {:>13} {:>9} {:>10} {:>9} {:>7} {:>11} {:>10} {:>10} {:>10}",
-        "n",
-        "clients",
-        "reqs",
-        "epochs/server",
-        "peak-pyld",
-        "final-pyld",
-        "peak-seen",
-        "pruned",
-        "reply-wires",
-        "order-msgs",
-        "cns-wires",
-        "consistent"
-    );
-    println!(
-        "{:<6} {:>7} {:>6} {:>13.1} {:>9} {:>10} {:>9} {:>7} {:>11} {:>10} {:>10} {:>10}",
-        row.servers,
-        row.clients,
-        row.requests,
-        row.epochs_per_server,
-        row.peak_payloads,
-        row.final_payloads,
-        row.peak_seen,
-        row.payloads_pruned,
-        row.reply_messages_sent,
-        row.order_messages_sent,
-        row.consensus_allocations,
-        row.consistent
-    );
-    print_json("soak", std::slice::from_ref(&row));
-    let violations = experiments::check_soak_bounds(&row, requests_per_client);
-    for v in &violations {
-        eprintln!("SOAK VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_recovery(clients: usize, requests_per_client: usize) -> bool {
-    println!(
-        "== T-RECOVER: crash + restart + snapshot/delta catch-up under {} requests ==",
-        clients * requests_per_client
-    );
-    let row = experiments::recovery_experiment(clients, requests_per_client, SEED);
-    println!(
-        "{:<6} {:>7} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>5} {:>9} {:>8} {:>10}",
-        "n",
-        "clients",
-        "reqs",
-        "rejoined",
-        "snap-pos",
-        "delta",
-        "peak-adel",
-        "peak-undo",
-        "compacted",
-        "snaps",
-        "cu-wires",
-        "pyld-fet",
-        "consistent"
-    );
-    println!(
-        "{:<6} {:>7} {:>6} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>5} {:>9} {:>8} {:>10}",
-        row.servers,
-        row.clients,
-        row.requests,
-        row.rejoined,
-        row.catch_up_snapshot_position,
-        row.catch_up_delta,
-        row.peak_a_delivered,
-        row.peak_undo_depth,
-        row.compacted,
-        row.snapshots,
-        row.catch_up_requests + row.catch_up_replies,
-        row.payload_fetches,
-        row.consistent
-    );
-    print_json("recovery", std::slice::from_ref(&row));
-    let violations = experiments::check_recovery_bounds(&row, requests_per_client);
-    for v in &violations {
-        eprintln!("RECOVERY VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_sharded(clients_per_group: usize, requests_per_client: usize) -> bool {
-    println!(
-        "== T-SHARD: aggregate throughput vs group count (fixed per-group load: {} clients x {} reqs) ==",
-        clients_per_group, requests_per_client
-    );
-    let rows =
-        experiments::sharded_experiment(&[1, 2, 4], clients_per_group, requests_per_client, SEED);
-    println!(
-        "{:<7} {:>8} {:>7} {:>6} {:>10} {:>13} {:>9} {:>9} {:>22} {:>11}",
-        "groups",
-        "srv/grp",
-        "clients",
-        "reqs",
-        "req/s(sim)",
-        "mean-lat(ms)",
-        "misroute",
-        "peak-seen",
-        "order-msgs/group",
-        "consistent"
-    );
-    for r in &rows {
-        let orders: Vec<String> = r
-            .per_group_order_messages
-            .iter()
-            .map(|o| o.to_string())
-            .collect();
-        println!(
-            "{:<7} {:>8} {:>7} {:>6} {:>10.1} {:>13.3} {:>9} {:>9} {:>22} {:>11}",
-            r.groups,
-            r.servers_per_group,
-            r.groups * r.clients_per_group,
-            r.requests,
-            r.requests_per_second,
-            r.mean_latency_ms,
-            r.misroutes,
-            r.peak_seen,
-            orders.join("/"),
-            r.consistent
-        );
-    }
-    print_json("sharded", &rows);
-    let violations =
-        experiments::check_sharded_bounds(&rows, clients_per_group, requests_per_client);
-    for v in &violations {
-        eprintln!("SHARDED VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_txn(clients: usize, txns_per_client: usize) -> bool {
-    println!(
-        "== T-TXN: multi-key transactions vs group count ({} clients x {} txns) ==",
-        clients, txns_per_client
-    );
-    let rows = experiments::txn_experiment(&[1, 2, 4], clients, txns_per_client, SEED);
-    println!(
-        "{:<7} {:>7} {:>6} {:>11} {:>10} {:>13} {:>12} {:>9} {:>13} {:>13} {:>11}",
-        "groups",
-        "clients",
-        "txns",
-        "multi-group",
-        "commits/s",
-        "mean-lat(ms)",
-        "p99-lat(ms)",
-        "prepares",
-        "fastpath-wire",
-        "plain-wire",
-        "consistent"
-    );
-    for r in &rows {
-        println!(
-            "{:<7} {:>7} {:>6} {:>11} {:>10.1} {:>13.3} {:>12.3} {:>9} {:>13} {:>13} {:>11}",
-            r.groups,
-            r.clients,
-            r.txns,
-            r.multi_group_txns,
-            r.commits_per_second,
-            r.mean_commit_latency_ms,
-            r.p99_commit_latency_ms,
-            r.txn_prepares,
-            r.fastpath_wires_txn,
-            r.fastpath_wires_plain,
-            r.consistent
-        );
-    }
-    print_json("txn", &rows);
-    let violations = experiments::check_txn_bounds(&rows, clients, txns_per_client);
-    for v in &violations {
-        eprintln!("TXN VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_adaptive(requests_per_client: usize, repeats: usize, skew_requests: usize) -> bool {
-    println!(
-        "== T-ADAPTIVE: load-driven batching vs static settings ({} reqs/client, min wall of {} runs) ==",
-        requests_per_client, repeats
-    );
-    let rows = experiments::adaptive_experiment(&[1, 8], requests_per_client, repeats, SEED);
-    println!(
-        "{:<10} {:>7} {:>6} {:>9} {:>10} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7} {:>6} {:>11}",
-        "variant",
-        "clients",
-        "reqs",
-        "wall(ms)",
-        "req/s(sim)",
-        "mean(ms)",
-        "p50(ms)",
-        "p99(ms)",
-        "orders",
-        "batch^",
-        "target",
-        "raises",
-        "win^",
-        "consistent"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>7} {:>6} {:>9.3} {:>10.1} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>7} {:>7} {:>6} {:>11}",
-            r.protocol,
-            r.clients,
-            r.requests,
-            r.wall_ms,
-            r.requests_per_second,
-            r.mean_latency_ms,
-            r.p50_latency_ms,
-            r.p99_latency_ms,
-            r.order_messages_sent,
-            r.effective_batch_peak,
-            r.batch_target,
-            r.target_raises,
-            r.client_window_peak,
-            r.consistent
-        );
-    }
-    print_json("adaptive", &rows);
-    let mut violations = experiments::check_adaptive_bounds(&rows, requests_per_client);
-
-    println!("== T-ADAPTIVE-SKEW: per-group convergence under skewed load (2 groups) ==");
-    let skew = experiments::adaptive_skew_experiment(4, skew_requests, SEED);
-    println!(
-        "{:<7} {:>7} {:>6} {:>13} {:>13} {:>13} {:>13} {:>9} {:>11}",
-        "groups",
-        "clients",
-        "reqs",
-        "reqs/group",
-        "target/group",
-        "batch^/group",
-        "raises/group",
-        "misroute",
-        "consistent"
-    );
-    let join = |v: &[u64]| {
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    };
-    println!(
-        "{:<7} {:>7} {:>6} {:>13} {:>13} {:>13} {:>13} {:>9} {:>11}",
-        skew.groups,
-        skew.clients,
-        skew.requests,
-        join(&skew.per_group_requests),
-        join(&skew.per_group_batch_target),
-        join(&skew.per_group_effective_batch),
-        join(&skew.per_group_target_raises),
-        skew.misroutes,
-        skew.consistent
-    );
-    print_json("adaptive_skew", std::slice::from_ref(&skew));
-    violations.extend(experiments::check_adaptive_skew_bounds(
-        &skew,
-        skew_requests,
-    ));
-
-    for v in &violations {
-        eprintln!("ADAPTIVE VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_parallel(
-    commands: usize,
-    block_us: u64,
-    repeats: usize,
-    clients: usize,
-    requests_per_client: usize,
-) -> bool {
-    println!(
-        "== T-PARALLEL: conflict-graph apply scheduling, {} commands x ({} spin rounds + {} us blocking), min wall of {} runs ==",
-        commands,
-        experiments::PARALLEL_SPIN_ROUNDS,
-        block_us,
-        repeats
-    );
-    let rows = experiments::parallel_apply_experiment(
-        commands,
-        experiments::PARALLEL_SPIN_ROUNDS,
-        block_us,
-        repeats,
-    );
-    println!(
-        "{:<12} {:>7} {:>6} {:>9} {:>6} {:>6} {:>10} {:>10} {:>8}",
-        "workload",
-        "workers",
-        "cmds",
-        "block(us)",
-        "waves",
-        "wave^",
-        "wall(ms)",
-        "ops/s",
-        "matches"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:>7} {:>6} {:>9} {:>6} {:>6} {:>10.3} {:>10.0} {:>8}",
-            r.workload,
-            r.workers,
-            r.commands,
-            r.block_us,
-            r.waves,
-            r.max_wave,
-            r.wall_ms,
-            r.ops_per_sec,
-            r.matches_serial
-        );
-    }
-    print_json("parallel", &rows);
-
-    println!("== T-PARALLEL-CLUSTER: parallel deployment vs serial twin (same seed) ==");
-    let cluster = experiments::parallel_cluster_experiment(clients, requests_per_client, SEED);
-    println!(
-        "{:<3} {:>7} {:>6} {:>7} {:>10} {:>10} {:>15} {:>8} {:>10} {:>11}",
-        "n",
-        "clients",
-        "reqs",
-        "workers",
-        "wave-cmds",
-        "apply(ms)",
-        "serial-aply(ms)",
-        "digests",
-        "responses",
-        "consistent"
-    );
-    println!(
-        "{:<3} {:>7} {:>6} {:>7} {:>10} {:>10.3} {:>15.3} {:>8} {:>10} {:>11}",
-        cluster.servers,
-        cluster.clients,
-        cluster.requests,
-        cluster.workers,
-        cluster.wave_commands,
-        cluster.apply_ns as f64 / 1e6,
-        cluster.serial_apply_ns as f64 / 1e6,
-        cluster.digests_match,
-        cluster.responses_match,
-        cluster.consistent
-    );
-    print_json("parallel_cluster", std::slice::from_ref(&cluster));
-
-    let violations = experiments::check_parallel_bounds(&rows, &cluster);
-    for v in &violations {
-        eprintln!("PARALLEL VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_realtime(clients: usize, requests_per_client: usize, interarrival_us: u64) -> bool {
-    println!(
-        "== T-REALTIME: wall-clock open-loop run on oar-rtnet ({} clients x {} reqs @ {} us) ==",
-        clients, requests_per_client, interarrival_us
-    );
-    let row =
-        experiments::realtime_experiment(3, clients, requests_per_client, interarrival_us, SEED);
-    println!(
-        "{:<3} {:>7} {:>11} {:>9} {:>6} {:>10} {:>11} {:>9} {:>9} {:>9} {:>9} {:>7} {:>11}",
-        "n",
-        "clients",
-        "offered/s",
-        "submitted",
-        "reqs",
-        "wall(ms)",
-        "req/s(wall)",
-        "mean(ms)",
-        "p50(ms)",
-        "p95(ms)",
-        "p99(ms)",
-        "drained",
-        "consistent"
-    );
-    println!(
-        "{:<3} {:>7} {:>11.0} {:>9} {:>6} {:>10.1} {:>11.1} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>11}",
-        row.servers,
-        row.clients,
-        row.offered_rate,
-        row.submitted,
-        row.requests,
-        row.elapsed_ms,
-        row.requests_per_second,
-        row.latency_ms.mean,
-        row.latency_ms.p50,
-        row.latency_ms.p95,
-        row.latency_ms.p99,
-        row.completed_run,
-        row.consistent
-    );
-    print_json("realtime", std::slice::from_ref(&row));
-
-    // Land the wall-clock point in the committed trajectory next to the
-    // `cargo bench` rows, as the `realtime` group (criterion row shape:
-    // mean_ns is the mean client-observed latency here).
-    let us = |ms: f64| (ms * 1_000.0).round() as u64;
-    let bench_row = format!(
-        concat!(
-            "{{\"group\":\"realtime\",\"id\":\"openloop/{}\",\"mean_ns\":{:.1},",
-            "\"min_ns\":{:.1},\"iters_per_sample\":1,\"samples\":{},\"elements\":{},",
-            "\"counters\":{{\"req_per_s\":{},\"offered_per_s\":{},",
-            "\"p50_latency_us\":{},\"p95_latency_us\":{},\"p99_latency_us\":{},",
-            "\"submitted\":{},\"consistent\":{}}}}}"
-        ),
-        row.clients,
-        row.latency_ms.mean * 1e6,
-        row.latency_ms.min * 1e6,
-        row.requests,
-        row.requests,
-        row.requests_per_second.round() as u64,
-        row.offered_rate.round() as u64,
-        us(row.latency_ms.p50),
-        us(row.latency_ms.p95),
-        us(row.latency_ms.p99),
-        row.submitted,
-        u64::from(row.consistent),
-    );
-    let path = oar_bench::json::bench_out_dir().join("BENCH_throughput.json");
-    match oar_bench::json::merge_bench_rows(&path, "throughput", "realtime", &[bench_row]) {
-        Ok(()) => println!("merged realtime row into {}", path.display()),
-        Err(e) => eprintln!("could not update {}: {e}", path.display()),
-    }
-
-    let violations = experiments::check_realtime_bounds(&row, clients, requests_per_client);
-    for v in &violations {
-        eprintln!("REALTIME VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_reconfig(per_client: usize) -> bool {
-    println!(
-        "== T-RECONFIG: replica replacement, key-range migration, Merkle anti-entropy \
-         ({per_client} reqs/client) =="
-    );
-    let start = std::time::Instant::now();
-    let rows = experiments::reconfig_experiment(per_client, SEED);
-    println!(
-        "{:<12} {:>5} {:>7} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>9}",
-        "scenario",
-        "reqs",
-        "drained",
-        "consistent",
-        "fences",
-        "rejoined",
-        "catchup",
-        "redir",
-        "migst",
-        "dups",
-        "probes",
-        "nodes",
-        "repairs",
-        "wall(ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:>5} {:>7} {:>10} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>7} {:>9.0}",
-            r.scenario,
-            r.requests,
-            r.completed_run,
-            r.consistent,
-            r.reconfigs_applied,
-            r.rejoined,
-            r.catch_up_replies,
-            r.redirected,
-            r.migrate_state_wires,
-            r.duplicates,
-            r.sync_probes,
-            r.sync_node_wires,
-            r.sync_repairs,
-            r.wall_ms
-        );
-    }
-    print_json("reconfig", &rows);
-
-    // Land the reconfiguration counters in the committed trajectory next to
-    // the `cargo bench` rows, as the `reconfig` group (criterion row shape:
-    // mean_ns is the scenario wall-clock).
-    let bench_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "{{\"group\":\"reconfig\",\"id\":\"{}/{}\",\"mean_ns\":{:.1},",
-                    "\"min_ns\":{:.1},\"iters_per_sample\":1,\"samples\":1,\"elements\":{},",
-                    "\"counters\":{{\"fences\":{},\"catch_up_replies\":{},",
-                    "\"redirected\":{},\"migrate_state_wires\":{},\"duplicates\":{},",
-                    "\"sync_node_wires\":{},\"sync_repairs\":{},\"consistent\":{}}}}}"
-                ),
-                r.scenario,
-                per_client,
-                r.wall_ms * 1e6,
-                r.wall_ms * 1e6,
-                r.requests,
-                r.reconfigs_applied,
-                r.catch_up_replies,
-                r.redirected,
-                r.migrate_state_wires,
-                r.duplicates,
-                r.sync_node_wires,
-                r.sync_repairs,
-                u64::from(r.consistent),
-            )
-        })
-        .collect();
-    let path = oar_bench::json::bench_out_dir().join("BENCH_throughput.json");
-    match oar_bench::json::merge_bench_rows(&path, "throughput", "reconfig", &bench_rows) {
-        Ok(()) => println!("merged reconfig rows into {}", path.display()),
-        Err(e) => eprintln!("could not update {}: {e}", path.display()),
-    }
-
-    let mut violations = experiments::check_reconfig_bounds(&rows, per_client);
-    // CI wall-clock budget: the smoke run must stay interactive.
-    let elapsed = start.elapsed().as_secs_f64();
-    if elapsed > 240.0 {
-        violations.push(format!("wall-clock budget exceeded: {elapsed:.0}s > 240s"));
-    }
-    for v in &violations {
-        eprintln!("RECONFIG VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_mc(smoke: bool) -> bool {
-    println!(
-        "== T-MC: bounded model checking over simnet ({}) ==",
-        if smoke { "smoke budget" } else { "full budget" }
-    );
-    let start = std::time::Instant::now();
-    let rows = experiments::mc_experiment(smoke);
-    println!(
-        "{:<14} {:>5} {:>5} {:>9} {:>11} {:>12} {:>12} {:>6} {:>9} {:>9} {:>5} {:>7} {:>9}",
-        "scenario",
-        "por",
-        "dedup",
-        "states",
-        "transitions",
-        "pruned-sleep",
-        "pruned-dedup",
-        "goals",
-        "deadlocks",
-        "truncated",
-        "viols",
-        "replays",
-        "wall(ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:<14} {:>5} {:>5} {:>9} {:>11} {:>12} {:>12} {:>6} {:>9} {:>9} {:>5} {:>7} {:>9.0}",
-            r.label,
-            r.por,
-            r.dedup,
-            r.states_explored,
-            r.transitions,
-            r.pruned_sleep,
-            r.pruned_dedup,
-            r.goal_states,
-            r.deadlocks,
-            r.truncated,
-            r.violations,
-            r.trace_replays,
-            r.wall_ms
-        );
-    }
-    print_json("mc", &rows);
-    let mut violations = experiments::check_mc_bounds(&rows);
-    // CI wall-clock budget: the smoke exploration must stay interactive.
-    let budget_s = if smoke { 240.0 } else { 1800.0 };
-    let elapsed = start.elapsed().as_secs_f64();
-    if elapsed > budget_s {
-        violations.push(format!(
-            "wall-clock budget exceeded: {elapsed:.0}s > {budget_s:.0}s"
-        ));
-    }
-    for v in &violations {
-        eprintln!("MC VIOLATION: {v}");
-    }
-    violations.is_empty()
-}
-
-fn run_gc() {
-    println!("== T-GC: §5.3 epoch-cut ablation ==");
-    let rows = experiments::gc_experiment(&[None, Some(100), Some(10)], 60, SEED);
-    println!(
-        "{:<10} {:>6} {:>14} {:>13} {:>12} {:>11}",
-        "cut-after", "reqs", "epochs/server", "mean-lat(ms)", "p99-lat(ms)", "consistent"
-    );
-    for r in &rows {
-        let cut = r.cut_after.map_or("never".to_string(), |c| c.to_string());
-        println!(
-            "{:<10} {:>6} {:>14.1} {:>13.3} {:>12.3} {:>11}",
-            cut, r.requests, r.epochs_per_server, r.mean_latency_ms, r.p99_latency_ms, r.consistent
-        );
-    }
-    print_json("gc", &rows);
-}
+use oar_bench::registry::{find, gates_markdown, run, usage, EXPERIMENTS};
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match arg.as_str() {
-        "figures" => run_figures(None),
-        "fig1a" | "fig1b" | "fig2" | "fig3" | "fig4" => run_figures(Some(arg.as_str())),
-        "latency" => run_latency(),
-        "failover" => run_failover(),
-        "undo" => run_undo(),
-        "throughput" => run_throughput(),
-        "gc" => run_gc(),
-        // The full soak: ≥ 5000 requests across epochs.
-        "soak" => {
-            if !run_soak(8, 640) {
-                std::process::exit(1);
+    let passed = match arg.as_str() {
+        "gates" => {
+            print!("{}", gates_markdown());
+            true
+        }
+        // Every experiment runs even after one has failed its gate.
+        "all" | "figures" => {
+            let chosen = EXPERIMENTS
+                .iter()
+                .filter(|e| arg == "all" || e.name.starts_with("fig"));
+            chosen.filter(|e| !run(e, false)).count() == 0
+        }
+        name => match find(name) {
+            Some((experiment, smoke)) => run(experiment, smoke),
+            None => {
+                eprintln!("unknown experiment '{name}'");
+                eprintln!("expected: {}", usage());
+                std::process::exit(2);
             }
-        }
-        // CI gate: a smaller soak whose amortisation/memory ceilings fail the
-        // build on regression.
-        "soak-smoke" => {
-            if !run_soak(4, 200) {
-                std::process::exit(1);
-            }
-        }
-        // The full recovery soak: ≥ 5000 requests with a mid-run crash and
-        // restart; the rejoined replica must converge by snapshot + delta
-        // with retained state bounded by the compaction window.
-        "recovery" => {
-            if !run_recovery(8, 640) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a smaller crash/restart/catch-up run with the same gates.
-        "recovery-smoke" => {
-            if !run_recovery(4, 200) {
-                std::process::exit(1);
-            }
-        }
-        // The full sharded scaling sweep (1 → 4 groups at fixed per-group
-        // load); exits non-zero if aggregate throughput fails to scale ≥2x
-        // from 1 to 4 groups or any request is misrouted.
-        "sharded" => {
-            if !run_sharded(4, 100) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a smaller multi-group soak with the same ceilings.
-        "sharded-smoke" => {
-            if !run_sharded(2, 40) {
-                std::process::exit(1);
-            }
-        }
-        // The full transaction sweep: atomicity, fast-path wire equality and
-        // commit latency from 1 to 4 groups.
-        "txn" => {
-            if !run_txn(4, 50) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a smaller transactional sweep with the same ceilings —
-        // zero atomicity violations, single-group fast-path wire counts
-        // identical to the non-txn path.
-        "txn-smoke" => {
-            if !run_txn(2, 20) {
-                std::process::exit(1);
-            }
-        }
-        // The full adaptive-batching gate: controller vs every static
-        // setting at 1 and 8 clients, plus the skewed 2-group run.
-        "adaptive" => {
-            if !run_adaptive(50, 5, 40) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a smaller adaptive sweep with the same ceilings.
-        "adaptive-smoke" => {
-            if !run_adaptive(30, 3, 24) {
-                std::process::exit(1);
-            }
-        }
-        // The full parallel-apply gate: the wave scheduler's speedup on a
-        // disjoint write batch, parity on a conflicting one, and a cluster
-        // whose digests/responses must match a serial twin bit for bit.
-        "parallel" => {
-            if !run_parallel(96, 300, 5, 4, 48) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a smaller parallel-apply run with the same ceilings. The
-        // extra repeats keep the min-over-repeats wall-clock robust on noisy
-        // shared runners (each repeat costs ~15 ms).
-        "parallel-smoke" => {
-            if !run_parallel(48, 200, 6, 2, 24) {
-                std::process::exit(1);
-            }
-        }
-        // The full model-checking gate: exhaustive failure-free exploration,
-        // the POR ≥50% pruning proof, both historical-bug counterexamples
-        // with plain-world replays, and wide-budget fixed control arms.
-        "mc" => {
-            if !run_mc(false) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: the same row families under a smoke state budget and a
-        // 240 s wall-clock ceiling.
-        "mc-smoke" => {
-            if !run_mc(true) {
-                std::process::exit(1);
-            }
-        }
-        // The full reconfiguration gate: online replica replacement with a
-        // further crash, key-range migration under traffic, and the Merkle
-        // anti-entropy heal — with transfer-wire and at-most-once ceilings.
-        "reconfig" => {
-            if !run_reconfig(120) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: the same three scenarios at a smaller request count.
-        "reconfig-smoke" => {
-            if !run_reconfig(60) {
-                std::process::exit(1);
-            }
-        }
-        // The full wall-clock gate: a real-time open-loop run on the
-        // threaded backend — 4 generators offering 500 req/s each for ~2 s.
-        "realtime" => {
-            if !run_realtime(4, 1000, 2_000) {
-                std::process::exit(1);
-            }
-        }
-        // CI gate: a shorter wall-clock run (2 generators x 200 requests at
-        // 250 req/s each, ~0.8 s) with the same ceilings.
-        "realtime-smoke" => {
-            if !run_realtime(2, 200, 4_000) {
-                std::process::exit(1);
-            }
-        }
-        "all" => {
-            run_figures(None);
-            run_latency();
-            run_failover();
-            run_undo();
-            run_throughput();
-            run_gc();
-            let soak_ok = run_soak(8, 640);
-            let recovery_ok = run_recovery(8, 640);
-            let sharded_ok = run_sharded(4, 100);
-            let txn_ok = run_txn(4, 50);
-            let adaptive_ok = run_adaptive(50, 5, 40);
-            let parallel_ok = run_parallel(96, 300, 5, 4, 48);
-            let reconfig_ok = run_reconfig(120);
-            let realtime_ok = run_realtime(4, 1000, 2_000);
-            let mc_ok = run_mc(false);
-            if !soak_ok
-                || !recovery_ok
-                || !sharded_ok
-                || !txn_ok
-                || !adaptive_ok
-                || !parallel_ok
-                || !reconfig_ok
-                || !realtime_ok
-                || !mc_ok
-            {
-                std::process::exit(1);
-            }
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!("expected: all | figures | fig1a | fig1b | fig2 | fig3 | fig4 | latency | failover | undo | throughput | gc | soak | soak-smoke | recovery | recovery-smoke | sharded | sharded-smoke | txn | txn-smoke | adaptive | adaptive-smoke | parallel | parallel-smoke | reconfig | reconfig-smoke | realtime | realtime-smoke | mc | mc-smoke");
-            std::process::exit(2);
-        }
+        },
+    };
+    if !passed {
+        std::process::exit(1);
     }
 }

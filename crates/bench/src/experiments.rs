@@ -1,26 +1,32 @@
-//! Quantitative experiments: the measurable claims of the OAR paper.
+//! Quantitative experiments: the measurable claims of the OAR paper and of
+//! the layers this repository added on top of it.
 //!
 //! The paper has no measurement section; its quantitative claims are made in
 //! prose ("low latency", "only one phase for ordering in absence of failures",
 //! "the probability of having to Opt-undeliver a message is very low", the
-//! remark of §5.3 about garbage-collecting `O_delivered`). Each function here
-//! turns one claim into an experiment with an explicit workload and sweep; the
-//! `harness` binary prints the rows recorded in `EXPERIMENTS.md`.
+//! remark of §5.3 about garbage-collecting `O_delivered`). Each `*_experiment`
+//! function here turns one claim into a workload and a sweep and returns the
+//! measured [`Row`]s; the `*_BOUNDS` table next to it states, as data, what
+//! must hold of those rows. [`crate::registry::EXPERIMENTS`] lists them for
+//! the `harness` binary, CI and `docs/BENCHMARKS.md`.
 
 use oar::cluster::{Cluster, ClusterConfig};
-use oar::openloop::OpenLoopClient;
 use oar::parallel::plan_waves;
-use oar::server::OarServer;
+use oar::server::{OarServer, ServerStats};
 use oar::shard::ShardRouter;
 use oar::sharded::{ShardedCluster, ShardedConfig};
-use oar::state_machine::{CounterMachine, StateMachine};
+use oar::state_machine::{CounterCommand, CounterMachine, StateMachine};
 use oar::txn::TxnCluster;
 use oar::OarConfig;
 use oar_apps::cost::CostlyMachine;
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
 use oar_baselines::{BaselineConfig, CtCluster, SequencerCluster};
-use oar_rtnet::{RtNet, RunOptions};
-use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, Summary};
+use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime};
+
+use crate::gate::Limit::{Const, Of, Text, Times};
+use crate::gate::Select::{Each, Key, Where};
+use crate::gate::{bounds, Bound, Ctx, TRUE, ZERO};
+use crate::row::{Cell, Row};
 
 /// Completed operations per simulated second (0 when nothing completed).
 fn sim_rate(count: usize, end: SimTime) -> f64 {
@@ -49,23 +55,123 @@ fn kv_workload(client: usize, requests: usize) -> Vec<KvCommand> {
         .collect()
 }
 
-fn counter_workload(requests: usize) -> Vec<oar::state_machine::CounterCommand> {
+fn counter_workload(requests: usize) -> Vec<CounterCommand> {
     (0..requests)
-        .map(|i| oar::state_machine::CounterCommand::Add(i as i64 % 7 + 1))
+        .map(|i| CounterCommand::Add(i as i64 % 7 + 1))
         .collect()
 }
 
-/// One row of the latency experiment (T-LAT).
-#[derive(Clone, Debug)]
-pub struct LatencyRow {
-    /// Protocol name.
-    pub protocol: String,
-    /// Number of replicas.
-    pub servers: usize,
-    /// Requests measured.
-    pub requests: usize,
-    /// Latency summary (milliseconds).
-    pub latency_ms: Summary,
+/// Whether the workload drained with the propositions intact: the replicas
+/// prefix-compatible with equal digests, every adopted reply matching the
+/// servers' positions.
+fn consistent<S: StateMachine>(c: &Cluster<S>) -> bool {
+    c.all_clients_done()
+        && c.check_replica_consistency().is_ok()
+        && c.check_external_consistency().is_ok()
+}
+
+/// What a finished single-group deployment can tell about itself, by metric
+/// name. Every family that measures a [`Cluster`] builds its rows from these
+/// (see [`with_metrics`]), so a counter is read from [`ServerStats`] in one
+/// place, whatever rows it appears in. Panics on a name it does not know.
+pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
+    let sum = |f: fn(&ServerStats) -> u64| Cell::from(c.sum_stats(f));
+    let max = |f: fn(&ServerStats) -> u64| Cell::from(c.max_stats(f));
+    let latency = |of: fn(&Samples) -> Option<f64>| Cell::from(of(&c.latencies()).unwrap_or(0.0));
+    match name {
+        "servers" => c.servers.len().into(),
+        "clients" => c.clients.len().into(),
+        "requests" => c.completed_requests().len().into(),
+        "requests_per_second" => {
+            let done = c.completed_requests();
+            let end = done.iter().map(|r| r.completed_at).max();
+            sim_rate(done.len(), end.unwrap_or(SimTime::ZERO)).into()
+        }
+        "latency_ms" => c.latencies().summary().into(),
+        "mean_latency_ms" => latency(|l| l.mean()),
+        "p50_latency_ms" => latency(|l| l.quantile(0.5)),
+        "p95_latency_ms" => latency(|l| l.quantile(0.95)),
+        "p99_latency_ms" => latency(|l| l.quantile(0.99)),
+        "completed_run" => c.all_clients_done().into(),
+        "consistent" => consistent(c).into(),
+        "opt_deliveries" => sum(|s| s.opt_delivered),
+        "opt_undeliveries" | "undeliveries" => sum(|s| s.opt_undelivered),
+        // The paper's "very low probability": undone per optimistic delivery.
+        "undo_rate" => match c.sum_stats(|s| s.opt_delivered) {
+            0 => 0.0.into(),
+            opt => (c.sum_stats(|s| s.opt_undelivered) as f64 / opt as f64).into(),
+        },
+        "phase2_entries" => sum(|s| s.phase2_entered),
+        "epochs_per_server" => {
+            (c.sum_stats(|s| s.epochs_completed) as f64 / c.servers.len() as f64).into()
+        }
+        // Wires: `OrderMsg` broadcasts, `ReplyBatch` wires and the replies
+        // they carry, consensus wire allocations (shared relays) and the
+        // per-destination deliveries the pre-clone scheme would have paid.
+        "order_messages_sent" => sum(|s| s.order_messages_sent),
+        "reply_messages_sent" => sum(|s| s.reply_messages_sent),
+        "replies_sent" => sum(|s| s.replies_sent),
+        "consensus_allocations" => sum(|s| s.consensus_wires_sent),
+        "consensus_messages" => sum(|s| s.consensus_messages_sent),
+        // Memory the epoch-watermark GC bounds: the `payloads` map and the
+        // `PhaseII` duplicate-suppression set, at their peak at any server
+        // and as the alive servers hold them now.
+        "peak_payloads" => max(|s| s.payloads.peak()),
+        "final_payloads" => c.max_alive_stats(|s| s.payloads.current()).into(),
+        "peak_seen" => max(|s| s.seen.peak()),
+        "final_seen" => c.max_alive_stats(|s| s.seen.current()).into(),
+        "payloads_pruned" => sum(|s| s.payloads_pruned),
+        // Host nanoseconds inside `StateMachine` application: a measurement
+        // channel, never part of the simulated protocol state.
+        "apply_ns" => sum(|s| s.apply_ns),
+        // Commands executed in multi-command waves (size ≥ 2).
+        "wave_commands" => sum(|s| s.wave_commands()),
+        // Adaptive batching: the largest `OrderMsg` batch emitted, the
+        // threshold in force at the end, and the convergence counters of the
+        // sequencers' and the clients' controllers.
+        "effective_batch_peak" => max(|s| s.effective_batch.peak()),
+        "batch_target" => max(|s| s.batch_target),
+        "target_raises" => sum(|s| s.target_raises),
+        "target_drops" => sum(|s| s.target_drops),
+        "deadline_flushes" => sum(|s| s.deadline_flushes),
+        "client_window_peak" => c.max_pipeline_stats(|p| p.window_peak).into(),
+        // Recovery: retained `A_delivered` and undo-stack peaks (what log
+        // compaction must bound), snapshots, pruned log entries, and the
+        // catch-up and payload-repair wires.
+        "peak_a_delivered" => max(|s| s.a_delivered_len.peak()),
+        "peak_undo_depth" => max(|s| s.undo_depth.peak()),
+        "snapshots" => sum(|s| s.snapshots_taken),
+        "compacted" => sum(|s| s.compacted),
+        "catch_up_requests" => sum(|s| s.catch_up_requests),
+        "catch_up_replies" => sum(|s| s.catch_up_replies),
+        "payload_fetches" => sum(|s| s.payload_fetches),
+        // Reconfiguration: settled fences applied, anti-entropy root probes,
+        // Merkle descent wires (requests + replies) and healed keys.
+        "reconfigs_applied" => sum(|s| s.reconfigs_applied),
+        "sync_probes" => sum(|s| s.sync_probes),
+        "sync_node_wires" => sum(|s| s.sync_node_wires),
+        "sync_repairs" => sum(|s| s.sync_repairs),
+        unknown => panic!("no cluster metric is called `{unknown}`"),
+    }
+}
+
+/// Appends the [`metric`]s called `names`, read from `cluster`, to `row`.
+pub fn with_metrics<S: StateMachine>(
+    row: Row,
+    cluster: &Cluster<S>,
+    names: &[&'static str],
+) -> Row {
+    names
+        .iter()
+        .fold(row, |row, name| row.with(name, metric(cluster, name)))
+}
+
+fn latency_row(protocol: &str, servers: usize, latencies: &Samples) -> Row {
+    Row::new("latency", format!("{protocol}@{servers}"))
+        .with("protocol", protocol)
+        .with("servers", servers)
+        .with("requests", latencies.len())
+        .with("latency_ms", latencies.summary())
 }
 
 /// T-LAT: client-observed latency of OAR vs the fixed-sequencer baseline vs
@@ -78,7 +184,7 @@ pub fn latency_experiment(
     group_sizes: &[usize],
     requests_per_client: usize,
     seed: u64,
-) -> Vec<LatencyRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in group_sizes {
         // OAR
@@ -100,12 +206,7 @@ pub fn latency_experiment(
             .expect("OAR replica consistency");
         oar.check_external_consistency()
             .expect("OAR external consistency");
-        rows.push(LatencyRow {
-            protocol: "oar".into(),
-            servers: n,
-            requests: oar.latencies().len(),
-            latency_ms: oar.latencies().summary(),
-        });
+        rows.push(latency_row("oar", n, &oar.latencies()));
 
         // Fixed sequencer
         let base = BaselineConfig {
@@ -123,12 +224,7 @@ pub fn latency_experiment(
             seq.run_to_completion(SimTime::from_secs(600)),
             "sequencer run did not finish"
         );
-        rows.push(LatencyRow {
-            protocol: "fixed-sequencer".into(),
-            servers: n,
-            requests: seq.latencies().len(),
-            latency_ms: seq.latencies().summary(),
-        });
+        rows.push(latency_row("fixed-sequencer", n, &seq.latencies()));
 
         // Consensus-based atomic broadcast
         let mut ct: CtCluster<KvMachine> = CtCluster::build(&base, KvMachine::new, |c| {
@@ -139,30 +235,9 @@ pub fn latency_experiment(
             "CT run did not finish"
         );
         ct.check_total_order().expect("CT total order");
-        rows.push(LatencyRow {
-            protocol: "ct-abcast".into(),
-            servers: n,
-            requests: ct.latencies().len(),
-            latency_ms: ct.latencies().summary(),
-        });
+        rows.push(latency_row("ct-abcast", n, &ct.latencies()));
     }
     rows
-}
-
-/// One row of the fail-over experiment (T-FAILOVER).
-#[derive(Clone, Debug)]
-pub struct FailoverRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Failure-detector timeout (ms).
-    pub fd_timeout_ms: f64,
-    /// Simulated time from the sequencer crash until every client request
-    /// issued after the crash is answered (ms).
-    pub recovery_ms: f64,
-    /// Opt-undeliveries during the run.
-    pub undeliveries: u64,
-    /// Whether the run stayed consistent.
-    pub consistent: bool,
 }
 
 /// T-FAILOVER: time to recover from a sequencer crash as a function of the
@@ -171,90 +246,43 @@ pub struct FailoverRow {
 /// Paper claim (§2.2): algorithms that do not rely on a group-membership
 /// oracle have a fail-over time governed by the failure-detector timeout, not
 /// by a heavyweight view change.
-pub fn failover_experiment(
-    group_sizes: &[usize],
-    fd_timeouts_ms: &[u64],
-    seed: u64,
-) -> Vec<FailoverRow> {
+pub fn failover_experiment(group_sizes: &[usize], fd_timeouts_ms: &[u64], seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in group_sizes {
         for &timeout_ms in fd_timeouts_ms {
-            let oar = OarConfig::with_fd_timeout(SimDuration::from_millis(timeout_ms));
             let config = ClusterConfig {
                 num_servers: n,
                 num_clients: 1,
                 net: NetConfig::lan(),
-                oar,
+                oar: OarConfig::with_fd_timeout(SimDuration::from_millis(timeout_ms)),
                 seed,
                 ..ClusterConfig::default()
             };
-            let crash_at = SimTime::from_millis(5);
-            let mut cluster: Cluster<CounterMachine> =
-                Cluster::build(&config, CounterMachine::default, |_| counter_workload(40));
-            cluster
-                .world
-                .schedule_crash(oar_simnet::ProcessId::new(0), crash_at);
-            let done = cluster.run_to_completion(SimTime::from_secs(600));
-            let consistent = done
-                && cluster.check_replica_consistency().is_ok()
-                && cluster.check_external_consistency().is_ok();
-            // Recovery time: last completion time minus crash time, minus the
-            // time the same workload needs without any crash.
-            let last_completion = cluster
-                .completed_requests()
-                .iter()
-                .map(|r| r.completed_at)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            let mut baseline: Cluster<CounterMachine> = Cluster::build(
-                &ClusterConfig {
-                    oar: config.oar,
-                    ..config.clone()
-                },
-                CounterMachine::default,
-                |_| counter_workload(40),
-            );
-            baseline.run_to_completion(SimTime::from_secs(600));
-            let baseline_last = baseline
-                .completed_requests()
-                .iter()
-                .map(|r| r.completed_at)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            let recovery_ms =
-                (last_completion.as_millis_f64() - baseline_last.as_millis_f64()).max(0.0);
-            rows.push(FailoverRow {
-                servers: n,
-                fd_timeout_ms: timeout_ms as f64,
-                recovery_ms,
-                undeliveries: cluster.total_undeliveries(),
-                consistent,
-            });
+            let run = |crash: bool| {
+                let mut cluster: Cluster<CounterMachine> =
+                    Cluster::build(&config, CounterMachine::default, |_| counter_workload(40));
+                if crash {
+                    let at = SimTime::from_millis(5);
+                    cluster.world.schedule_crash(ProcessId::new(0), at);
+                }
+                cluster.run_to_completion(SimTime::from_secs(600));
+                let done = cluster.completed_requests();
+                let last = done.iter().map(|r| r.completed_at).max();
+                (last.unwrap_or(SimTime::ZERO).as_millis_f64(), cluster)
+            };
+            // Recovery time: simulated time from the crash until every
+            // request is answered, i.e. the last completion minus the time
+            // the same workload needs without any crash.
+            let (last_completion, cluster) = run(true);
+            let (baseline_last, _) = run(false);
+            let row = Row::new("failover", format!("n{n}/fd{timeout_ms}"))
+                .with("servers", n)
+                .with("fd_timeout_ms", timeout_ms as f64)
+                .with("recovery_ms", (last_completion - baseline_last).max(0.0));
+            rows.push(with_metrics(row, &cluster, &["undeliveries", "consistent"]));
         }
     }
     rows
-}
-
-/// One row of the Opt-undeliver frequency experiment (T-UNDO).
-#[derive(Clone, Debug)]
-pub struct UndoRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Scenario label.
-    pub scenario: String,
-    /// Requests completed.
-    pub requests: usize,
-    /// Total Opt-deliveries.
-    pub opt_deliveries: u64,
-    /// Total Opt-undeliveries.
-    pub opt_undeliveries: u64,
-    /// Opt-undeliveries per delivered request (the paper's "very low
-    /// probability").
-    pub undo_rate: f64,
-    /// Phase-2 entries.
-    pub phase2_entries: u64,
-    /// Whether the run stayed consistent.
-    pub consistent: bool,
 }
 
 /// T-UNDO: how often optimistic deliveries are undone, under increasingly
@@ -265,26 +293,19 @@ pub struct UndoRow {
 /// values excluded from the consensus decision, and a different conservative
 /// order), so its probability is very low even when crashes and suspicions are
 /// common.
-pub fn undo_experiment(seed: u64) -> Vec<UndoRow> {
-    let mut rows = Vec::new();
-
-    // Scenario A: failure-free.
-    rows.push(run_undo_scenario("failure-free", 5, seed, |_cluster| {}));
-
-    // Scenario B: sequencer crash observed by everyone (no partition).
-    rows.push(run_undo_scenario("sequencer-crash", 5, seed, |cluster| {
-        cluster
-            .world
-            .schedule_crash(oar_simnet::ProcessId::new(0), SimTime::from_millis(5));
-    }));
-
-    // Scenario C: sequencer crash + minority partition containing the only
-    // server that saw the last ordering (the Figure-4 conditions).
-    rows.push(run_undo_scenario(
-        "crash+minority-partition",
-        5,
-        seed,
-        |cluster| {
+pub fn undo_experiment(seed: u64) -> Vec<Row> {
+    vec![
+        // Scenario A: failure-free.
+        run_undo_scenario("failure-free", 5, seed, |_cluster| {}),
+        // Scenario B: sequencer crash observed by everyone (no partition).
+        run_undo_scenario("sequencer-crash", 5, seed, |cluster| {
+            cluster
+                .world
+                .schedule_crash(ProcessId::new(0), SimTime::from_millis(5));
+        }),
+        // Scenario C: sequencer crash + minority partition containing the
+        // only server that saw the last ordering (the Figure-4 conditions).
+        run_undo_scenario("crash+minority-partition", 5, seed, |cluster| {
             let s = cluster.servers.clone();
             let c = cluster.clients.clone();
             let mut minority = vec![s[0], s[1]];
@@ -295,10 +316,8 @@ pub fn undo_experiment(seed: u64) -> Vec<UndoRow> {
                 .schedule_partition(SimTime::from_millis(3), vec![minority, majority]);
             cluster.world.schedule_crash(s[0], SimTime::from_millis(8));
             cluster.world.schedule_heal(SimTime::from_millis(150));
-        },
-    ));
-
-    rows
+        }),
+    ]
 }
 
 fn run_undo_scenario(
@@ -306,96 +325,31 @@ fn run_undo_scenario(
     servers: usize,
     seed: u64,
     inject: impl FnOnce(&mut Cluster<CounterMachine>),
-) -> UndoRow {
-    let oar = OarConfig::with_fd_timeout(SimDuration::from_millis(25));
+) -> Row {
     let config = ClusterConfig {
         num_servers: servers,
         num_clients: 2,
         net: NetConfig::constant(SimDuration::from_micros(100)),
-        oar,
+        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
         seed,
         ..ClusterConfig::default()
     };
     let mut cluster: Cluster<CounterMachine> =
         Cluster::build(&config, CounterMachine::default, |_| counter_workload(30));
     inject(&mut cluster);
-    let done = cluster.run_to_completion(SimTime::from_secs(600));
-    let consistent = done
-        && cluster.check_replica_consistency().is_ok()
-        && cluster.check_external_consistency().is_ok();
-    let opt: u64 = cluster
-        .servers
-        .iter()
-        .map(|&s| {
-            cluster
-                .world
-                .process_ref::<oar::OarServer<CounterMachine>>(s)
-                .stats()
-                .opt_delivered
-        })
-        .sum();
-    let undone = cluster.total_undeliveries();
-    UndoRow {
-        servers,
-        scenario: label.into(),
-        requests: cluster.completed_requests().len(),
-        opt_deliveries: opt,
-        opt_undeliveries: undone,
-        undo_rate: if opt == 0 {
-            0.0
-        } else {
-            undone as f64 / opt as f64
-        },
-        phase2_entries: cluster.total_phase2_entries(),
-        consistent,
-    }
-}
-
-/// One row of the throughput experiment (T-THROUGHPUT).
-#[derive(Clone, Debug)]
-pub struct ThroughputRow {
-    /// Protocol name.
-    pub protocol: String,
-    /// Number of replicas.
-    pub servers: usize,
-    /// Number of concurrent closed-loop clients.
-    pub clients: usize,
-    /// Requests completed.
-    pub requests: usize,
-    /// Completed requests per simulated second.
-    pub requests_per_second: f64,
-    /// Mean latency (ms).
-    pub mean_latency_ms: f64,
-    /// Median latency (ms). Percentiles make the latency *cost* of batching
-    /// visible next to its throughput benefit: a partial batch waiting for a
-    /// flush shows up in the tail, not the mean.
-    pub p50_latency_ms: f64,
-    /// 95th-percentile latency (ms).
-    pub p95_latency_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub p99_latency_ms: f64,
-    /// `OrderMsg` broadcasts sent by sequencers during the run (OAR rows
-    /// only; 0 for the baselines, which have no comparable counter). With
-    /// `max_batch > 1` this drops well below `requests`.
-    pub order_messages_sent: u64,
-    /// `ReplyBatch` wires sent to clients (OAR rows only). With reply
-    /// batching and pipelined clients this drops below `replies_sent`.
-    pub reply_messages_sent: u64,
-    /// Individual request replies carried by those wires (= `servers ×
-    /// requests` in failure-free runs).
-    pub replies_sent: u64,
-    /// Consensus wire allocations (shared-relay count; 0 in failure-free
-    /// runs, where phase 2 never starts).
-    pub consensus_allocations: u64,
-    /// Per-destination consensus deliveries — the allocations the pre-clone
-    /// implementation would have paid.
-    pub consensus_messages: u64,
-    /// Peak size of any server's `payloads` map during the run.
-    pub peak_payloads: u64,
-    /// Real wall-clock nanoseconds spent inside `StateMachine` application
-    /// across all servers (host time — a measurement channel, never part of
-    /// the simulated protocol state).
-    pub apply_ns: u64,
+    cluster.run_to_completion(SimTime::from_secs(600));
+    let row = Row::new("undo", label)
+        .with("servers", servers)
+        .with("scenario", label);
+    let cells = [
+        "requests",
+        "opt_deliveries",
+        "opt_undeliveries",
+        "undo_rate",
+        "phase2_entries",
+        "consistent",
+    ];
+    with_metrics(row, &cluster, &cells)
 }
 
 /// Sequencer batch size used by the `oar-batched` throughput variant.
@@ -436,6 +390,30 @@ pub fn build_throughput_cluster(
     })
 }
 
+/// The throughput and latency cells of a `throughput` or `adaptive` row.
+/// Percentiles make the latency *cost* of batching visible next to its
+/// throughput benefit: a partial batch waiting for a flush shows up in the
+/// tail, not the mean.
+const THROUGHPUT_CELLS: [&str; 5] = [
+    "requests_per_second",
+    "mean_latency_ms",
+    "p50_latency_ms",
+    "p95_latency_ms",
+    "p99_latency_ms",
+];
+
+/// The protocol counters of an OAR `throughput` row (0 on baseline rows,
+/// which have no comparable counters).
+const THROUGHPUT_COUNTERS: [&str; 7] = [
+    "order_messages_sent",
+    "reply_messages_sent",
+    "replies_sent",
+    "consensus_allocations",
+    "consensus_messages",
+    "peak_payloads",
+    "apply_ns",
+];
+
 /// Runs one OAR throughput deployment: builds the cluster, drives it to
 /// completion, checks the consistency propositions and returns the measured
 /// row.
@@ -447,7 +425,7 @@ pub fn run_oar_throughput(
     requests_per_client: usize,
     pipeline: usize,
     seed: u64,
-) -> ThroughputRow {
+) -> Row {
     let mut cluster = build_throughput_cluster(
         oar_config,
         servers,
@@ -466,21 +444,36 @@ pub fn run_oar_throughput(
     cluster
         .check_external_consistency()
         .expect("external consistency");
-    let end = cluster
-        .completed_requests()
+    let row = Row::new("throughput", format!("{protocol}@{clients}")).with("protocol", protocol);
+    let row = with_metrics(row, &cluster, &["servers", "clients", "requests"]);
+    let row = with_metrics(row, &cluster, &THROUGHPUT_CELLS);
+    with_metrics(row, &cluster, &THROUGHPUT_COUNTERS)
+}
+
+/// A `throughput` row of a baseline protocol, measured from its clients'
+/// completion times and latencies.
+fn baseline_throughput_row(
+    protocol: &str,
+    servers: usize,
+    clients: usize,
+    completions: impl Iterator<Item = SimTime>,
+    latencies: &Samples,
+) -> Row {
+    let end = completions.max().unwrap_or(SimTime::ZERO);
+    let quantile = |q| latencies.quantile(q).unwrap_or(0.0);
+    let row = Row::new("throughput", format!("{protocol}@{clients}"))
+        .with("protocol", protocol)
+        .with("servers", servers)
+        .with("clients", clients)
+        .with("requests", latencies.len())
+        .with("requests_per_second", sim_rate(latencies.len(), end))
+        .with("mean_latency_ms", latencies.mean().unwrap_or(0.0))
+        .with("p50_latency_ms", quantile(0.5))
+        .with("p95_latency_ms", quantile(0.95))
+        .with("p99_latency_ms", quantile(0.99));
+    THROUGHPUT_COUNTERS
         .iter()
-        .map(|r| r.completed_at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let mut row = throughput_row(protocol, servers, clients, end, &cluster.latencies());
-    row.order_messages_sent = cluster.total_order_messages();
-    row.reply_messages_sent = cluster.total_reply_messages();
-    row.replies_sent = cluster.total_replies();
-    row.consensus_allocations = cluster.total_consensus_wires();
-    row.consensus_messages = cluster.total_consensus_messages();
-    row.peak_payloads = cluster.peak_payloads();
-    row.apply_ns = cluster.total_apply_ns();
-    row
+        .fold(row, |row, name| row.with(name, 0u64))
 }
 
 /// T-THROUGHPUT: completed requests per simulated second under increasing
@@ -491,46 +484,33 @@ pub fn throughput_experiment(
     client_counts: &[usize],
     requests_per_client: usize,
     seed: u64,
-) -> Vec<ThroughputRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for &clients in client_counts {
+        let oar = |protocol, config, pipeline| {
+            run_oar_throughput(
+                protocol,
+                config,
+                servers,
+                clients,
+                requests_per_client,
+                pipeline,
+                seed,
+            )
+        };
         // OAR, unbatched (the paper's one-OrderMsg-per-request sequencer).
-        rows.push(run_oar_throughput(
-            "oar",
-            OarConfig::default(),
-            servers,
-            clients,
-            requests_per_client,
-            1,
-            seed,
-        ));
-
+        rows.push(oar("oar", OarConfig::default(), 1));
         // OAR with sequencer batching: up to BATCHED_MAX_BATCH requests per
         // ordering broadcast, amortising the reliable-multicast cost.
-        rows.push(run_oar_throughput(
-            "oar-batched",
-            OarConfig::with_batching(BATCHED_MAX_BATCH),
-            servers,
-            clients,
-            requests_per_client,
-            1,
-            seed,
-        ));
-
+        let batched = OarConfig::with_batching(BATCHED_MAX_BATCH);
+        rows.push(oar("oar-batched", batched, 1));
         // OAR with pipelined clients and window-sized sequencer batches: one
         // OrderMsg swallows the whole in-flight window (PIPELINE_DEPTH
         // requests per client), so each server coalesces its replies into
         // one ReplyBatch per client per window — reply_messages_sent drops
         // towards servers × clients × ceil(requests / PIPELINE_DEPTH).
-        rows.push(run_oar_throughput(
-            "oar-pipelined",
-            OarConfig::with_batching(PIPELINE_DEPTH * clients),
-            servers,
-            clients,
-            requests_per_client,
-            PIPELINE_DEPTH,
-            seed,
-        ));
+        let windowed = OarConfig::with_batching(PIPELINE_DEPTH * clients);
+        rows.push(oar("oar-pipelined", windowed, PIPELINE_DEPTH));
 
         let base = BaselineConfig {
             num_servers: servers,
@@ -544,23 +524,18 @@ pub fn throughput_experiment(
                 kv_workload(c, requests_per_client)
             });
         assert!(seq.run_to_completion(SimTime::from_secs(600)));
-        let seq_end = seq
-            .clients
-            .iter()
-            .flat_map(|&c| {
-                seq.world
-                    .process_ref::<oar_baselines::SequencerClient<KvMachine>>(c)
-                    .completed()
-                    .iter()
-                    .map(|r| r.completed_at)
-            })
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        rows.push(throughput_row(
+        let seq_done = seq.clients.iter().flat_map(|&c| {
+            seq.world
+                .process_ref::<oar_baselines::SequencerClient<KvMachine>>(c)
+                .completed()
+                .iter()
+                .map(|r| r.completed_at)
+        });
+        rows.push(baseline_throughput_row(
             "fixed-sequencer",
             servers,
             clients,
-            seq_end,
+            seq_done,
             &seq.latencies(),
         ));
 
@@ -568,94 +543,22 @@ pub fn throughput_experiment(
             kv_workload(c, requests_per_client)
         });
         assert!(ct.run_to_completion(SimTime::from_secs(600)));
-        let ct_end = ct
-            .clients
-            .iter()
-            .flat_map(|&c| {
-                ct.world
-                    .process_ref::<oar_baselines::CtClient<KvMachine>>(c)
-                    .completed()
-                    .iter()
-                    .map(|r| r.completed_at)
-            })
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        rows.push(throughput_row(
+        let ct_done = ct.clients.iter().flat_map(|&c| {
+            ct.world
+                .process_ref::<oar_baselines::CtClient<KvMachine>>(c)
+                .completed()
+                .iter()
+                .map(|r| r.completed_at)
+        });
+        rows.push(baseline_throughput_row(
             "ct-abcast",
             servers,
             clients,
-            ct_end,
+            ct_done,
             &ct.latencies(),
         ));
     }
     rows
-}
-
-fn throughput_row(
-    protocol: &str,
-    servers: usize,
-    clients: usize,
-    end: SimTime,
-    latencies: &Samples,
-) -> ThroughputRow {
-    let requests = latencies.len();
-    ThroughputRow {
-        protocol: protocol.into(),
-        servers,
-        clients,
-        requests,
-        requests_per_second: sim_rate(requests, end),
-        mean_latency_ms: latencies.mean().unwrap_or(0.0),
-        p50_latency_ms: latencies.quantile(0.5).unwrap_or(0.0),
-        p95_latency_ms: latencies.quantile(0.95).unwrap_or(0.0),
-        p99_latency_ms: latencies.quantile(0.99).unwrap_or(0.0),
-        order_messages_sent: 0,
-        reply_messages_sent: 0,
-        replies_sent: 0,
-        consensus_allocations: 0,
-        consensus_messages: 0,
-        peak_payloads: 0,
-        apply_ns: 0,
-    }
-}
-
-/// One row of the long-run soak experiment (T-SOAK).
-#[derive(Clone, Debug)]
-pub struct SoakRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Number of pipelined clients.
-    pub clients: usize,
-    /// Requests completed (the workload runs across many epochs).
-    pub requests: usize,
-    /// Epochs completed per server (average).
-    pub epochs_per_server: f64,
-    /// Peak size of any server's `payloads` map — the quantity the
-    /// epoch-watermark GC must bound.
-    pub peak_payloads: u64,
-    /// Largest `payloads` size across alive servers at the end of the run.
-    pub final_payloads: u64,
-    /// Peak size of any server's `PhaseII` duplicate-suppression (`seen`)
-    /// set — aged out by the same watermark rule, so it must stay a few
-    /// epochs small.
-    pub peak_seen: u64,
-    /// Largest `seen` size across alive servers at the end of the run.
-    pub final_seen: u64,
-    /// Payloads pruned by the watermark GC across all servers.
-    pub payloads_pruned: u64,
-    /// `ReplyBatch` wires sent across all servers.
-    pub reply_messages_sent: u64,
-    /// Individual replies carried by those wires.
-    pub replies_sent: u64,
-    /// `OrderMsg` broadcasts sent by sequencers.
-    pub order_messages_sent: u64,
-    /// Consensus wire allocations (shared-relay count).
-    pub consensus_allocations: u64,
-    /// Per-destination consensus deliveries the pre-clone scheme would have
-    /// allocated.
-    pub consensus_messages: u64,
-    /// Whether the run completed and stayed consistent.
-    pub consistent: bool,
 }
 
 /// Epoch-cut threshold of the soak experiment: epochs close every
@@ -668,223 +571,121 @@ pub const SOAK_EPOCH_CUT: u64 = 64;
 ///
 /// The run drives `clients × requests_per_client` requests (the full-size
 /// soak uses ≥ 5000) with sequencer batching, reply batching, pipelined
-/// clients and periodic epoch cuts. [`check_soak_bounds`] turns the row into
-/// a pass/fail verdict: peak `payloads` must be bounded by the
-/// unsettled-epoch window — not by the total request count — and the
-/// reply/order wire counts must stay under their amortisation ceilings.
-pub fn soak_experiment(clients: usize, requests_per_client: usize, seed: u64) -> SoakRow {
-    let servers = 3;
+/// clients and periodic epoch cuts. [`SOAK_BOUNDS`] turns the row into a
+/// pass/fail verdict: peak `payloads` must be bounded by the unsettled-epoch
+/// window — not by the total request count — and the reply/order wire counts
+/// must stay under their amortisation ceilings.
+pub fn soak_experiment(clients: usize, requests_per_client: usize, seed: u64) -> Row {
     let oar = OarConfig {
         epoch_cut_after: Some(SOAK_EPOCH_CUT),
         ..OarConfig::with_batching(PIPELINE_DEPTH * clients)
     };
-    let mut cluster = build_throughput_cluster(
-        oar,
-        servers,
-        clients,
-        requests_per_client,
-        PIPELINE_DEPTH,
-        seed,
-    );
-    let done = cluster.run_to_completion(SimTime::from_secs(600));
+    let mut cluster =
+        build_throughput_cluster(oar, 3, clients, requests_per_client, PIPELINE_DEPTH, seed);
+    cluster.run_to_completion(SimTime::from_secs(600));
     // Let the final watermark announcements propagate so end-of-run payload
     // levels reflect the GC, not message latency.
     let settle_until = cluster.world.now() + SimDuration::from_millis(50);
     cluster.world.run_until(settle_until);
-    let consistent = done
-        && cluster.check_replica_consistency().is_ok()
-        && cluster.check_external_consistency().is_ok();
-    let epochs: u64 = cluster
-        .servers
-        .iter()
-        .map(|&s| {
-            cluster
-                .world
-                .process_ref::<oar::OarServer<KvMachine>>(s)
-                .stats()
-                .epochs_completed
-        })
-        .sum();
-    SoakRow {
-        servers,
-        clients,
-        requests: cluster.completed_requests().len(),
-        epochs_per_server: epochs as f64 / servers as f64,
-        peak_payloads: cluster.peak_payloads(),
-        final_payloads: cluster.current_payloads(),
-        peak_seen: cluster.peak_seen(),
-        final_seen: cluster.current_seen(),
-        payloads_pruned: cluster.total_payloads_pruned(),
-        reply_messages_sent: cluster.total_reply_messages(),
-        replies_sent: cluster.total_replies(),
-        order_messages_sent: cluster.total_order_messages(),
-        consensus_allocations: cluster.total_consensus_wires(),
-        consensus_messages: cluster.total_consensus_messages(),
-        consistent,
-    }
+    let cells = [
+        "servers",
+        "clients",
+        "requests",
+        "epochs_per_server",
+        "peak_payloads",
+        "final_payloads",
+        "peak_seen",
+        "final_seen",
+        "payloads_pruned",
+        "reply_messages_sent",
+        "replies_sent",
+        "order_messages_sent",
+        "consensus_allocations",
+        "consensus_messages",
+        "consistent",
+    ];
+    with_metrics(Row::new("soak", "soak"), &cluster, &cells)
 }
 
-/// Verifies the amortisation and memory bounds of a soak row; returns every
-/// violation found (empty = pass). Used by the CI soak-smoke gate so traffic
-/// regressions fail the build instead of silently eroding.
-pub fn check_soak_bounds(row: &SoakRow, requests_per_client: usize) -> Vec<String> {
-    let mut violations = Vec::new();
-    let total = (row.clients * requests_per_client) as u64;
-    if !row.consistent {
-        violations.push("run did not complete consistently".to_string());
-    }
-    if row.requests as u64 != total {
-        violations.push(format!(
-            "completed {} of {} requests (at-least-once violated)",
-            row.requests, total
-        ));
-    }
-    // Payload memory: bounded by the unsettled-epoch window (one epoch cut
-    // plus the in-flight pipeline per client, with generous slack for epoch
-    // boundaries), NOT by the total request count.
-    let window = SOAK_EPOCH_CUT + (row.clients * PIPELINE_DEPTH) as u64;
-    let payload_bound = 4 * window;
-    if row.peak_payloads > payload_bound {
-        violations.push(format!(
-            "peak payloads {} exceeds the watermark window bound {payload_bound} \
-             (total requests: {total})",
-            row.peak_payloads
-        ));
-    }
-    if row.final_payloads > payload_bound {
-        violations.push(format!(
-            "final payloads {} exceeds the watermark window bound {payload_bound}",
-            row.final_payloads
-        ));
-    }
-    // Seen-set memory: only the PhaseII broadcast keeps a duplicate-
-    // suppression set (client requests are recognised by `payloads` and
-    // `settled`), aged out by the same watermark — a handful of ids of the
-    // epochs not yet acknowledged group-wide, whatever the request count.
-    let seen_bound = 64;
-    if row.peak_seen > seen_bound {
-        violations.push(format!(
-            "peak seen {} exceeds the watermark window bound {seen_bound} \
-             (total requests: {total})",
-            row.peak_seen
-        ));
-    }
-    if row.final_seen > seen_bound {
-        violations.push(format!(
-            "final seen {} exceeds the watermark window bound {seen_bound}",
-            row.final_seen
-        ));
-    }
-    // Reply amortisation: at most ceil(requests / PIPELINE_DEPTH) ReplyBatch
-    // wires per client per server (a client's replies coalesce per in-flight
-    // window), with 2x slack for partially filled batches at epoch
-    // boundaries. The unbatched protocol pays `servers × total` wires.
-    let per_client_ceiling = requests_per_client.div_ceil(PIPELINE_DEPTH) as u64;
-    let reply_ceiling = 2 * row.servers as u64 * row.clients as u64 * per_client_ceiling;
-    if row.reply_messages_sent > reply_ceiling {
-        violations.push(format!(
-            "reply_messages_sent {} exceeds the amortisation ceiling {reply_ceiling}",
-            row.reply_messages_sent
-        ));
-    }
-    if row.replies_sent != row.servers as u64 * total {
-        violations.push(format!(
-            "replies_sent {} != servers × requests = {}",
-            row.replies_sent,
-            row.servers as u64 * total
-        ));
-    }
-    // Ordering amortisation: one OrderMsg per window-sized batch, 2x slack
-    // plus headroom for tick-flushed stragglers around epoch cuts.
-    let order_window = (PIPELINE_DEPTH * row.clients) as u64;
-    let order_ceiling = 2 * total.div_ceil(order_window).max(1) + 16;
-    if row.order_messages_sent > order_ceiling {
-        violations.push(format!(
-            "order_messages_sent {} exceeds the amortisation ceiling {order_ceiling}",
-            row.order_messages_sent
-        ));
-    }
-    // Shared-relay consensus: every allocation reaches at least one
-    // destination, and group-wide wires reach several — the pre-clone count
-    // must be strictly larger in a run with consensus traffic.
-    if row.consensus_allocations > 0 && row.consensus_messages <= row.consensus_allocations {
-        violations.push(format!(
-            "shared consensus wires ({}) should fan out to more destinations ({})",
-            row.consensus_allocations, row.consensus_messages
-        ));
-    }
-    violations
+fn param(c: &Ctx, name: &str) -> u64 {
+    c.params.get(name)
 }
+
+/// `clients × per_client`: the requests a soak or recovery run must answer.
+fn total_requests(c: &Ctx) -> f64 {
+    (param(c, "clients") * param(c, "per_client")) as f64
+}
+
+/// The unsettled-epoch window of the soak and recovery runs: one epoch cut
+/// plus every client's in-flight pipeline.
+fn epoch_window(c: &Ctx) -> f64 {
+    (SOAK_EPOCH_CUT + param(c, "clients") * PIPELINE_DEPTH as u64) as f64
+}
+
+/// The amortisation and memory gates of T-SOAK, so that traffic regressions
+/// fail the build instead of silently eroding.
+pub const SOAK_BOUNDS: &[Bound] = bounds! {
+    Each("soak") => "consistent" == TRUE, "the run completes with the propositions intact";
+    Each("soak") => "requests" == Of("clients × per_client", total_requests),
+        "every request is answered (at-least-once)";
+    Each("soak") => "peak_payloads" <= Of("4 × epoch window", |c| 4.0 * epoch_window(c)),
+        "payload memory is bounded by the unsettled-epoch window (epoch cut + clients × \
+         pipeline, generous slack for epoch boundaries), not by the request count";
+    Each("soak") => "final_payloads" <= Of("4 × epoch window", |c| 4.0 * epoch_window(c)),
+        "the watermark GC keeps up to the end of the run";
+    Each("soak") => "peak_seen" <= Const(64.0),
+        "only `PhaseII` broadcasts enter a duplicate-suppression set, aged out by the same \
+         watermark: a handful of ids, whatever the request count";
+    Each("soak") => "final_seen" <= Const(64.0), "the seen set is aged out to the end of the run";
+    Each("soak") => "reply_messages_sent"
+        <= Of("2 × servers × clients × ⌈per_client / pipeline⌉", |c| {
+            let windows = param(c, "per_client").div_ceil(PIPELINE_DEPTH as u64);
+            (2 * c.row.u64("servers") * param(c, "clients") * windows) as f64
+        }),
+        "a client's replies coalesce per in-flight window (2x slack for partial batches at \
+         epoch boundaries); unbatched, every server pays one wire per request";
+    Each("soak") => "replies_sent"
+        == Of("servers × requests", |c| c.row.u64("servers") as f64 * total_requests(c)),
+        "every server answers every request";
+    Each("soak") => "order_messages_sent"
+        <= Of("2 × ⌈requests / (pipeline × clients)⌉ + 16", |c| {
+            let window = PIPELINE_DEPTH as u64 * param(c, "clients");
+            let batches = (total_requests(c) as u64).div_ceil(window).max(1);
+            (2 * batches + 16) as f64
+        }),
+        "one `OrderMsg` per window-sized batch (2x slack, headroom for tick-flushed \
+         stragglers around epoch cuts)";
+    Each("soak") => "consensus_messages"
+        >= Of("consensus_allocations + 1, when there are any", |c| {
+            match c.row.u64("consensus_allocations") {
+                0 => 0.0,
+                shared => (shared + 1) as f64,
+            }
+        }),
+        "shared consensus wires fan out: the pre-clone count is strictly larger";
+};
 
 /// Epochs between snapshots in the recovery soak: small enough that the
 /// retained `A_delivered` window is far below the workload size, large
 /// enough that each snapshot covers several epochs of settled commands.
 pub const RECOVERY_SNAPSHOT_EVERY: u64 = 4;
 
-/// One row of the crash-recovery soak (T-RECOVER).
-#[derive(Clone, Debug)]
-pub struct RecoveryRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Number of pipelined clients.
-    pub clients: usize,
-    /// Requests completed.
-    pub requests: usize,
-    /// Whether the run completed and every consistency proposition held —
-    /// including the rejoined replica, which the checks compare against the
-    /// survivors through the compaction-aware digests and order hashes.
-    pub consistent: bool,
-    /// Whether the restarted replica finished its catch-up by quiesce.
-    pub rejoined: bool,
-    /// Snapshot position the restarted replica installed: > 0 means the
-    /// rejoin was snapshot + delta, not a full replay.
-    pub catch_up_snapshot_position: u64,
-    /// Settled commands replayed on top of the snapshot image.
-    pub catch_up_delta: u64,
-    /// Total settled position of the rejoined replica at quiesce (must be
-    /// past the transfer: it kept settling requests after resuming).
-    pub rejoined_settled: u64,
-    /// Peak retained `A_delivered` length across all servers — the quantity
-    /// log compaction must bound by the snapshot window, not the workload.
-    pub peak_a_delivered: u64,
-    /// Peak undo-stack depth across all servers (cleared at each epoch
-    /// close, so bounded by a single epoch's optimistic window).
-    pub peak_undo_depth: u64,
-    /// Snapshots taken across all servers.
-    pub snapshots: u64,
-    /// Settled commands pruned from retained logs across all servers.
-    pub compacted: u64,
-    /// `CatchUpRequest` wires sent (retries included).
-    pub catch_up_requests: u64,
-    /// `CatchUpReply` transfers served.
-    pub catch_up_replies: u64,
-    /// `PayloadFetch` repair wires sent.
-    pub payload_fetches: u64,
-}
-
 /// T-RECOVER: the crash-recovery soak. A replica crashes under a batched,
 /// pipelined, epoch-cut workload (the full-size run drives ≥ 5000 requests),
 /// restarts with blank state mid-run, and rejoins through the snapshot +
-/// delta catch-up protocol. [`check_recovery_bounds`] turns the row into a
+/// delta catch-up protocol. [`RECOVERY_BOUNDS`] turns the row into a
 /// pass/fail verdict: the rejoined replica must converge to the cluster
 /// digest, peak `A_delivered` must be bounded by the compaction window — not
 /// the workload size — and the catch-up wire count must stay bounded.
-pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64) -> RecoveryRow {
-    let servers = 3;
+pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64) -> Row {
     let restarted = 2usize;
     let oar = OarConfig {
         epoch_cut_after: Some(SOAK_EPOCH_CUT),
         snapshot_every: Some(RECOVERY_SNAPSHOT_EVERY),
         ..OarConfig::with_batching(PIPELINE_DEPTH * clients)
     };
-    let mut cluster = build_throughput_cluster(
-        oar,
-        servers,
-        clients,
-        requests_per_client,
-        PIPELINE_DEPTH,
-        seed,
-    );
+    let mut cluster =
+        build_throughput_cluster(oar, 3, clients, requests_per_client, PIPELINE_DEPTH, seed);
     // Crash a non-sequencer replica early, then revive it with fresh
     // in-memory state once a survivor has taken its first snapshot — so the
     // catch-up transfer is exercised as snapshot + delta (not a full replay)
@@ -901,149 +702,66 @@ pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64
     }
     let restart_at = cluster.world.now() + SimDuration::from_millis(1);
     cluster.schedule_server_restart(restart_at, restarted, KvMachine::new);
-    let done = cluster.run_to_completion(SimTime::from_secs(600));
+    cluster.run_to_completion(SimTime::from_secs(600));
     // Let catch-up retries, watermarks and heartbeats settle.
     let settle_until = cluster.world.now() + SimDuration::from_millis(120);
     cluster.world.run_until(settle_until);
-    let consistent = done
-        && cluster.check_replica_consistency().is_ok()
-        && cluster.check_external_consistency().is_ok();
-    let rejoined_server = cluster.server(restarted);
-    let rejoined = !rejoined_server.is_recovering();
-    let stats = rejoined_server.stats();
-    RecoveryRow {
-        servers,
-        clients,
-        requests: cluster.completed_requests().len(),
-        consistent,
-        rejoined,
-        catch_up_snapshot_position: stats.catch_up_snapshot_position,
-        catch_up_delta: stats.catch_up_delta,
-        rejoined_settled: rejoined_server.total_settled(),
-        peak_a_delivered: cluster.peak_a_delivered_len(),
-        peak_undo_depth: cluster.peak_undo_depth(),
-        snapshots: cluster.total_snapshots(),
-        compacted: cluster.total_compacted(),
-        catch_up_requests: cluster.total_catch_up_requests(),
-        catch_up_replies: cluster.total_catch_up_replies(),
-        payload_fetches: cluster.total_payload_fetches(),
-    }
+    let rejoined = cluster.server(restarted);
+    // `consistent` covers the rejoined replica too: the checks compare it
+    // with the survivors through the compaction-aware digests and order
+    // hashes. A snapshot position > 0 means the rejoin was snapshot + delta.
+    let row = with_metrics(
+        Row::new("recovery", "recovery"),
+        &cluster,
+        &["servers", "clients", "requests", "consistent"],
+    )
+    .with("rejoined", !rejoined.is_recovering())
+    .with(
+        "catch_up_snapshot_position",
+        rejoined.stats().catch_up_snapshot_position,
+    )
+    .with("catch_up_delta", rejoined.stats().catch_up_delta)
+    .with("rejoined_settled", rejoined.total_settled());
+    let cells = [
+        "peak_a_delivered",
+        "peak_undo_depth",
+        "snapshots",
+        "compacted",
+        "catch_up_requests",
+        "catch_up_replies",
+        "payload_fetches",
+    ];
+    with_metrics(row, &cluster, &cells)
 }
 
-/// Verifies the recovery gates of a T-RECOVER row; returns every violation
-/// found (empty = pass). Used by the CI `recovery-smoke` gate.
-pub fn check_recovery_bounds(row: &RecoveryRow, requests_per_client: usize) -> Vec<String> {
-    let mut violations = Vec::new();
-    let total = (row.clients * requests_per_client) as u64;
-    if !row.consistent {
-        violations.push("run did not complete consistently".to_string());
-    }
-    if row.requests as u64 != total {
-        violations.push(format!(
-            "completed {} of {} requests (at-least-once violated)",
-            row.requests, total
-        ));
-    }
-    // Gate 1: the restarted replica converged — it finished catch-up via
-    // snapshot + delta (not a full replay) and kept settling afterwards.
-    // Digest equality with the survivors is part of `consistent` above.
-    if !row.rejoined {
-        violations.push("restarted replica still mid-recovery at quiesce".to_string());
-    }
-    if row.catch_up_snapshot_position == 0 {
-        violations.push(format!(
-            "catch-up replayed from position 0 — full replay, not snapshot + delta \
-             (delta {})",
-            row.catch_up_delta
-        ));
-    }
-    let transferred = row.catch_up_snapshot_position + row.catch_up_delta;
-    if row.rejoined_settled <= transferred {
-        violations.push(format!(
-            "rejoined replica settled nothing after the transfer \
-             (transfer {transferred}, settled {})",
-            row.rejoined_settled
-        ));
-    }
-    // Gate 2: log compaction bounds retained state by the snapshot window —
-    // `RECOVERY_SNAPSHOT_EVERY` epochs of at most (cut + in-flight pipeline)
-    // commands each, with 2x slack — NOT by the total request count.
-    let epoch_window = SOAK_EPOCH_CUT + (row.clients * PIPELINE_DEPTH) as u64;
-    let a_delivered_bound = 2 * RECOVERY_SNAPSHOT_EVERY * epoch_window;
-    if row.peak_a_delivered > a_delivered_bound {
-        violations.push(format!(
-            "peak A_delivered {} exceeds the compaction window bound {a_delivered_bound} \
-             (total requests: {total})",
-            row.peak_a_delivered
-        ));
-    }
-    if row.snapshots == 0 {
-        violations.push("no snapshots taken — compaction never ran".to_string());
-    }
-    // The undo stack clears at every epoch close: bounded by one epoch's
-    // optimistic window regardless of workload size.
-    let undo_bound = 2 * epoch_window;
-    if row.peak_undo_depth > undo_bound {
-        violations.push(format!(
-            "peak undo depth {} exceeds the epoch window bound {undo_bound}",
-            row.peak_undo_depth
-        ));
-    }
-    // Gate 3: bounded catch-up wire count. One restart should take a handful
-    // of request/reply exchanges (donor rotation retries included) and a
-    // bounded number of payload repairs — never O(workload) traffic.
-    if row.catch_up_requests > 8 {
-        violations.push(format!(
-            "{} CatchUpRequest wires for one restart (retry storm?)",
-            row.catch_up_requests
-        ));
-    }
-    if row.catch_up_replies > 8 {
-        violations.push(format!(
-            "{} CatchUpReply transfers for one restart",
-            row.catch_up_replies
-        ));
-    }
-    if row.payload_fetches > 64 {
-        violations.push(format!(
-            "{} PayloadFetch wires (repair traffic should be bounded)",
-            row.payload_fetches
-        ));
-    }
-    violations
-}
-
-/// One row of the sharded scaling experiment (T-SHARD).
-#[derive(Clone, Debug)]
-pub struct ShardedRow {
-    /// Number of OAR groups the key space is partitioned over.
-    pub groups: usize,
-    /// Replicas per group.
-    pub servers_per_group: usize,
-    /// Closed-loop clients *per group* (total clients = groups × this).
-    pub clients_per_group: usize,
-    /// Requests completed across all groups.
-    pub requests: usize,
-    /// Aggregate completed requests per simulated second.
-    pub requests_per_second: f64,
-    /// Mean client-observed latency (ms).
-    pub mean_latency_ms: f64,
-    /// Requests that reached a group other than the one they were stamped
-    /// for. Must be 0: the router is a pure function replicated at every
-    /// client.
-    pub misroutes: u64,
-    /// Peak duplicate-suppression (`seen`) set size at any server.
-    pub peak_seen: u64,
-    /// `OrderMsg` broadcasts per group (each group has its own sequencer).
-    pub per_group_order_messages: Vec<u64>,
-    /// `ReplyBatch` wires per group.
-    pub per_group_reply_messages: Vec<u64>,
-    /// Wire messages handed to the network by each group's servers
-    /// (relays, ordering, replies, consensus, heartbeats).
-    pub per_group_wire_sent: Vec<u64>,
-    /// Whether the run completed with every group's propositions intact.
-    pub consistent: bool,
-}
+/// The recovery gates of T-RECOVER.
+pub const RECOVERY_BOUNDS: &[Bound] = bounds! {
+    Each("recovery") => "consistent" == TRUE,
+        "the run completes with every replica, the rejoined one included, bit-identical";
+    Each("recovery") => "requests" == Of("clients × per_client", total_requests),
+        "every request is answered (at-least-once)";
+    Each("recovery") => "rejoined" == TRUE, "the restarted replica finished catch-up by quiesce";
+    Each("recovery") => "catch_up_snapshot_position" > ZERO,
+        "the rejoin was snapshot + delta, not a full replay from position 0";
+    Each("recovery") => "rejoined_settled"
+        > Of("catch_up_snapshot_position + catch_up_delta", |c| {
+            (c.row.u64("catch_up_snapshot_position") + c.row.u64("catch_up_delta")) as f64
+        }),
+        "the rejoined replica kept settling requests after the transfer";
+    Each("recovery") => "peak_a_delivered"
+        <= Of("2 × snapshot_every × epoch window", |c| {
+            2.0 * RECOVERY_SNAPSHOT_EVERY as f64 * epoch_window(c)
+        }),
+        "log compaction bounds retained state by the snapshot window, not by the request count";
+    Each("recovery") => "snapshots" > ZERO, "compaction ran";
+    Each("recovery") => "peak_undo_depth" <= Of("2 × epoch window", |c| 2.0 * epoch_window(c)),
+        "the undo stack clears at every epoch close";
+    Each("recovery") => "catch_up_requests" <= Const(8.0),
+        "one restart takes a handful of exchanges, donor rotation included — no retry storm";
+    Each("recovery") => "catch_up_replies" <= Const(8.0), "transfers served for one restart";
+    Each("recovery") => "payload_fetches" <= Const(64.0),
+        "payload repair stays bounded, never O(workload)";
+};
 
 /// Replicas per group used by the sharded experiment.
 pub const SHARDED_SERVERS_PER_GROUP: usize = 3;
@@ -1096,6 +814,11 @@ pub fn build_sharded_cluster(
     })
 }
 
+/// One count per group of a sharded deployment.
+fn per_group(groups: usize, of: impl Fn(usize) -> u64) -> Vec<u64> {
+    (0..groups).map(of).collect()
+}
+
 /// T-SHARD: aggregate throughput as the key space is partitioned over more
 /// groups, at **fixed per-group client load** — the deployment-level answer
 /// to the single-sequencer ceiling. Each group runs the unmodified OAR
@@ -1106,7 +829,7 @@ pub fn sharded_experiment(
     clients_per_group: usize,
     requests_per_client: usize,
     seed: u64,
-) -> Vec<ShardedRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for &groups in group_counts {
         let mut cluster =
@@ -1115,130 +838,59 @@ pub fn sharded_experiment(
         let consistent = done
             && cluster.check_per_group_consistency().is_ok()
             && cluster.check_external_consistency().is_ok();
-        let end = cluster.last_completion();
         let requests = cluster.completed_requests().len();
-        rows.push(ShardedRow {
-            groups,
-            servers_per_group: SHARDED_SERVERS_PER_GROUP,
-            clients_per_group,
-            requests,
-            requests_per_second: sim_rate(requests, end),
-            mean_latency_ms: cluster.latencies().mean().unwrap_or(0.0),
-            misroutes: cluster.total_misroutes(),
-            peak_seen: cluster.peak_seen(),
-            per_group_order_messages: (0..groups)
-                .map(|g| cluster.sum_group_stats(g, |st| st.order_messages_sent))
-                .collect(),
-            per_group_reply_messages: (0..groups)
-                .map(|g| cluster.sum_group_stats(g, |st| st.reply_messages_sent))
-                .collect(),
-            per_group_wire_sent: (0..groups)
-                .map(|g| cluster.group_net_stats(g).sent)
-                .collect(),
-            consistent,
-        });
+        let row = Row::new("sharded", format!("{groups}-groups"))
+            .with("groups", groups)
+            .with("servers_per_group", SHARDED_SERVERS_PER_GROUP)
+            .with("clients_per_group", clients_per_group)
+            .with("requests", requests)
+            .with(
+                "requests_per_second",
+                sim_rate(requests, cluster.last_completion()),
+            )
+            .with("mean_latency_ms", cluster.latencies().mean().unwrap_or(0.0))
+            // Requests that reached a group other than the one they were
+            // stamped for: the router is a pure function replicated at
+            // every client, so there must be none.
+            .with("misroutes", cluster.sum_stats(|s| s.misrouted))
+            .with("peak_seen", cluster.max_stats(|s| s.seen.peak()))
+            // Every group has its own sequencer; `wire_sent` is everything
+            // the group's servers handed to the network.
+            .with(
+                "per_group_order_messages",
+                per_group(groups, |g| {
+                    cluster.sum_group_stats(g, |s| s.order_messages_sent)
+                }),
+            )
+            .with(
+                "per_group_reply_messages",
+                per_group(groups, |g| {
+                    cluster.sum_group_stats(g, |s| s.reply_messages_sent)
+                }),
+            )
+            .with(
+                "per_group_wire_sent",
+                per_group(groups, |g| cluster.group_net_stats(g).sent),
+            )
+            .with("consistent", consistent);
+        rows.push(row);
     }
     rows
 }
 
-/// Verifies the scaling and isolation claims of a T-SHARD sweep; returns
-/// every violation found (empty = pass). The CI `sharded-smoke` gate:
-///
-/// * every run completes with the per-group propositions intact;
-/// * zero misroutes anywhere;
-/// * aggregate throughput at 4 groups ≥ 2× the 1-group run (same per-group
-///   load), i.e. adding groups adds capacity instead of interference.
-pub fn check_sharded_bounds(
-    rows: &[ShardedRow],
-    clients_per_group: usize,
-    requests_per_client: usize,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for row in rows {
-        let expected = row.groups * clients_per_group * requests_per_client;
-        if !row.consistent {
-            violations.push(format!(
-                "{} groups: run did not complete consistently",
-                row.groups
-            ));
-        }
-        if row.requests != expected {
-            violations.push(format!(
-                "{} groups: completed {} of {expected} requests",
-                row.groups, row.requests
-            ));
-        }
-        if row.misroutes != 0 {
-            violations.push(format!(
-                "{} groups: {} misrouted requests (must be 0)",
-                row.groups, row.misroutes
-            ));
-        }
-    }
-    let throughput_of = |groups: usize| {
-        rows.iter()
-            .find(|r| r.groups == groups)
-            .map(|r| r.requests_per_second)
-    };
-    match (throughput_of(1), throughput_of(4)) {
-        (Some(tp1), Some(tp4)) => {
-            if tp4 < 2.0 * tp1 {
-                violations.push(format!(
-                    "aggregate throughput at 4 groups ({tp4:.1} req/s) is below 2x \
-                     the 1-group run ({tp1:.1} req/s)"
-                ));
-            }
-        }
-        // The gate must fail loudly, not pass vacuously, if the sweep no
-        // longer produces the rows it compares.
-        _ => violations.push(
-            "sweep lacks the 1-group and/or 4-group rows; the >=2x scaling \
-             gate was not evaluated"
-                .to_string(),
-        ),
-    }
-    violations
-}
-
-/// One row of the multi-key transaction experiment (T-TXN).
-#[derive(Clone, Debug)]
-pub struct TxnRow {
-    /// Number of OAR groups the key space is partitioned over.
-    pub groups: usize,
-    /// Transactional clients.
-    pub clients: usize,
-    /// Transactions committed in the multi-group run.
-    pub txns: usize,
-    /// Committed transactions that spanned more than one group.
-    pub multi_group_txns: usize,
-    /// Committed transactions per simulated second (multi-group run).
-    pub commits_per_second: f64,
-    /// Mean client-observed commit latency (ms, multi-group run).
-    pub mean_commit_latency_ms: f64,
-    /// p99 commit latency (ms, multi-group run).
-    pub p99_commit_latency_ms: f64,
-    /// `TxnPrepare` requests buffered across all servers (multi-group run).
-    pub txn_prepares: u64,
-    /// Misrouted requests across all three runs (multi-group, fast-path and
-    /// plain baseline). Must be 0.
-    pub misroutes: u64,
-    /// Total wire messages of the *single-group* transactional run — the
-    /// fast path under test.
-    pub fastpath_wires_txn: u64,
-    /// Total wire messages of the equivalent plain [`ShardedCluster`] run
-    /// submitting the same commands. The fast-path gate requires equality.
-    pub fastpath_wires_plain: u64,
-    /// `TxnPrepare` envelopes observed in the single-group run. Must be 0:
-    /// the fast path is indistinguishable from a plain request.
-    pub fastpath_txn_prepares: u64,
-    /// Mean fast-path commit latency (ms) — should track the plain run.
-    pub fastpath_latency_ms: f64,
-    /// Mean plain-run request latency (ms).
-    pub plain_latency_ms: f64,
-    /// Whether both runs completed with every check green (per-group
-    /// propositions, cross-group atomicity, per-part external consistency).
-    pub consistent: bool,
-}
+/// The scaling and isolation gates of a T-SHARD sweep.
+pub const SHARDED_BOUNDS: &[Bound] = bounds! {
+    Each("sharded") => "consistent" == TRUE,
+        "every run completes with each group's propositions intact";
+    Each("sharded") => "requests"
+        == Of("groups × clients_per_group × per_client", |c| {
+            (c.row.u64("groups") * param(c, "clients_per_group") * param(c, "per_client")) as f64
+        }),
+        "every request is answered";
+    Each("sharded") => "misroutes" == ZERO, "no request reaches a group it was not stamped for";
+    Key("4-groups") => "requests_per_second" >= Times(2.0, "1-groups", "requests_per_second"),
+        "adding groups adds capacity instead of interference (same per-group load)";
+};
 
 /// The fixed key pool of the transactional workloads (same pool as the
 /// sharded experiment, so the hash router spreads it over every group
@@ -1369,7 +1021,7 @@ pub fn txn_experiment(
     clients: usize,
     txns_per_client: usize,
     seed: u64,
-) -> Vec<TxnRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for &groups in group_counts {
         // Fast-path pair: transactional vs plain, identical commands.
@@ -1387,205 +1039,104 @@ pub fn txn_experiment(
         let multi_done = multi.run_to_completion(SimTime::from_secs(600));
         let multi_ok = multi_done && multi.check_all().is_ok();
 
-        let end = multi.last_completion();
         let txns = multi.completed_txns().len();
-        rows.push(TxnRow {
-            groups,
-            clients,
-            txns,
-            multi_group_txns: multi.multi_group_commits(),
-            commits_per_second: sim_rate(txns, end),
-            mean_commit_latency_ms: multi.latencies().mean().unwrap_or(0.0),
-            p99_commit_latency_ms: multi.latencies().quantile(0.99).unwrap_or(0.0),
-            txn_prepares: multi.total_txn_prepares(),
-            misroutes: multi.total_misroutes() + fast.total_misroutes() + plain.total_misroutes(),
-            fastpath_wires_txn: fast.total_wires(),
-            fastpath_wires_plain: plain.world.stats().sent,
-            fastpath_txn_prepares: fast.total_txn_prepares(),
-            fastpath_latency_ms: fast.latencies().mean().unwrap_or(0.0),
-            plain_latency_ms: plain.latencies().mean().unwrap_or(0.0),
-            consistent: fast_ok && plain_ok && multi_ok,
-        });
+        let misrouted = |s: &ServerStats| s.misrouted;
+        let row = Row::new("txn", format!("{groups}-groups"))
+            .with("groups", groups)
+            .with("clients", clients)
+            // The commit cells come from the multi-group run.
+            .with("txns", txns)
+            .with("multi_group_txns", multi.multi_group_commits())
+            .with(
+                "commits_per_second",
+                sim_rate(txns, multi.last_completion()),
+            )
+            .with(
+                "mean_commit_latency_ms",
+                multi.latencies().mean().unwrap_or(0.0),
+            )
+            .with(
+                "p99_commit_latency_ms",
+                multi.latencies().quantile(0.99).unwrap_or(0.0),
+            )
+            .with("txn_prepares", multi.sum_stats(|s| s.txn_prepares))
+            // Across all three runs.
+            .with(
+                "misroutes",
+                multi.sum_stats(misrouted) + fast.sum_stats(misrouted) + plain.sum_stats(misrouted),
+            )
+            // The fast path under test: total wires of the single-group
+            // transactional run vs the plain run of the same commands.
+            .with("fastpath_wires_txn", fast.world.stats().sent)
+            .with("fastpath_wires_plain", plain.world.stats().sent)
+            .with("fastpath_txn_prepares", fast.sum_stats(|s| s.txn_prepares))
+            .with(
+                "fastpath_latency_ms",
+                fast.latencies().mean().unwrap_or(0.0),
+            )
+            .with("plain_latency_ms", plain.latencies().mean().unwrap_or(0.0))
+            .with("consistent", fast_ok && plain_ok && multi_ok);
+        rows.push(row);
     }
     rows
 }
 
-/// Verifies the transactional gates of a T-TXN sweep; returns every
-/// violation found (empty = pass). The CI `txn-smoke` gate:
-///
-/// * both runs of every row complete with all checks green (per-group
-///   propositions, cross-group **atomicity**, per-part external
-///   consistency) and zero misroutes;
-/// * the single-group fast path adds **zero wires**: exact wire-count
-///   equality with the plain sharded run, and zero `TxnPrepare` envelopes;
-/// * with more than one group, the sweep actually exercised multi-group
-///   commits (the gate must not pass vacuously).
-pub fn check_txn_bounds(rows: &[TxnRow], clients: usize, txns_per_client: usize) -> Vec<String> {
-    let mut violations = Vec::new();
-    for row in rows {
-        let expected = clients * txns_per_client;
-        if !row.consistent {
-            violations.push(format!(
-                "{} groups: a run did not complete with all checks green",
-                row.groups
-            ));
-        }
-        if row.txns != expected {
-            violations.push(format!(
-                "{} groups: committed {} of {expected} transactions",
-                row.groups, row.txns
-            ));
-        }
-        if row.misroutes != 0 {
-            violations.push(format!(
-                "{} groups: {} misrouted requests (must be 0)",
-                row.groups, row.misroutes
-            ));
-        }
-        if row.fastpath_wires_txn != row.fastpath_wires_plain {
-            violations.push(format!(
-                "{} groups: single-group fast path sent {} wires vs {} for the \
-                 plain sharded client (must be identical)",
-                row.groups, row.fastpath_wires_txn, row.fastpath_wires_plain
-            ));
-        }
-        if row.fastpath_txn_prepares != 0 {
-            violations.push(format!(
-                "{} groups: {} TxnPrepare envelopes on the fast path (must be 0)",
-                row.groups, row.fastpath_txn_prepares
-            ));
-        }
-        if row.groups > 1 {
-            if row.multi_group_txns == 0 {
-                violations.push(format!(
-                    "{} groups: no multi-group transaction committed; the \
-                     atomicity gate was not exercised",
-                    row.groups
-                ));
-            }
-            if row.txn_prepares == 0 {
-                violations.push(format!(
-                    "{} groups: no TxnPrepare observed at any server",
-                    row.groups
-                ));
-            }
-        }
-    }
-    if rows.is_empty() {
-        violations.push("sweep produced no rows".to_string());
-    }
-    violations
-}
-
-/// One row of the §5.3 epoch-cut ablation (T-GC).
-#[derive(Clone, Debug)]
-pub struct GcRow {
-    /// The epoch-cut threshold (`None` = never cut, the paper's base
-    /// algorithm).
-    pub cut_after: Option<u64>,
-    /// Requests completed.
-    pub requests: usize,
-    /// Epochs completed across the run (per server average).
-    pub epochs_per_server: f64,
-    /// Mean latency (ms).
-    pub mean_latency_ms: f64,
-    /// p99 latency (ms).
-    pub p99_latency_ms: f64,
-    /// Whether the run stayed consistent.
-    pub consistent: bool,
-}
+/// The transactional gates of a T-TXN sweep.
+pub const TXN_BOUNDS: &[Bound] = bounds! {
+    Each("txn") => "consistent" == TRUE,
+        "all three runs complete with every check green: per-group propositions, cross-group \
+         atomicity, per-part external consistency";
+    Each("txn") => "txns"
+        == Of("clients × per_client", |c| (param(c, "clients") * param(c, "per_client")) as f64),
+        "every transaction commits";
+    Each("txn") => "misroutes" == ZERO, "no request reaches a group it was not stamped for";
+    Each("txn") => "fastpath_wires_txn" == Times(1.0, "", "fastpath_wires_plain"),
+        "the single-group fast path adds zero wires over the plain sharded client";
+    Each("txn") => "fastpath_txn_prepares" == ZERO,
+        "no `TxnPrepare` envelope travels on the fast path";
+    Where("the `txn` rows with groups > 1", |r| r.u64("groups") > 1)
+        => "multi_group_txns" > ZERO,
+        "the sweep exercised multi-group commits, so the atomicity check is not vacuous";
+    Where("the `txn` rows with groups > 1", |r| r.u64("groups") > 1)
+        => "txn_prepares" > ZERO, "a spanning transaction is prepared at its participants";
+};
 
 /// T-GC: the §5.3 remark — periodically cutting the epoch garbage-collects
 /// `O_delivered` (bounding the state `Cnsv-order` must handle) at the cost of
-/// running the conservative phase regularly.
-pub fn gc_experiment(cut_values: &[Option<u64>], requests: usize, seed: u64) -> Vec<GcRow> {
+/// running the conservative phase regularly. `cut_after` is the threshold
+/// (`None`, serialised as `null` = never cut, the paper's base algorithm).
+pub fn gc_experiment(cut_values: &[Option<u64>], requests: usize, seed: u64) -> Vec<Row> {
     let mut rows = Vec::new();
     for &cut_after in cut_values {
-        let oar = OarConfig {
-            epoch_cut_after: cut_after,
-            ..OarConfig::default()
-        };
         let config = ClusterConfig {
             num_servers: 3,
             num_clients: 2,
             net: NetConfig::lan(),
-            oar,
+            oar: OarConfig {
+                epoch_cut_after: cut_after,
+                ..OarConfig::default()
+            },
             seed,
             ..ClusterConfig::default()
         };
         let mut cluster: Cluster<KvMachine> =
             Cluster::build(&config, KvMachine::new, |c| kv_workload(c, requests));
-        let done = cluster.run_to_completion(SimTime::from_secs(600));
-        let consistent = done
-            && cluster.check_replica_consistency().is_ok()
-            && cluster.check_external_consistency().is_ok();
-        let epochs: u64 = cluster
-            .servers
-            .iter()
-            .map(|&s| {
-                cluster
-                    .world
-                    .process_ref::<oar::OarServer<KvMachine>>(s)
-                    .stats()
-                    .epochs_completed
-            })
-            .sum();
-        let lat = cluster.latencies();
-        rows.push(GcRow {
-            cut_after,
-            requests: cluster.completed_requests().len(),
-            epochs_per_server: epochs as f64 / cluster.servers.len() as f64,
-            mean_latency_ms: lat.mean().unwrap_or(0.0),
-            p99_latency_ms: lat.quantile(0.99).unwrap_or(0.0),
-            consistent,
-        });
+        cluster.run_to_completion(SimTime::from_secs(600));
+        let (key, cut) = match cut_after {
+            Some(cut) => (format!("cut-{cut}"), cut as f64),
+            None => ("cut-never".to_string(), f64::INFINITY),
+        };
+        let cells = [
+            "requests",
+            "epochs_per_server",
+            "mean_latency_ms",
+            "p99_latency_ms",
+            "consistent",
+        ];
+        let row = Row::new("gc", key).with("cut_after", cut);
+        rows.push(with_metrics(row, &cluster, &cells));
     }
     rows
-}
-
-/// One row of the adaptive batching experiment (T-ADAPTIVE).
-#[derive(Clone, Debug)]
-pub struct AdaptiveRow {
-    /// Variant label: `unbatched`, `batched8`, `replybatch` (the static
-    /// settings) or `adaptive` (controller-driven).
-    pub protocol: String,
-    /// Number of concurrent clients.
-    pub clients: usize,
-    /// Requests completed.
-    pub requests: usize,
-    /// Host wall-clock of one simulation run, milliseconds (minimum over the
-    /// experiment's repeats — the robust point of a noisy measurement).
-    pub wall_ms: f64,
-    /// Completed requests per simulated second.
-    pub requests_per_second: f64,
-    /// Mean simulated latency (ms).
-    pub mean_latency_ms: f64,
-    /// Median simulated latency (ms).
-    pub p50_latency_ms: f64,
-    /// 95th-percentile simulated latency (ms).
-    pub p95_latency_ms: f64,
-    /// 99th-percentile simulated latency (ms) — where the flush deadline of
-    /// a partial batch shows up.
-    pub p99_latency_ms: f64,
-    /// `OrderMsg` broadcasts sent by sequencers.
-    pub order_messages_sent: u64,
-    /// `ReplyBatch` wires sent to clients.
-    pub reply_messages_sent: u64,
-    /// Largest `OrderMsg` batch any sequencer emitted.
-    pub effective_batch_peak: u64,
-    /// The batch threshold in force at the end of the run (adaptive rows:
-    /// the controller's converged target; static rows: `max_batch`).
-    pub batch_target: u64,
-    /// Adaptive-target raises across all servers (convergence counter).
-    pub target_raises: u64,
-    /// Adaptive-target drops across all servers (convergence counter).
-    pub target_drops: u64,
-    /// Partial batches flushed by the deadline timer.
-    pub deadline_flushes: u64,
-    /// Deepest pipeline window any client adopted (0 for static pipelines).
-    pub client_window_peak: u64,
-    /// Whether the run completed with the propositions intact.
-    pub consistent: bool,
 }
 
 /// Cap of the adaptive client pipeline window in the T-ADAPTIVE runs — the
@@ -1612,240 +1163,58 @@ fn adaptive_variants(clients: usize) -> Vec<(&'static str, OarConfig, usize)> {
 /// T-ADAPTIVE: the load-driven batch controller against every static
 /// setting, at light (1 client) and heavy (8 clients) load.
 ///
-/// Each variant runs `repeats` times on the same seed; the wall-clock of the
-/// fastest run is recorded (host time tracks the simulator's event count,
-/// i.e. the wire traffic the batching amortises), while counters, latencies
-/// and consistency come from the (identical) last run. The gates live in
-/// [`check_adaptive_bounds`].
+/// Each variant runs `repeats` times on the same seed; `wall_ms` is the host
+/// wall-clock of the fastest run (host time tracks the simulator's event
+/// count, i.e. the wire traffic the batching amortises), while counters,
+/// latencies and consistency come from the (identical) last run.
 pub fn adaptive_experiment(
     client_counts: &[usize],
     requests_per_client: usize,
     repeats: usize,
     seed: u64,
-) -> Vec<AdaptiveRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for &clients in client_counts {
         for (protocol, oar, pipeline) in adaptive_variants(clients) {
             let mut wall_ms = f64::INFINITY;
             let mut last: Option<Cluster<KvMachine>> = None;
-            let mut done = false;
             for _ in 0..repeats.max(1) {
                 let mut cluster =
                     build_throughput_cluster(oar, 3, clients, requests_per_client, pipeline, seed);
                 let t0 = std::time::Instant::now();
-                done = cluster.run_to_completion(SimTime::from_secs(600));
+                cluster.run_to_completion(SimTime::from_secs(600));
                 wall_ms = wall_ms.min(t0.elapsed().as_secs_f64() * 1_000.0);
                 last = Some(cluster);
             }
             let cluster = last.expect("at least one repeat");
-            let consistent = done
-                && cluster.check_replica_consistency().is_ok()
-                && cluster.check_external_consistency().is_ok();
-            let end = cluster
-                .completed_requests()
-                .iter()
-                .map(|r| r.completed_at)
-                .max()
-                .unwrap_or(SimTime::ZERO);
-            let lat = cluster.latencies();
-            rows.push(AdaptiveRow {
-                protocol: protocol.into(),
-                clients,
-                requests: lat.len(),
-                wall_ms,
-                requests_per_second: sim_rate(lat.len(), end),
-                mean_latency_ms: lat.mean().unwrap_or(0.0),
-                p50_latency_ms: lat.quantile(0.5).unwrap_or(0.0),
-                p95_latency_ms: lat.quantile(0.95).unwrap_or(0.0),
-                p99_latency_ms: lat.quantile(0.99).unwrap_or(0.0),
-                order_messages_sent: cluster.total_order_messages(),
-                reply_messages_sent: cluster.total_reply_messages(),
-                effective_batch_peak: cluster.peak_effective_batch(),
-                batch_target: cluster.max_batch_target(),
-                target_raises: cluster.total_target_raises(),
-                target_drops: cluster.total_target_drops(),
-                deadline_flushes: cluster.total_deadline_flushes(),
-                client_window_peak: cluster.peak_client_window(),
-                consistent,
-            });
+            let row =
+                Row::new("adaptive", format!("{protocol}@{clients}")).with("protocol", protocol);
+            let row =
+                with_metrics(row, &cluster, &["clients", "requests"]).with("wall_ms", wall_ms);
+            let row = with_metrics(row, &cluster, &THROUGHPUT_CELLS);
+            let cells = [
+                "order_messages_sent",
+                "reply_messages_sent",
+                "effective_batch_peak",
+                "batch_target",
+                "target_raises",
+                "target_drops",
+                "deadline_flushes",
+                "client_window_peak",
+                "consistent",
+            ];
+            rows.push(with_metrics(row, &cluster, &cells));
         }
     }
     rows
 }
 
-/// Verifies the T-ADAPTIVE gates; returns every violation found (empty =
-/// pass). The CI `adaptive-smoke` gate:
-///
-/// * every run completes consistently with the full request count;
-/// * **light load adds no latency**: at the lowest client count the adaptive
-///   run's mean and p99 simulated latency are within 5% of the best
-///   *closed-loop* static setting (`unbatched` / `batched8` — the static
-///   pipelined variant offers different load and is compared at the high
-///   end), its throughput within 5% of unbatched, and the controller never
-///   ramps (target 1, no raises);
-/// * **heavy load amortises**: at the highest client count the adaptive run
-///   beats unbatched by ≥15% in simulated throughput, halves (at least) the
-///   ordering wires, stays within 10% of the best static setting's
-///   throughput, and the convergence counters show the ramp actually
-///   happened (raises > 0, effective batch ≥ client count, client windows at
-///   the cap).
-pub fn check_adaptive_bounds(rows: &[AdaptiveRow], requests_per_client: usize) -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut client_counts: Vec<usize> = rows.iter().map(|r| r.clients).collect();
-    client_counts.sort_unstable();
-    client_counts.dedup();
-    let (Some(&low), Some(&high)) = (client_counts.first(), client_counts.last()) else {
-        return vec!["sweep produced no rows".to_string()];
-    };
-    let find = |clients: usize, protocol: &str| {
-        rows.iter()
-            .find(|r| r.clients == clients && r.protocol == protocol)
-    };
-    for row in rows {
-        let expected = row.clients * requests_per_client;
-        if !row.consistent {
-            violations.push(format!(
-                "{} @ {} clients: run did not complete consistently",
-                row.protocol, row.clients
-            ));
-        }
-        if row.requests != expected {
-            violations.push(format!(
-                "{} @ {} clients: completed {} of {expected} requests",
-                row.protocol, row.clients, row.requests
-            ));
-        }
-    }
-    let required: Vec<_> = ["unbatched", "batched8", "adaptive"]
-        .iter()
-        .flat_map(|p| [(low, *p), (high, *p)])
-        .chain([(high, "replybatch")])
-        .filter(|(c, p)| find(*c, p).is_none())
-        .collect();
-    if !required.is_empty() {
-        violations.push(format!(
-            "sweep lacks required rows {required:?}; the gates were not evaluated"
-        ));
-        return violations;
-    }
-    let adaptive_low = find(low, "adaptive").expect("checked above");
-    let unbatched_low = find(low, "unbatched").expect("checked above");
-    let batched_low = find(low, "batched8").expect("checked above");
-
-    // Light load: no added latency against the best closed-loop static.
-    let best_mean = unbatched_low
-        .mean_latency_ms
-        .min(batched_low.mean_latency_ms);
-    if adaptive_low.mean_latency_ms > 1.05 * best_mean {
-        violations.push(format!(
-            "light load: adaptive mean latency {:.3}ms exceeds 1.05x the best \
-             static ({best_mean:.3}ms)",
-            adaptive_low.mean_latency_ms
-        ));
-    }
-    let best_p99 = unbatched_low.p99_latency_ms.min(batched_low.p99_latency_ms);
-    if adaptive_low.p99_latency_ms > 1.05 * best_p99 {
-        violations.push(format!(
-            "light load: adaptive p99 latency {:.3}ms exceeds 1.05x the best \
-             static ({best_p99:.3}ms)",
-            adaptive_low.p99_latency_ms
-        ));
-    }
-    if adaptive_low.requests_per_second < 0.95 * unbatched_low.requests_per_second {
-        violations.push(format!(
-            "light load: adaptive throughput {:.1} req/s is below 0.95x \
-             unbatched ({:.1} req/s)",
-            adaptive_low.requests_per_second, unbatched_low.requests_per_second
-        ));
-    }
-    if adaptive_low.batch_target > 1 || adaptive_low.target_raises > 0 {
-        violations.push(format!(
-            "light load: the controller ramped (target {}, {} raises) — \
-             batching must stay off at 1 client",
-            adaptive_low.batch_target, adaptive_low.target_raises
-        ));
-    }
-
-    // Heavy load: amortisation and convergence.
-    let adaptive_high = find(high, "adaptive").expect("checked above");
-    let unbatched_high = find(high, "unbatched").expect("checked above");
-    let best_static_tp = ["unbatched", "batched8", "replybatch"]
-        .iter()
-        .filter_map(|p| find(high, p))
-        .map(|r| r.requests_per_second)
-        .fold(0.0f64, f64::max);
-    if adaptive_high.requests_per_second < 1.15 * unbatched_high.requests_per_second {
-        violations.push(format!(
-            "heavy load: adaptive throughput {:.1} req/s is not >=15% over \
-             unbatched ({:.1} req/s)",
-            adaptive_high.requests_per_second, unbatched_high.requests_per_second
-        ));
-    }
-    // Sanity floor against the hand-tuned static (`replybatch` flushes
-    // globally synchronised 64-deep rounds, which the rate-driven target
-    // intentionally undershoots — it pays at most one `max_delay` of
-    // latency where the static pays a full window): the adaptive run must
-    // stay within 2x of it, without being required to match it.
-    if adaptive_high.requests_per_second < 0.50 * best_static_tp {
-        violations.push(format!(
-            "heavy load: adaptive throughput {:.1} req/s is below half the \
-             best static ({best_static_tp:.1} req/s)",
-            adaptive_high.requests_per_second
-        ));
-    }
-    if 2 * adaptive_high.order_messages_sent > unbatched_high.order_messages_sent {
-        violations.push(format!(
-            "heavy load: adaptive sent {} OrderMsgs, not at most half of \
-             unbatched's {}",
-            adaptive_high.order_messages_sent, unbatched_high.order_messages_sent
-        ));
-    }
-    // The end-of-run target is back near 1 by design (the workload drained
-    // and the idle decay kicked in), so convergence is judged by the raise
-    // counter and the batches actually emitted, not the final target.
-    if adaptive_high.target_raises == 0 {
-        violations.push("heavy load: the controller never ramped (0 raises)".to_string());
-    }
-    if adaptive_high.effective_batch_peak < high as u64 {
-        violations.push(format!(
-            "heavy load: peak effective batch {} below the client count {high}",
-            adaptive_high.effective_batch_peak
-        ));
-    }
-    if adaptive_high.client_window_peak < ADAPTIVE_CLIENT_CAP as u64 {
-        violations.push(format!(
-            "heavy load: client windows peaked at {} instead of the cap {}",
-            adaptive_high.client_window_peak, ADAPTIVE_CLIENT_CAP
-        ));
-    }
-    violations
-}
-
-/// One row of the skewed sharded adaptive experiment (T-ADAPTIVE-SKEW): a
-/// two-group range-partitioned deployment where almost all traffic lands in
-/// one group, checking that the two sequencers' controllers converge
-/// **independently**.
-#[derive(Clone, Debug)]
-pub struct AdaptiveSkewRow {
-    /// Number of groups (2).
-    pub groups: usize,
-    /// Clients.
-    pub clients: usize,
-    /// Requests completed.
-    pub requests: usize,
-    /// Requests completed per group (router attribution).
-    pub per_group_requests: Vec<u64>,
-    /// Converged batch target per group (max over the group's servers — the
-    /// sequencer carries the signal).
-    pub per_group_batch_target: Vec<u64>,
-    /// Peak effective `OrderMsg` batch per group.
-    pub per_group_effective_batch: Vec<u64>,
-    /// Controller raises per group.
-    pub per_group_target_raises: Vec<u64>,
-    /// Misrouted requests (must be 0).
-    pub misroutes: u64,
-    /// Whether the run completed with every group's propositions intact.
-    pub consistent: bool,
+/// The best (lowest) `metric` among the closed-loop statics at 1 client. The
+/// static pipelined variant offers different load and is compared at the
+/// heavy end instead.
+fn best_closed_loop_static(c: &Ctx, metric: &str) -> f64 {
+    c.other("unbatched@1", metric)
+        .min(c.other("batched8@1", metric))
 }
 
 /// Share of the skewed workload aimed at group 0 (the heavy group): 7 of 8
@@ -1853,16 +1222,12 @@ pub struct AdaptiveSkewRow {
 pub const SKEW_HEAVY_SHARE: usize = 8;
 
 /// T-ADAPTIVE-SKEW: drives a 2-group range-partitioned deployment with
-/// 7/8 of the traffic in group 0 and checks per-group convergence. Each
-/// group's sequencer runs its own [`oar::adaptive::BatchController`] on its
-/// own arrivals, and each client keeps one window controller per group, so
-/// the heavy group converges to deep batches while the light one stays
-/// (near-)unbatched.
-pub fn adaptive_skew_experiment(
-    clients: usize,
-    requests_per_client: usize,
-    seed: u64,
-) -> AdaptiveSkewRow {
+/// 7/8 of the traffic in group 0, checking that the two sequencers'
+/// controllers converge **independently**. Each group's sequencer runs its
+/// own [`oar::adaptive::BatchController`] on its own arrivals, and each
+/// client keeps one window controller per group, so the heavy group
+/// converges to deep batches while the light one stays (near-)unbatched.
+pub fn adaptive_skew_experiment(clients: usize, requests_per_client: usize, seed: u64) -> Row {
     let groups = 2;
     // Range partitioning over the sharded key pool: an even sample gives a
     // boundary near k32, so keys k00..k31 belong to group 0.
@@ -1905,140 +1270,99 @@ pub fn adaptive_skew_experiment(
     let consistent = done
         && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok();
-    let mut per_group_requests = vec![0u64; groups];
-    for done in cluster.completed_requests() {
-        per_group_requests[done.group.index()] += 1;
-    }
-    AdaptiveSkewRow {
-        groups,
-        clients,
-        requests: cluster.completed_requests().len(),
-        per_group_requests,
-        per_group_batch_target: (0..groups)
-            .map(|g| cluster.max_group_stat(g, |st| st.batch_target))
-            .collect(),
-        per_group_effective_batch: (0..groups)
-            .map(|g| cluster.max_group_stat(g, |st| st.effective_batch.peak()))
-            .collect(),
-        per_group_target_raises: (0..groups)
-            .map(|g| cluster.sum_group_stats(g, |st| st.target_raises))
-            .collect(),
-        misroutes: cluster.total_misroutes(),
-        consistent,
-    }
+    let completed = cluster.completed_requests();
+    Row::new("adaptive_skew", "skew")
+        .with("groups", groups)
+        .with("clients", clients)
+        .with("requests", completed.len())
+        // Router attribution of the completed requests.
+        .with(
+            "per_group_requests",
+            per_group(groups, |g| {
+                completed.iter().filter(|r| r.group.index() == g).count() as u64
+            }),
+        )
+        // Maximum over the group's servers: the sequencer carries the signal.
+        .with(
+            "per_group_batch_target",
+            per_group(groups, |g| cluster.max_group_stat(g, |s| s.batch_target)),
+        )
+        .with(
+            "per_group_effective_batch",
+            per_group(groups, |g| {
+                cluster.max_group_stat(g, |s| s.effective_batch.peak())
+            }),
+        )
+        .with(
+            "per_group_target_raises",
+            per_group(groups, |g| cluster.sum_group_stats(g, |s| s.target_raises)),
+        )
+        .with("misroutes", cluster.sum_stats(|s| s.misrouted))
+        .with("consistent", consistent)
 }
 
-/// Verifies the per-group independence gates of a T-ADAPTIVE-SKEW row;
-/// returns every violation found (empty = pass).
-pub fn check_adaptive_skew_bounds(
-    row: &AdaptiveSkewRow,
-    requests_per_client: usize,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let expected = (row.clients * requests_per_client) as u64;
-    if !row.consistent {
-        violations.push("skew run did not complete consistently".to_string());
-    }
-    if row.requests as u64 != expected {
-        violations.push(format!(
-            "skew run completed {} of {expected} requests",
-            row.requests
-        ));
-    }
-    if row.misroutes != 0 {
-        violations.push(format!("{} misrouted requests (must be 0)", row.misroutes));
-    }
-    let heavy_req = row.per_group_requests.first().copied().unwrap_or(0);
-    let light_req = row.per_group_requests.get(1).copied().unwrap_or(0);
-    if heavy_req <= 3 * light_req {
-        violations.push(format!(
-            "workload not skewed enough: {heavy_req} vs {light_req} requests — \
-             the independence gate would be vacuous"
-        ));
-    }
-    let heavy_batch = row.per_group_effective_batch.first().copied().unwrap_or(0);
-    let light_batch = row.per_group_effective_batch.get(1).copied().unwrap_or(0);
-    if heavy_batch <= light_batch {
-        violations.push(format!(
-            "heavy group's peak batch ({heavy_batch}) does not exceed the \
-             light group's ({light_batch}): controllers did not converge \
-             independently"
-        ));
-    }
-    let heavy_raises = row.per_group_target_raises.first().copied().unwrap_or(0);
-    if heavy_raises == 0 {
-        violations.push("heavy group's controller never ramped".to_string());
-    }
-    let light_target = row.per_group_batch_target.get(1).copied().unwrap_or(0);
-    if light_target > 2 {
-        violations.push(format!(
-            "light group's target converged to {light_target}, expected to \
-             stay near 1 under light load"
-        ));
-    }
-    violations
-}
-
-/// One row of the parallel-apply benchmark (T-PARALLEL): one workload shape
-/// executed with one worker count.
-#[derive(Clone, Debug)]
-pub struct ParallelRow {
-    /// Workload shape: `disjoint` (pairwise non-conflicting writes) or
-    /// `conflicting` (every write hits the same key).
-    pub workload: String,
-    /// Worker threads handed to `apply_batch` (1 = the serial baseline).
-    pub workers: usize,
-    /// Commands in the batch.
-    pub commands: usize,
-    /// Per-command CPU cost (FNV spin rounds).
-    pub spin_rounds: u64,
-    /// Per-command blocking cost (microseconds of sleep, modelling
-    /// synchronous I/O in the apply stage).
-    pub block_us: u64,
-    /// Number of waves the conflict-graph scheduler planned.
-    pub waves: usize,
-    /// Size of the largest wave.
-    pub max_wave: u64,
-    /// Host wall-clock of one `apply_batch` call, milliseconds (minimum over
-    /// the experiment's repeats).
-    pub wall_ms: f64,
-    /// Commands per second derived from the minimum wall-clock.
-    pub ops_per_sec: f64,
-    /// Whether every repeat produced responses and a final state identical
-    /// to a plain serial `apply` of the same batch.
-    pub matches_serial: bool,
-}
-
-/// Outcome of the cluster-level parallel-apply run (T-PARALLEL-CLUSTER): a
-/// deployment with `with_parallel_apply` next to a serial twin on the same
-/// seed.
-#[derive(Clone, Debug)]
-pub struct ParallelClusterRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Number of pipelined clients.
-    pub clients: usize,
-    /// Requests completed by the parallel deployment.
-    pub requests: usize,
-    /// Worker threads configured on the parallel deployment.
-    pub workers: usize,
-    /// Commands the scheduler executed in multi-command waves (size ≥ 2),
-    /// summed over all servers — 0 would mean the conflict graph never
-    /// exposed any concurrency.
-    pub wave_commands: u64,
-    /// Real wall-clock nanoseconds inside apply, parallel deployment.
-    pub apply_ns: u64,
-    /// Real wall-clock nanoseconds inside apply, serial twin.
-    pub serial_apply_ns: u64,
-    /// Whether every replica digest of the parallel run equals the serial
-    /// twin's (bit-identical final state).
-    pub digests_match: bool,
-    /// Whether the completed responses (id, response, position, epoch) of
-    /// the two runs are identical (bit-identical replies).
-    pub responses_match: bool,
-    /// Whether both runs completed with the propositions intact.
-    pub consistent: bool,
-}
+/// The T-ADAPTIVE gates, on the sweep at 1 and 8 clients and on the skewed
+/// 2-group run.
+pub const ADAPTIVE_BOUNDS: &[Bound] = bounds! {
+    Each("adaptive") => "consistent" == TRUE, "every run completes with the propositions intact";
+    Each("adaptive") => "requests"
+        == Of("clients × per_client", |c| (c.row.u64("clients") * param(c, "per_client")) as f64),
+        "every request is answered";
+    // Light load adds no latency.
+    Key("adaptive@1") => "mean_latency_ms"
+        <= Of("1.05 × the best closed-loop static (`unbatched@1`, `batched8@1`)", |c| {
+            1.05 * best_closed_loop_static(c, "mean_latency_ms")
+        }),
+        "at 1 client the controller adds no mean latency";
+    Key("adaptive@1") => "p99_latency_ms"
+        <= Of("1.05 × the best closed-loop static (`unbatched@1`, `batched8@1`)", |c| {
+            1.05 * best_closed_loop_static(c, "p99_latency_ms")
+        }),
+        "at 1 client the controller adds no tail latency";
+    Key("adaptive@1") => "requests_per_second"
+        >= Times(0.95, "unbatched@1", "requests_per_second"),
+        "at 1 client the controller costs no throughput";
+    Key("adaptive@1") => "batch_target" <= Const(1.0), "batching stays off at 1 client";
+    Key("adaptive@1") => "target_raises" == ZERO, "the controller never ramps at 1 client";
+    // Heavy load amortises and converges. The end-of-run target is back
+    // near 1 by design (the workload drained and the idle decay kicked in),
+    // so convergence is judged by the raise counter and the batches emitted.
+    Key("adaptive@8") => "requests_per_second"
+        >= Times(1.15, "unbatched@8", "requests_per_second"),
+        "at 8 clients the controller beats unbatched by ≥ 15% in simulated throughput";
+    Key("adaptive@8") => "requests_per_second"
+        >= Of("0.5 × the best static at 8 clients", |c| {
+            let statics = ["unbatched@8", "batched8@8", "replybatch@8"];
+            let rates = statics.iter().map(|key| c.other(key, "requests_per_second"));
+            0.5 * rates.fold(0.0, f64::max)
+        }),
+        "a sanity floor against the hand-tuned static: `replybatch` flushes globally \
+         synchronised 64-deep rounds, which the rate-driven target intentionally undershoots";
+    Key("adaptive@8") => "order_messages_sent"
+        <= Times(0.5, "unbatched@8", "order_messages_sent"),
+        "at 8 clients the controller at least halves the ordering wires";
+    Key("adaptive@8") => "target_raises" > ZERO, "the controller ramped under load";
+    Key("adaptive@8") => "effective_batch_peak" >= Const(8.0),
+        "the batches emitted reached the client count";
+    Key("adaptive@8") => "client_window_peak" >= Const(ADAPTIVE_CLIENT_CAP as f64),
+        "the client windows opened to the cap";
+    // Per-group independence under skew.
+    Key("skew") => "consistent" == TRUE,
+        "the skewed run completes with each group's propositions intact";
+    Key("skew") => "requests"
+        == Of("clients × skew_per_client", |c| {
+            (c.row.u64("clients") * param(c, "skew_per_client")) as f64
+        }),
+        "every request is answered";
+    Key("skew") => "misroutes" == ZERO, "no request reaches a group it was not stamped for";
+    Key("skew") => "per_group_requests[0]" > Times(3.0, "", "per_group_requests[1]"),
+        "the workload is skewed enough for the independence gate to mean something";
+    Key("skew") => "per_group_effective_batch[0]" > Times(1.0, "", "per_group_effective_batch[1]"),
+        "the heavy group's controller converged to deeper batches than the light group's";
+    Key("skew") => "per_group_target_raises[0]" > ZERO, "the heavy group's controller ramped";
+    Key("skew") => "per_group_batch_target[1]" <= Const(2.0),
+        "the light group's target stays near 1";
+};
 
 /// Worker-pool size of the parallel-apply experiments and their CI gate.
 pub const PARALLEL_WORKERS: usize = 4;
@@ -2085,19 +1409,20 @@ fn parallel_apply_workload(kind: &str, commands: usize) -> Vec<KvCommand> {
 /// fully-conflicting workload.
 ///
 /// The per-command cost is [`CostlyMachine::with_blocking`]: `spin_rounds`
-/// of CPU plus `block_us` of blocking sleep. The blocking component is what
-/// the speedup gate rides on — it overlaps across workers even on a
-/// single-core host, so the ≥1.8× bound of [`check_parallel_bounds`] holds
-/// on minimal CI runners, where a pure CPU spin could not speed up at all.
-/// Each row records the minimum wall-clock over `repeats` runs and checks
-/// every run against a plain serial apply (bit-identical responses and
-/// state).
+/// of CPU plus `block_us` of blocking sleep (modelling synchronous I/O in
+/// the apply stage). The blocking component is what the speedup gate rides
+/// on — it overlaps across workers even on a single-core host, so the ≥1.8×
+/// bound of [`PARALLEL_BOUNDS`] holds on minimal CI runners, where a pure
+/// CPU spin could not speed up at all. Each row records the minimum
+/// wall-clock over `repeats` runs (and the ops/s derived from it), the wave
+/// structure the conflict-graph scheduler planned, and whether every run
+/// matched a plain serial apply (bit-identical responses and state).
 pub fn parallel_apply_experiment(
     commands: usize,
     spin_rounds: u64,
     block_us: u64,
     repeats: usize,
-) -> Vec<ParallelRow> {
+) -> Vec<Row> {
     let mut rows = Vec::new();
     for kind in ["disjoint", "conflicting"] {
         let workload = parallel_apply_workload(kind, commands);
@@ -2117,23 +1442,23 @@ pub fn parallel_apply_experiment(
                 let got: Vec<KvResponse> = out.results.into_iter().map(|(r, _)| r).collect();
                 matches_serial &= got == expected && sm.inner() == &reference;
             }
-            let secs = wall_ms / 1_000.0;
-            rows.push(ParallelRow {
-                workload: kind.to_string(),
-                workers,
-                commands,
-                spin_rounds,
-                block_us,
-                waves: waves.len(),
-                max_wave,
-                wall_ms,
-                ops_per_sec: if secs > 0.0 {
-                    commands as f64 / secs
-                } else {
-                    0.0
-                },
-                matches_serial,
-            });
+            let ops_per_sec = if wall_ms > 0.0 {
+                commands as f64 / (wall_ms / 1_000.0)
+            } else {
+                0.0
+            };
+            let row = Row::new("parallel", format!("{kind}@{workers}"))
+                .with("workload", kind)
+                .with("workers", workers)
+                .with("commands", commands)
+                .with("spin_rounds", spin_rounds)
+                .with("block_us", block_us)
+                .with("waves", waves.len())
+                .with("max_wave", max_wave)
+                .with("wall_ms", wall_ms)
+                .with("ops_per_sec", ops_per_sec)
+                .with("matches_serial", matches_serial);
+            rows.push(row);
         }
     }
     rows
@@ -2165,13 +1490,10 @@ fn parallel_cluster_workload(client: usize, requests: usize) -> Vec<KvCommand> {
 /// `with_parallel_apply(PARALLEL_WORKERS)` against a serial twin on the same
 /// seed, workload and batching. Both must satisfy the consistency
 /// propositions, and the parallel run's replica digests and completed
-/// responses must be bit-identical to the twin's — parallel apply is an
-/// execution strategy, never an observable protocol change.
-pub fn parallel_cluster_experiment(
-    clients: usize,
-    requests_per_client: usize,
-    seed: u64,
-) -> ParallelClusterRow {
+/// responses (id, response, position, epoch) must be bit-identical to the
+/// twin's — parallel apply is an execution strategy, never an observable
+/// protocol change.
+pub fn parallel_cluster_experiment(clients: usize, requests_per_client: usize, seed: u64) -> Row {
     let run = |workers: Option<usize>| {
         let mut builder = OarConfig::builder().max_batch(PIPELINE_DEPTH * clients);
         if let Some(w) = workers {
@@ -2189,11 +1511,11 @@ pub fn parallel_cluster_experiment(
         let mut cluster = Cluster::build(&config, KvMachine::new, |c| {
             parallel_cluster_workload(c, requests_per_client)
         });
-        let done = cluster.run_to_completion(SimTime::from_secs(600));
-        (cluster, done)
+        cluster.run_to_completion(SimTime::from_secs(600));
+        cluster
     };
-    let (parallel, parallel_done) = run(Some(PARALLEL_WORKERS));
-    let (serial, serial_done) = run(None);
+    let parallel = run(Some(PARALLEL_WORKERS));
+    let serial = run(None);
     let digests = |cluster: &Cluster<KvMachine>| -> Vec<u64> {
         cluster
             .servers
@@ -2216,320 +1538,57 @@ pub fn parallel_cluster_experiment(
         completed.sort_by_key(|&(id, ..)| id);
         completed
     };
-    let consistent = parallel_done
-        && serial_done
-        && parallel.check_replica_consistency().is_ok()
-        && parallel.check_external_consistency().is_ok()
-        && serial.check_replica_consistency().is_ok()
-        && serial.check_external_consistency().is_ok();
-    ParallelClusterRow {
-        servers: 3,
-        clients,
-        requests: parallel.completed_requests().len(),
-        workers: PARALLEL_WORKERS,
-        wave_commands: parallel.total_parallel_wave_commands(),
-        apply_ns: parallel.total_apply_ns(),
-        serial_apply_ns: serial.total_apply_ns(),
-        digests_match: digests(&parallel) == digests(&serial),
-        responses_match: responses(&parallel) == responses(&serial),
-        consistent,
-    }
+    let row = Row::new("parallel_cluster", "cluster");
+    let row = with_metrics(row, &parallel, &["servers", "clients", "requests"])
+        .with("workers", PARALLEL_WORKERS);
+    // `wave_commands` = 0 would mean the conflict graph never exposed any
+    // concurrency; `apply_ns` is host time inside apply, for both twins.
+    with_metrics(row, &parallel, &["wave_commands", "apply_ns"])
+        .with("serial_apply_ns", serial.sum_stats(|s| s.apply_ns))
+        .with("digests_match", digests(&parallel) == digests(&serial))
+        .with(
+            "responses_match",
+            responses(&parallel) == responses(&serial),
+        )
+        .with("consistent", consistent(&parallel) && consistent(&serial))
 }
 
-/// Verifies the T-PARALLEL gates; returns every violation found (empty =
-/// pass). The CI `parallel-smoke` gate:
-///
-/// * every benchmark row is bit-identical to a serial apply of its batch;
-/// * the scheduler's wave structure is the expected one — the disjoint
-///   workload forms a single batch-wide wave, the conflicting one only
-///   singletons;
-/// * **disjoint speeds up**: ≥1.8× serial apply throughput at
-///   [`PARALLEL_WORKERS`] workers;
-/// * **conflicting stays at parity**: within ±10% of serial. Singleton
-///   waves bypass the pool entirely and run the *identical* code path as
-///   `workers = 1`, so parity is structural; the band only has to catch a
-///   gross regression (e.g. singleton waves being routed through the pool,
-///   which costs far more than 10%), and a wider band keeps the
-///   sleep-based wall-clock comparison robust on loaded shared runners;
-/// * the cluster run is consistent, actually executed multi-command waves,
-///   and its digests and responses match the serial twin exactly.
-pub fn check_parallel_bounds(rows: &[ParallelRow], cluster: &ParallelClusterRow) -> Vec<String> {
-    let mut violations = Vec::new();
-    for r in rows {
-        if !r.matches_serial {
-            violations.push(format!(
-                "{} workload at {} workers diverged from serial apply",
-                r.workload, r.workers
-            ));
-        }
-    }
-    let find = |workload: &str, workers: usize| {
-        rows.iter()
-            .find(|r| r.workload == workload && r.workers == workers)
-    };
-    match (find("disjoint", 1), find("disjoint", PARALLEL_WORKERS)) {
-        (Some(serial), Some(parallel)) => {
-            if parallel.waves != 1 || parallel.max_wave != parallel.commands as u64 {
-                violations.push(format!(
-                    "disjoint workload should form one batch-wide wave, got {} waves (max {})",
-                    parallel.waves, parallel.max_wave
-                ));
-            }
-            let speedup = parallel.ops_per_sec / serial.ops_per_sec;
-            if speedup < 1.8 {
-                violations.push(format!(
-                    "disjoint speedup {speedup:.2}x at {PARALLEL_WORKERS} workers \
-                     ({:.3} ms vs {:.3} ms serial), need >= 1.8x",
-                    parallel.wall_ms, serial.wall_ms
-                ));
-            }
-        }
-        _ => violations.push("disjoint rows missing".to_string()),
-    }
-    match (
-        find("conflicting", 1),
-        find("conflicting", PARALLEL_WORKERS),
-    ) {
-        (Some(serial), Some(parallel)) => {
-            if parallel.waves != parallel.commands || parallel.max_wave != 1 {
-                violations.push(format!(
-                    "conflicting workload should form only singleton waves, got {} waves (max {})",
-                    parallel.waves, parallel.max_wave
-                ));
-            }
-            let ratio = parallel.ops_per_sec / serial.ops_per_sec;
-            if !(0.90..=1.10).contains(&ratio) {
-                violations.push(format!(
-                    "conflicting workload at {PARALLEL_WORKERS} workers runs at {ratio:.3}x \
-                     serial ({:.3} ms vs {:.3} ms), need parity within 10%",
-                    parallel.wall_ms, serial.wall_ms
-                ));
-            }
-        }
-        _ => violations.push("conflicting rows missing".to_string()),
-    }
-    if !cluster.consistent {
-        violations.push("cluster run did not complete consistently".to_string());
-    }
-    if cluster.wave_commands == 0 {
-        violations.push("cluster run never executed a multi-command wave".to_string());
-    }
-    if !cluster.digests_match {
-        violations.push("parallel cluster digests differ from the serial twin".to_string());
-    }
-    if !cluster.responses_match {
-        violations.push("parallel cluster responses differ from the serial twin".to_string());
-    }
-    violations
-}
+/// The T-PARALLEL gates.
+pub const PARALLEL_BOUNDS: &[Bound] = bounds! {
+    Each("parallel") => "matches_serial" == TRUE,
+        "every run is bit-identical to a serial apply of its batch";
+    Key("disjoint@4") => "waves" == Const(1.0), "the disjoint workload forms one wave …";
+    Key("disjoint@4") => "max_wave" == Times(1.0, "", "commands"), "… as wide as the batch";
+    Key("disjoint@4") => "ops_per_sec" >= Times(1.8, "disjoint@1", "ops_per_sec"),
+        "disjoint writes speed up ≥ 1.8× at 4 workers";
+    Key("conflicting@4") => "waves" == Times(1.0, "", "commands"),
+        "the conflicting workload forms only singleton waves: one per command …";
+    Key("conflicting@4") => "max_wave" == Const(1.0), "… each of size 1";
+    // Singleton waves bypass the pool entirely and run the *identical* code
+    // path as `workers = 1`, so parity is structural; the band only has to
+    // catch a gross regression (e.g. singleton waves being routed through
+    // the pool, which costs far more than 10%), and a wider band keeps the
+    // sleep-based wall-clock comparison robust on loaded shared runners.
+    Key("conflicting@4") => "ops_per_sec" >= Times(0.9, "conflicting@1", "ops_per_sec"),
+        "conflicting writes stay at parity with serial: not more than 10% slower …";
+    Key("conflicting@4") => "ops_per_sec" <= Times(1.1, "conflicting@1", "ops_per_sec"),
+        "… nor more than 10% faster";
+    Key("cluster") => "consistent" == TRUE,
+        "the parallel deployment and its serial twin complete with the propositions intact";
+    Key("cluster") => "wave_commands" > ZERO, "the cluster executed multi-command waves";
+    Key("cluster") => "digests_match" == TRUE, "replica digests equal the serial twin's";
+    Key("cluster") => "responses_match" == TRUE, "completed replies equal the serial twin's";
+};
 
-/// One row of the real-clock open-loop experiment (T-REALTIME).
-#[derive(Clone, Debug)]
-pub struct RealtimeRow {
-    /// Number of replicas.
-    pub servers: usize,
-    /// Number of open-loop generators.
-    pub clients: usize,
-    /// Total offered load, requests per wall-clock second.
-    pub offered_rate: f64,
-    /// Requests submitted across all generators.
-    pub submitted: usize,
-    /// Requests completed (weighted quorum reached).
-    pub requests: usize,
-    /// Wall-clock duration of the whole run, milliseconds (spawn to stop).
-    pub elapsed_ms: f64,
-    /// Completed requests per wall-clock second, measured over the span from
-    /// the first submission to the last completion.
-    pub requests_per_second: f64,
-    /// Client-observed latency summary (milliseconds, wall clock).
-    pub latency_ms: Summary,
-    /// Whether the run drained before the wall-clock cap.
-    pub completed_run: bool,
-    /// Whether the total-order / at-most-once / external-consistency
-    /// propositions held on the post-run server states.
-    pub consistent: bool,
-    /// The first proposition violation, when `consistent` is false.
-    pub consistency_error: Option<String>,
-}
-
-/// T-REALTIME: genuine wall-clock throughput and latency of the OAR group on
-/// the `oar-rtnet` backend (one OS thread per process, real time, real
-/// queues), under **open-loop** offered load.
-///
-/// The exact protocol code of the simulated experiments runs here — the
-/// servers and the generator are written against the `Runtime` trait — so
-/// this is the reproduction's reality check: the req/s and the latency tail
-/// come from actual threads exchanging actual messages, not from the
-/// simulator's latency model. Each generator offers one request every
-/// `interarrival_us` µs on an absolute schedule (late timers are caught up
-/// with a burst, keeping the offered rate honest), so queueing shows up in
-/// the tail instead of throttling the load.
-///
-/// The failure detector runs with a widened timeout: on a loaded CI runner a
-/// thread can stall past the simulator-tuned default, and this experiment
-/// measures the failure-free path, not spurious fail-over.
-pub fn realtime_experiment(
-    servers: usize,
-    clients: usize,
-    requests_per_client: usize,
-    interarrival_us: u64,
-    seed: u64,
-) -> RealtimeRow {
-    let mut net: RtNet<oar::OarWire<KvCommand, KvResponse>> = RtNet::new(seed);
-    let server_ids: Vec<ProcessId> = (0..servers).map(ProcessId::new).collect();
-    let oar_config = OarConfig::builder()
-        .fd_timeout(SimDuration::from_millis(500))
-        .build();
-    for &id in &server_ids {
-        net.add_process(OarServer::new(
-            id,
-            server_ids.clone(),
-            oar_config,
-            KvMachine::default(),
-        ));
-    }
-    let mut client_ids = Vec::new();
-    for c in 0..clients {
-        let client = OpenLoopClient::<KvMachine>::new(
-            ProcessId::new(servers + c),
-            server_ids.clone(),
-            kv_workload(c, requests_per_client),
-            SimDuration::from_micros(interarrival_us),
-            oar::ClientConfig::default(),
-        );
-        client_ids
-            .push(net.add_process_until(client, |cl: &OpenLoopClient<KvMachine>| cl.is_done()));
-    }
-    let report = net.run(RunOptions {
-        max_wall: std::time::Duration::from_secs(60),
-        grace: std::time::Duration::from_millis(300),
-        poll: std::time::Duration::from_millis(5),
-    });
-
-    let mut latency = Samples::new();
-    let mut submitted = 0;
-    let mut completed = 0;
-    let mut first_sent = SimTime::MAX;
-    let mut last_done = SimTime::ZERO;
-    let mut per_client: Vec<&[oar::CompletedRequest<KvResponse>]> = Vec::new();
-    for &id in &client_ids {
-        let client = report.process_ref::<OpenLoopClient<KvMachine>>(id);
-        submitted += client.submitted();
-        completed += client.completed().len();
-        for done in client.completed() {
-            latency.record_duration(done.latency());
-            first_sent = first_sent.min(done.sent_at);
-            last_done = last_done.max(done.completed_at);
-        }
-        per_client.push(client.completed());
-    }
-    let alive: Vec<&OarServer<KvMachine>> = server_ids
-        .iter()
-        .map(|&id| report.process_ref::<OarServer<KvMachine>>(id))
-        .filter(|s| !s.is_recovering())
-        .collect();
-    let consistency = oar::check_server_consistency(&alive)
-        .and_then(|()| oar::check_external_consistency(&alive, &per_client));
-    let span_s = if last_done > first_sent {
-        (last_done.as_micros() - first_sent.as_micros()) as f64 / 1e6
-    } else {
-        0.0
-    };
-    RealtimeRow {
-        servers,
-        clients,
-        offered_rate: clients as f64 * 1e6 / interarrival_us as f64,
-        submitted,
-        requests: completed,
-        elapsed_ms: report.elapsed.as_secs_f64() * 1_000.0,
-        requests_per_second: if span_s > 0.0 {
-            completed as f64 / span_s
-        } else {
-            0.0
-        },
-        latency_ms: latency.summary(),
-        completed_run: report.completed,
-        consistent: consistency.is_ok(),
-        consistency_error: consistency.err(),
-    }
-}
-
-/// Verifies the gates of a realtime row; returns every violation found
-/// (empty = pass). Used by the CI realtime-smoke job: the open-loop run must
-/// drain, report a positive wall-clock req/s, and keep the paper's
-/// propositions on real threads.
-pub fn check_realtime_bounds(
-    row: &RealtimeRow,
-    clients: usize,
-    requests_per_client: usize,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !row.completed_run {
-        violations.push(format!(
-            "run hit the wall-clock cap with {}/{} requests completed",
-            row.requests,
-            clients * requests_per_client
-        ));
-    }
-    if row.requests != clients * requests_per_client {
-        violations.push(format!(
-            "expected {} completed requests, got {}",
-            clients * requests_per_client,
-            row.requests
-        ));
-    }
-    if row.requests_per_second <= 0.0 {
-        violations.push("measured req/s is not positive".to_string());
-    }
-    if let Some(err) = &row.consistency_error {
-        violations.push(format!("propositions violated on rtnet: {err}"));
-    }
-    violations
-}
-
-/// One model-checking run: a scenario explored under one reduction setting,
-/// with the explored/pruned counters the CI gate reads.
-pub struct McRow {
-    /// Row label (`clean-1x2`, `handoff-bug`, …).
-    pub label: String,
-    /// Scenario name as the `oar-mc` crate reports it.
-    pub scenario: String,
-    /// Partial-order reduction (sleep sets) on?
-    pub por: bool,
-    /// State deduplication on?
-    pub dedup: bool,
-    /// Distinct states visited.
-    pub states_explored: u64,
-    /// Transitions taken.
-    pub transitions: u64,
-    /// Transitions pruned by sleep sets.
-    pub pruned_sleep: u64,
-    /// States pruned as already visited.
-    pub pruned_dedup: u64,
-    /// Terminal states satisfying the goal (workload done).
-    pub goal_states: u64,
-    /// Terminal states violating termination.
-    pub deadlocks: u64,
-    /// Did the run hit its state bound?
-    pub truncated: bool,
-    /// Property violations found.
-    pub violations: usize,
-    /// Kind of the first violation (empty when none).
-    pub violation_kind: String,
-    /// For rows with a violation: does the counterexample trace replay on a
-    /// plain (checker-free) world and reproduce the failure there? `true`
-    /// for rows without violations.
-    pub trace_replays: bool,
-    /// Wall-clock time of the exploration (milliseconds).
-    pub wall_ms: f64,
-}
-
-/// Runs one scenario under the given reduction settings and re-validates any
+/// Runs one scenario under the given reduction settings (partial-order
+/// reduction by sleep sets, state deduplication) and re-validates any
 /// counterexample on a plain world: the trace is replayed step by step
 /// (key-directed dispatch, no checker), the simulator then runs free to the
 /// horizon, and the failure must reproduce — a safety violation as a failed
-/// invariant, a deadlock as an unfinished workload.
-fn mc_run(label: &str, scenario: &oar_mc::oar::OarScenario, por: bool, dedup: bool) -> McRow {
+/// invariant, a deadlock as an unfinished workload. `trace_replays` records
+/// that (`true` for rows without violations); `violation_kind` is the kind
+/// of the first violation (empty when none).
+fn mc_run(label: &str, scenario: &oar_mc::oar::OarScenario, por: bool, dedup: bool) -> Row {
     use oar_mc::oar::{oar_invariant, HORIZON};
 
     let start = std::time::Instant::now();
@@ -2555,34 +1614,36 @@ fn mc_run(label: &str, scenario: &oar_mc::oar::OarScenario, por: bool, dedup: bo
                     world.run_until(HORIZON);
                     !scenario.clients().iter().all(|&c| {
                         world
-                            .process_ref::<oar::OarClient<oar::state_machine::CounterMachine>>(c)
+                            .process_ref::<oar::OarClient<CounterMachine>>(c)
                             .is_done()
                     })
                 }
         }
     };
-    McRow {
-        label: label.to_string(),
-        scenario: scenario.name.to_string(),
-        por,
-        dedup,
-        states_explored: report.states_explored,
-        transitions: report.transitions,
-        pruned_sleep: report.pruned_sleep,
-        pruned_dedup: report.pruned_dedup,
-        goal_states: report.goal_states,
-        deadlocks: report.deadlocks,
-        truncated: report.truncated,
-        violations: report.violations.len(),
-        violation_kind: first.map(|v| v.kind.clone()).unwrap_or_default(),
-        trace_replays,
-        wall_ms,
-    }
+    Row::new("mc", label)
+        .with("label", label)
+        .with("scenario", scenario.name)
+        .with("por", por)
+        .with("dedup", dedup)
+        .with("states_explored", report.states_explored)
+        .with("transitions", report.transitions)
+        .with("pruned_sleep", report.pruned_sleep)
+        .with("pruned_dedup", report.pruned_dedup)
+        .with("goal_states", report.goal_states)
+        .with("deadlocks", report.deadlocks)
+        .with("truncated", report.truncated)
+        .with("violations", report.violations.len())
+        .with(
+            "violation_kind",
+            first.map(|v| v.kind.clone()).unwrap_or_default(),
+        )
+        .with("trace_replays", trace_replays)
+        .with("wall_ms", wall_ms)
 }
 
 /// T-MC: bounded model checking of the OAR protocol over simnet.
 ///
-/// Four row families (§ "Model checking" in `docs/ARCHITECTURE.md`):
+/// Row families (§ "Model checking" in `docs/ARCHITECTURE.md`):
 ///
 /// * `clean-1x2` — exhaustive exploration of the failure-free 3-replica /
 ///   2-request configuration; every path must satisfy the four predicates
@@ -2596,7 +1657,7 @@ fn mc_run(label: &str, scenario: &oar_mc::oar::OarScenario, por: bool, dedup: bo
 ///   their test-only toggles; each counterexample must replay on a plain
 ///   world and reproduce the failure outside the checker.
 /// * `handoff-fixed` / `rejoin-fixed` — the same fault scenarios with the
-///   fixes active: zero violations within the state budget.
+///   fixes active: zero violations within the state budget `state_cap`.
 /// * `membership-change` — crash of one replica plus its online replacement
 ///   through a `Replace` fence: every path settles the fence, joins the
 ///   spare through the held-catch-up path and terminates.
@@ -2605,7 +1666,7 @@ fn mc_run(label: &str, scenario: &oar_mc::oar::OarScenario, por: bool, dedup: bo
 ///   tick stretches and, in the second arm, a sequencer crash as choices:
 ///   every path delivers it at every live replica through the push/pull
 ///   repairs. Both spaces are swept exhaustively.
-pub fn mc_experiment(smoke: bool) -> Vec<McRow> {
+pub fn mc_experiment(state_cap: u64) -> Vec<Row> {
     use oar_mc::oar::OarScenario;
 
     let mut rows = Vec::new();
@@ -2617,37 +1678,26 @@ pub fn mc_experiment(smoke: bool) -> Vec<McRow> {
     // arm bounded just above twice the reduced count.
     let reduced = mc_run("clean-1x1-por", &OarScenario::clean(1, 1), true, false);
     let mut raw_scenario = OarScenario::clean(1, 1);
-    raw_scenario.mc.max_states = 2 * reduced.states_explored + 1;
+    raw_scenario.mc.max_states = 2 * reduced.u64("states_explored") + 1;
     rows.push(reduced);
     rows.push(mc_run("clean-1x1-raw", &raw_scenario, false, false));
 
     // Historical bugs re-found, counterexamples replayed.
-    rows.push(mc_run(
-        "handoff-bug",
-        &OarScenario::sequencer_handoff(true),
-        true,
-        true,
-    ));
-    rows.push(mc_run(
-        "rejoin-bug",
-        &OarScenario::mid_epoch_rejoin(true),
-        true,
-        true,
-    ));
+    let handoff_bug = OarScenario::sequencer_handoff(true);
+    rows.push(mc_run("handoff-bug", &handoff_bug, true, true));
+    let rejoin_bug = OarScenario::mid_epoch_rejoin(true);
+    rows.push(mc_run("rejoin-bug", &rejoin_bug, true, true));
 
     // Control arms: the fixed protocol under the same faults. The full
-    // spaces are large, so the smoke run caps them; the full run uses a
-    // budget an order of magnitude wider.
-    let cap = if smoke { 200_000 } else { 2_000_000 };
-    let mut handoff = OarScenario::sequencer_handoff(false);
-    handoff.mc.max_states = cap;
-    rows.push(mc_run("handoff-fixed", &handoff, true, true));
-    let mut rejoin = OarScenario::mid_epoch_rejoin(false);
-    rejoin.mc.max_states = cap;
-    rows.push(mc_run("rejoin-fixed", &rejoin, true, true));
-    let mut membership = OarScenario::membership_change();
-    membership.mc.max_states = cap;
-    rows.push(mc_run("membership-change", &membership, true, true));
+    // spaces are large, so the runs are capped at `state_cap`.
+    for (label, mut scenario) in [
+        ("handoff-fixed", OarScenario::sequencer_handoff(false)),
+        ("rejoin-fixed", OarScenario::mid_epoch_rejoin(false)),
+        ("membership-change", OarScenario::membership_change()),
+    ] {
+        scenario.mc.max_states = state_cap;
+        rows.push(mc_run(label, &scenario, true, true));
+    }
     for (label, crash) in [
         ("partial-multicast", false),
         ("partial-multicast-crash", true),
@@ -2659,173 +1709,75 @@ pub fn mc_experiment(smoke: bool) -> Vec<McRow> {
     rows
 }
 
-/// Verifies the gates of the model-checking rows; returns every violation
-/// found (empty = pass). Used by the CI `mc-smoke` job.
-pub fn check_mc_bounds(rows: &[McRow]) -> Vec<String> {
-    let mut violations = Vec::new();
-    let find = |label: &str| rows.iter().find(|r| r.label == label);
+/// The gates of the model-checking rows.
+pub const MC_BOUNDS: &[Bound] = bounds! {
+    Each("mc") => "states_explored" > ZERO, "every scenario explores its space";
+    Where("the `*-bug` rows", |r| r.key.ends_with("-bug")) => "violations" > ZERO,
+        "the historical bug is re-found from its test-only toggle";
+    Where("the `*-bug` rows", |r| r.key.ends_with("-bug")) => "trace_replays" == TRUE,
+        "the counterexample trace reproduces on a plain, checker-free world";
+    Where("every row but `*-bug`", |r| !r.key.ends_with("-bug")) => "violations" == ZERO,
+        "the protocol, fixes active, violates no predicate within the state budget";
+    Key("clean-1x2") => "truncated" == ZERO, "the failure-free space is explored exhaustively";
+    Key("clean-1x2") => "goal_states" > ZERO, "some path reaches the termination goal";
+    Key("clean-1x2") => "deadlocks" == ZERO, "no failure-free path deadlocks";
+    Key("clean-1x1-por") => "truncated" == ZERO, "sleep sets alone close the 1-request space";
+    Key("clean-1x1-por") => "pruned_sleep" > ZERO, "sleep sets prune something";
+    Key("clean-1x1-raw") => "truncated" == TRUE,
+        "the raw exploration overruns twice the reduced state count: POR prunes ≥ 50%";
+    Key("handoff-bug") => "violation_kind" == Text("deadlock"),
+        "the hand-off bug shows as the phase-2 stall";
+    Key("rejoin-bug") => "violation_kind" == Text("invariant"),
+        "the rejoin bug shows as a safety violation (divergence)";
+    Key("membership-change") => "deadlocks" == ZERO,
+        "the fence neither wedges the epoch close nor strands the replacement";
+    Key("membership-change") => "goal_states" > ZERO, "some path reaches the termination goal";
+    Where("the `partial-multicast*` rows", |r| r.key.starts_with("partial-multicast"))
+        => "deadlocks" == ZERO,
+        "a request that reached one replica is delivered at the others on every path";
+    Where("the `partial-multicast*` rows", |r| r.key.starts_with("partial-multicast"))
+        => "goal_states" > ZERO, "some path delivers the request";
+    Where("the `partial-multicast*` rows", |r| r.key.starts_with("partial-multicast"))
+        => "truncated" == ZERO, "the space is swept exhaustively";
+};
 
-    for row in rows {
-        if row.states_explored == 0 {
-            violations.push(format!("{}: explored no states", row.label));
-        }
-        let expect_bug = row.label.ends_with("-bug");
-        if expect_bug {
-            if row.violations == 0 {
-                violations.push(format!(
-                    "{}: the historical bug was not re-found",
-                    row.label
-                ));
-            } else if !row.trace_replays {
-                violations.push(format!(
-                    "{}: counterexample trace does not reproduce on a plain world",
-                    row.label
-                ));
-            }
-        } else if row.violations > 0 {
-            violations.push(format!(
-                "{}: {} unexpected violation(s), first kind {}",
-                row.label, row.violations, row.violation_kind
-            ));
-        }
-    }
-
-    if let Some(clean) = find("clean-1x2") {
-        if clean.truncated {
-            violations.push("clean-1x2: exploration did not finish (truncated)".into());
-        }
-        if clean.goal_states == 0 {
-            violations.push("clean-1x2: no path reached the termination goal".into());
-        }
-        if clean.deadlocks > 0 {
-            violations.push(format!("clean-1x2: {} deadlock(s)", clean.deadlocks));
-        }
-    } else {
-        violations.push("clean-1x2 row missing".into());
-    }
-
-    match (find("clean-1x1-por"), find("clean-1x1-raw")) {
-        (Some(reduced), Some(raw)) => {
-            if reduced.truncated {
-                violations.push("clean-1x1-por: reduced exploration truncated".into());
-            }
-            if reduced.pruned_sleep == 0 {
-                violations.push("clean-1x1-por: sleep sets pruned nothing".into());
-            }
-            if !raw.truncated {
-                violations.push(format!(
-                    "POR gate: raw exploration finished within twice the reduced \
-                     state count ({} raw vs {} reduced) — pruning below 50%",
-                    raw.states_explored, reduced.states_explored
-                ));
-            }
-        }
-        _ => violations.push("POR gate rows missing".into()),
-    }
-
-    match find("handoff-bug") {
-        Some(row) if row.violations > 0 && row.violation_kind != "deadlock" => {
-            violations.push(format!(
-                "handoff-bug: expected a deadlock (the phase-2 stall), found {}",
-                row.violation_kind
-            ));
-        }
-        _ => {}
-    }
-    match find("rejoin-bug") {
-        Some(row) if row.violations > 0 && row.violation_kind != "invariant" => {
-            violations.push(format!(
-                "rejoin-bug: expected a safety violation (divergence), found {}",
-                row.violation_kind
-            ));
-        }
-        _ => {}
-    }
-    match find("membership-change") {
-        Some(row) => {
-            if row.deadlocks > 0 {
-                violations.push(format!(
-                    "membership-change: {} deadlock(s) — the fence wedged the epoch \
-                     close or stranded the replacement",
-                    row.deadlocks
-                ));
-            }
-            if row.goal_states == 0 {
-                violations.push("membership-change: no path reached the termination goal".into());
-            }
-        }
-        None => violations.push("membership-change row missing".into()),
-    }
-    for label in ["partial-multicast", "partial-multicast-crash"] {
-        match find(label) {
-            Some(row) => {
-                if row.deadlocks > 0 {
-                    violations.push(format!(
-                        "{label}: {} deadlock(s) — a request that reached one replica \
-                         was never delivered at the others",
-                        row.deadlocks
-                    ));
-                }
-                if row.goal_states == 0 {
-                    violations.push(format!("{label}: no path delivered the request"));
-                }
-                if row.truncated {
-                    violations.push(format!("{label}: exploration did not finish"));
-                }
-            }
-            None => violations.push(format!("{label} row missing")),
-        }
-    }
-    violations
+/// A blank `reconfig` row. Each scenario sets the cells it exercises and
+/// leaves the others as they are here.
+fn reconfig_row(scenario: &'static str) -> Row {
+    Row::new("reconfig", scenario)
+        .with("scenario", scenario)
+        .with("requests", 0u64)
+        .with("completed_run", false)
+        .with("consistent", false)
+        // Settled reconfiguration fences applied across all servers.
+        .with("reconfigs_applied", 0u64)
+        // Whether the replacement replica finished its catch-up (replace).
+        .with("rejoined", true)
+        .with("catch_up_replies", 0u64)
+        // Requests door-dropped and redirected for stale routing (migrate).
+        .with("redirected", 0u64)
+        .with("migrate_state_wires", 0u64)
+        // Replies a client adopted twice for one request id (migrate).
+        .with("duplicates", 0u64)
+        .with("sync_probes", 0u64)
+        .with("sync_node_wires", 0u64)
+        .with("sync_repairs", 0u64)
 }
 
-/// One row of the reconfiguration experiment (T-RECONFIG): one of the three
-/// scenarios — online replica replacement, key-range migration under
-/// traffic, Merkle anti-entropy heal — with the counters its gate bounds.
-/// Fields that a scenario does not exercise stay zero.
-#[derive(Clone, Debug)]
-pub struct ReconfigRow {
-    /// Scenario label: `replace`, `migrate` or `anti-entropy`.
-    pub scenario: String,
-    /// Requests completed by the clients.
-    pub requests: usize,
-    /// Whether the workload drained within the deadline.
-    pub completed_run: bool,
-    /// Whether every consistency proposition held at quiesce.
-    pub consistent: bool,
-    /// Settled reconfiguration fences applied across all servers.
-    pub reconfigs_applied: u64,
-    /// Whether the replacement replica finished its catch-up (replace).
-    pub rejoined: bool,
-    /// `CatchUpReply` transfers served (replace; bounded — no retry storm).
-    pub catch_up_replies: u64,
-    /// Requests door-dropped and redirected for stale routing (migrate).
-    pub redirected: u64,
-    /// `MigrateState` transfer wires (migrate; bounded by s²).
-    pub migrate_state_wires: u64,
-    /// Replies a client adopted twice for one request id (migrate; must be 0).
-    pub duplicates: u64,
-    /// Anti-entropy root probes sent (anti-entropy).
-    pub sync_probes: u64,
-    /// Merkle descent wires, requests + replies (anti-entropy; O(log n)).
-    pub sync_node_wires: u64,
-    /// Divergent keys healed by majority vote (anti-entropy).
-    pub sync_repairs: u64,
-    /// Wall-clock of the scenario in milliseconds.
-    pub wall_ms: f64,
+/// The scenario's host wall-clock, the last cell of its row.
+fn wall_ms_since(start: std::time::Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1_000.0
 }
 
 /// T-RECONFIG, part 1: replace a crashed replica online, then crash a second
 /// one — the fence settles conservatively, the replacement joins over the
 /// `CatchUp*` wires and restores the fault budget, and the workload still
 /// drains to the last request.
-fn reconfig_replace_scenario(per_client: usize, seed: u64) -> ReconfigRow {
-    use oar::state_machine::CounterCommand;
+fn reconfig_replace_scenario(per_client: usize, seed: u64) -> Row {
     let start = std::time::Instant::now();
-    let clients = 2usize;
     let config = ClusterConfig {
         num_servers: 3,
-        num_clients: clients,
+        num_clients: 2,
         net: NetConfig::constant(SimDuration::from_micros(150)),
         oar: OarConfig {
             epoch_cut_after: Some(4),
@@ -2859,32 +1811,25 @@ fn reconfig_replace_scenario(per_client: usize, seed: u64) -> ReconfigRow {
     }
     let rejoined = !cluster.server(2).is_recovering();
     cluster.world.crash_now(cluster.servers[1]);
-    let done = cluster.run_to_completion(SimTime::from_secs(120));
-    let consistent = done
-        && cluster.check_replica_consistency().is_ok()
-        && cluster.check_external_consistency().is_ok();
-    ReconfigRow {
-        scenario: "replace".to_string(),
-        requests: cluster.completed_requests().len(),
-        completed_run: done,
-        consistent,
-        reconfigs_applied: cluster.total_reconfigs_applied(),
-        rejoined,
-        catch_up_replies: cluster.total_catch_up_replies(),
-        redirected: 0,
-        migrate_state_wires: 0,
-        duplicates: 0,
-        sync_probes: 0,
-        sync_node_wires: 0,
-        sync_repairs: 0,
-        wall_ms: start.elapsed().as_secs_f64() * 1_000.0,
+    cluster.run_to_completion(SimTime::from_secs(120));
+    let mut row = reconfig_row("replace");
+    row.set("rejoined", rejoined);
+    for name in [
+        "requests",
+        "completed_run",
+        "consistent",
+        "reconfigs_applied",
+        "catch_up_replies",
+    ] {
+        row.set(name, metric(&cluster, name));
     }
+    row.with("wall_ms", wall_ms_since(start))
 }
 
 /// T-RECONFIG, part 2: migrate a key range between two groups while clients
 /// hammer it — zero lost or duplicated replies, bounded `MigrateState`
 /// transfer wires, stale traffic counted and redirected.
-fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> ReconfigRow {
+fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> Row {
     use oar::shard::KeyRange;
     let start = std::time::Instant::now();
     let clients = 3usize;
@@ -2936,43 +1881,38 @@ fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> ReconfigRow {
         requests += completed.len();
         let mut ids: Vec<_> = completed.iter().map(|d| d.request.id).collect();
         ids.sort();
-        let unique = {
-            ids.dedup();
-            ids.len()
-        };
-        duplicates += (completed.len() - unique) as u64;
+        ids.dedup();
+        duplicates += (completed.len() - ids.len()) as u64;
     }
     let consistent = done
         && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
-        && cluster.total_misroutes() == 0;
-    ReconfigRow {
-        scenario: "migrate".to_string(),
-        requests,
-        completed_run: done,
-        consistent,
-        reconfigs_applied: cluster.total_reconfigs_applied(),
-        rejoined: true,
-        catch_up_replies: 0,
-        redirected: cluster.total_redirected(),
-        migrate_state_wires: cluster.total_migrate_state_wires(),
-        duplicates,
-        sync_probes: 0,
-        sync_node_wires: 0,
-        sync_repairs: 0,
-        wall_ms: start.elapsed().as_secs_f64() * 1_000.0,
-    }
+        && cluster.sum_stats(|s| s.misrouted) == 0;
+    let mut row = reconfig_row("migrate");
+    row.set("requests", requests);
+    row.set("completed_run", done);
+    row.set("consistent", consistent);
+    row.set(
+        "reconfigs_applied",
+        cluster.sum_stats(|s| s.reconfigs_applied),
+    );
+    row.set("redirected", cluster.sum_stats(|s| s.redirected));
+    row.set(
+        "migrate_state_wires",
+        cluster.sum_stats(|s| s.migrate_state_wires),
+    );
+    row.set("duplicates", duplicates);
+    row.with("wall_ms", wall_ms_since(start))
 }
 
 /// T-RECONFIG, part 3: inject a divergent settled value into one replica and
 /// let the Merkle anti-entropy loop localise and heal it — the descent cost
 /// must stay O(log n) in the key count.
-fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> ReconfigRow {
+fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> Row {
     let start = std::time::Instant::now();
-    let clients = 2usize;
     let config = ClusterConfig {
         num_servers: 3,
-        num_clients: clients,
+        num_clients: 2,
         net: NetConfig::lan(),
         oar: OarConfig {
             anti_entropy: true,
@@ -2989,38 +1929,31 @@ fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> ReconfigRow {
             })
             .collect()
     });
-    let done = cluster.run_to_completion(SimTime::from_secs(30));
+    cluster.run_to_completion(SimTime::from_secs(30));
     let settle = cluster.world.now() + SimDuration::from_millis(100);
     cluster.world.run_until(settle);
     cluster.inject_divergence(1, "k05", Some("corrupted"));
     let heal = cluster.world.now() + SimDuration::from_millis(200);
     cluster.world.run_until(heal);
-    let consistent = done
-        && cluster.check_replica_consistency().is_ok()
-        && cluster.check_external_consistency().is_ok();
-    ReconfigRow {
-        scenario: "anti-entropy".to_string(),
-        requests: cluster.completed_requests().len(),
-        completed_run: done,
-        consistent,
-        reconfigs_applied: 0,
-        rejoined: true,
-        catch_up_replies: 0,
-        redirected: 0,
-        migrate_state_wires: 0,
-        duplicates: 0,
-        sync_probes: cluster.total_sync_probes(),
-        sync_node_wires: cluster.total_sync_node_wires(),
-        sync_repairs: cluster.total_sync_repairs(),
-        wall_ms: start.elapsed().as_secs_f64() * 1_000.0,
+    let mut row = reconfig_row("anti-entropy");
+    for name in [
+        "requests",
+        "completed_run",
+        "consistent",
+        "sync_probes",
+        "sync_node_wires",
+        "sync_repairs",
+    ] {
+        row.set(name, metric(&cluster, name));
     }
+    row.with("wall_ms", wall_ms_since(start))
 }
 
 /// T-RECONFIG: membership reconfiguration, online shard rebalancing and
 /// Merkle anti-entropy (§ "Reconfiguration & anti-entropy" in
 /// `docs/ARCHITECTURE.md`). Three rows, one per scenario;
-/// [`check_reconfig_bounds`] turns them into the CI verdict.
-pub fn reconfig_experiment(per_client: usize, seed: u64) -> Vec<ReconfigRow> {
+/// [`RECONFIG_BOUNDS`] turns them into the CI verdict.
+pub fn reconfig_experiment(per_client: usize, seed: u64) -> Vec<Row> {
     vec![
         reconfig_replace_scenario(per_client, seed),
         reconfig_migrate_scenario(per_client, seed),
@@ -3028,128 +1961,73 @@ pub fn reconfig_experiment(per_client: usize, seed: u64) -> Vec<ReconfigRow> {
     ]
 }
 
-/// Verifies the gates of the reconfiguration rows; returns every violation
-/// found (empty = pass). Used by the CI `reconfig-smoke` job.
-pub fn check_reconfig_bounds(rows: &[ReconfigRow], per_client: usize) -> Vec<String> {
-    let mut violations = Vec::new();
-    let find = |name: &str| rows.iter().find(|r| r.scenario == name);
+/// Leaves of the Merkle tree over the anti-entropy scenario's 24 distinct
+/// keys pad to 32: a descent is 5 levels deep.
+const ANTI_ENTROPY_DEPTH: f64 = 5.0;
 
-    for row in rows {
-        if !row.completed_run {
-            violations.push(format!("{}: workload did not drain", row.scenario));
-        }
-        if !row.consistent {
-            violations.push(format!("{}: consistency propositions failed", row.scenario));
-        }
-    }
-
-    match find("replace") {
-        Some(row) => {
-            if row.requests != 2 * per_client {
-                violations.push(format!(
-                    "replace: completed {} of {} requests across the replacement \
-                     and the further crash",
-                    row.requests,
-                    2 * per_client
-                ));
-            }
-            if !row.rejoined {
-                violations.push("replace: replacement still mid-catch-up".into());
-            }
-            if row.reconfigs_applied < 2 {
-                violations.push(format!(
-                    "replace: only {} fence applications (both survivors must apply)",
-                    row.reconfigs_applied
-                ));
-            }
-            if row.catch_up_replies > 8 {
-                violations.push(format!(
-                    "replace: {} CatchUpReply transfers for one replacement \
-                     (retry storm?)",
-                    row.catch_up_replies
-                ));
-            }
-        }
-        None => violations.push("replace row missing".into()),
-    }
-
-    match find("migrate") {
-        Some(row) => {
-            if row.requests != 3 * per_client {
-                violations.push(format!(
-                    "migrate: completed {} of {} requests across the migration",
-                    row.requests,
-                    3 * per_client
-                ));
-            }
-            if row.duplicates > 0 {
-                violations.push(format!(
-                    "migrate: {} duplicated replies (at-most-once violated)",
-                    row.duplicates
-                ));
-            }
-            if row.redirected == 0 {
-                violations.push("migrate: migration under traffic redirected nothing".into());
-            }
-            // Each donor replica ships the settled range to each recipient
-            // member at most once: s² wires for s = 3.
-            if row.migrate_state_wires > 9 {
-                violations.push(format!(
-                    "migrate: {} MigrateState wires exceed the s² bound 9",
-                    row.migrate_state_wires
-                ));
-            }
-        }
-        None => violations.push("migrate row missing".into()),
-    }
-
-    match find("anti-entropy") {
-        Some(row) => {
-            if row.sync_probes == 0 {
-                violations.push("anti-entropy: probes never ran".into());
-            }
-            if row.sync_repairs == 0 {
-                violations.push("anti-entropy: injected divergence never healed".into());
-            }
-            // 24 distinct keys pad to 32 leaves (depth 5); each divergent
-            // probe costs one root node plus at most 2 wires per level, and
-            // a handful of probes race before the heal lands.
-            let depth = 24u64.next_power_of_two().trailing_zeros() as u64;
-            let bound = 12 * (2 * depth + 2);
-            if row.sync_node_wires > bound {
-                violations.push(format!(
-                    "anti-entropy: descent cost {} exceeds the O(log n) bound {bound}",
-                    row.sync_node_wires
-                ));
-            }
-            if row.sync_node_wires < depth {
-                violations.push(format!(
-                    "anti-entropy: {} descent wires — the heal never walked the tree",
-                    row.sync_node_wires
-                ));
-            }
-        }
-        None => violations.push("anti-entropy row missing".into()),
-    }
-    violations
-}
+/// The gates of the reconfiguration rows.
+pub const RECONFIG_BOUNDS: &[Bound] = bounds! {
+    Each("reconfig") => "completed_run" == TRUE, "the workload drains";
+    Each("reconfig") => "consistent" == TRUE, "the consistency propositions hold at quiesce";
+    Key("replace") => "requests" == Of("2 × per_client", |c| 2.0 * param(c, "per_client") as f64),
+        "every request is answered across the replacement and the further crash";
+    Key("replace") => "rejoined" == TRUE, "the replacement finished its catch-up";
+    Key("replace") => "reconfigs_applied" >= Const(2.0), "both survivors apply the fence";
+    Key("replace") => "catch_up_replies" <= Const(8.0),
+        "one replacement takes a handful of transfers — no retry storm";
+    Key("migrate") => "requests" == Of("3 × per_client", |c| 3.0 * param(c, "per_client") as f64),
+        "no reply is lost across the migration";
+    Key("migrate") => "duplicates" == ZERO,
+        "no reply is duplicated: door-drop + redirect never double-serve (at-most-once)";
+    Key("migrate") => "redirected" > ZERO, "the migration really ran under traffic";
+    Key("migrate") => "migrate_state_wires" <= Const(9.0),
+        "each donor replica ships the settled range to each recipient member at most once: \
+         s² wires for s = 3";
+    Key("anti-entropy") => "sync_probes" > ZERO, "the anti-entropy probes ran";
+    Key("anti-entropy") => "sync_repairs" > ZERO, "the injected divergence healed";
+    Key("anti-entropy") => "sync_node_wires" <= Const(12.0 * (2.0 * ANTI_ENTROPY_DEPTH + 2.0)),
+        "the descent is O(log n): one root node plus at most 2 wires per level for each \
+         divergent probe, and a handful of probes race before the heal lands";
+    Key("anti-entropy") => "sync_node_wires" >= Const(ANTI_ENTROPY_DEPTH),
+        "the heal walked the tree";
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::{check, Limit, Op, Params};
+    use crate::registry::EXPERIMENTS;
+
+    use crate::row::by_key as find;
+
+    /// The cell names of a row, in order: the shape of its JSON line.
+    fn keys(row: &Row) -> String {
+        row.names().collect::<Vec<_>>().join(" ")
+    }
+
+    /// The JSON line of `row` with its cells set to `values`: pins the
+    /// family's key order and value formatting byte for byte.
+    fn json_with(row: &Row, values: Vec<(&str, Cell)>) -> String {
+        let mut row = row.clone();
+        assert_eq!(values.len(), row.names().count(), "one value per cell");
+        for (name, value) in values {
+            row.set(name, value);
+        }
+        row.to_json()
+    }
+
+    fn violations(bounds: &[Bound], params: &Params, rows: &[Row]) -> Vec<String> {
+        let found = check(bounds, params, rows);
+        found.into_iter().map(|v| v.message).collect()
+    }
 
     #[test]
     fn latency_shape_matches_paper_claims() {
         let rows = latency_experiment(&[3], 30, 3);
-        let mean = |protocol: &str| {
-            rows.iter()
-                .find(|r| r.protocol == protocol)
-                .map(|r| r.latency_ms.mean)
-                .expect("row present")
-        };
-        let oar = mean("oar");
-        let seq = mean("fixed-sequencer");
-        let ct = mean("ct-abcast");
+        let mean = |protocol: &str| find(&rows, protocol).num("latency_ms.mean");
+        let oar = mean("oar@3");
+        let seq = mean("fixed-sequencer@3");
+        let ct = mean("ct-abcast@3");
         // OAR tracks the sequencer baseline within a factor of two and beats
         // the consensus-based broadcast.
         assert!(
@@ -3160,65 +2038,88 @@ mod tests {
             oar < seq * 2.0,
             "OAR ({oar:.3} ms) should track the sequencer ({seq:.3} ms)"
         );
+        assert_eq!(keys(&rows[0]), "protocol servers requests latency_ms");
     }
 
     #[test]
     fn undo_rate_is_zero_without_partition() {
         let rows = undo_experiment(5);
-        let failure_free = rows.iter().find(|r| r.scenario == "failure-free").unwrap();
-        assert_eq!(failure_free.opt_undeliveries, 0);
-        assert!(failure_free.consistent);
-        let crash = rows
-            .iter()
-            .find(|r| r.scenario == "sequencer-crash")
-            .unwrap();
+        let failure_free = find(&rows, "failure-free");
+        assert_eq!(failure_free.u64("opt_undeliveries"), 0);
+        assert!(failure_free.bool("consistent"));
+        let crash = find(&rows, "sequencer-crash");
         assert_eq!(
-            crash.opt_undeliveries, 0,
+            crash.u64("opt_undeliveries"),
+            0,
             "a plain crash never forces undeliveries"
         );
-        assert!(crash.consistent);
-        let partition = rows
-            .iter()
-            .find(|r| r.scenario == "crash+minority-partition")
-            .unwrap();
-        assert!(partition.consistent);
+        assert!(crash.bool("consistent"));
+        let partition = find(&rows, "crash+minority-partition");
+        assert!(partition.bool("consistent"));
         assert!(
-            partition.undo_rate < 0.5,
+            partition.num("undo_rate") < 0.5,
             "undo stays rare even under the adversarial scenario"
         );
+        assert_eq!(
+            keys(partition),
+            "servers scenario requests opt_deliveries opt_undeliveries undo_rate phase2_entries \
+             consistent"
+        );
+    }
+
+    #[test]
+    fn failover_rows_keep_their_shape() {
+        let rows = failover_experiment(&[3], &[10], 11);
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].bool("consistent"));
+        assert_eq!(
+            keys(&rows[0]),
+            "servers fd_timeout_ms recovery_ms undeliveries consistent"
+        );
+        assert!(rows[0]
+            .to_json()
+            .starts_with("{\"servers\":3,\"fd_timeout_ms\":10,"));
     }
 
     #[test]
     fn batched_sequencer_amortises_order_messages() {
         let rows = throughput_experiment(3, &[4], 25, 7);
-        let row = |protocol: &str| rows.iter().find(|r| r.protocol == protocol).expect("row");
-        let plain = row("oar");
-        let batched = row("oar-batched");
+        let plain = find(&rows, "oar@4");
+        let batched = find(&rows, "oar-batched@4");
         // Unbatched: one OrderMsg per request (modulo epoch boundaries).
-        assert!(plain.order_messages_sent >= plain.requests as u64 * 9 / 10);
+        assert!(plain.u64("order_messages_sent") >= plain.u64("requests") * 9 / 10);
         // Batched: the ordering broadcast is amortised across requests.
         assert!(
-            batched.order_messages_sent < batched.requests as u64,
+            batched.u64("order_messages_sent") < batched.u64("requests"),
             "batching should send fewer OrderMsgs ({}) than requests ({})",
-            batched.order_messages_sent,
-            batched.requests
+            batched.u64("order_messages_sent"),
+            batched.u64("requests")
         );
         // Both variants complete the full workload.
-        assert_eq!(plain.requests, 100);
-        assert_eq!(batched.requests, 100);
+        assert_eq!(plain.u64("requests"), 100);
+        assert_eq!(batched.u64("requests"), 100);
+        let shape = "protocol servers clients requests requests_per_second mean_latency_ms \
+                     p50_latency_ms p95_latency_ms p99_latency_ms order_messages_sent \
+                     reply_messages_sent replies_sent consensus_allocations consensus_messages \
+                     peak_payloads apply_ns";
+        assert_eq!(keys(plain), shape);
+        assert_eq!(
+            keys(find(&rows, "ct-abcast@4")),
+            shape,
+            "baseline rows share the shape"
+        );
     }
 
     #[test]
     fn pipelined_clients_amortise_reply_messages() {
         let rows = throughput_experiment(3, &[4], 24, 7);
-        let row = |protocol: &str| rows.iter().find(|r| r.protocol == protocol).expect("row");
-        let plain = row("oar");
-        let pipelined = row("oar-pipelined");
+        let plain = find(&rows, "oar@4");
+        let pipelined = find(&rows, "oar-pipelined@4");
         // Every variant answers every request at every server.
-        assert_eq!(plain.replies_sent, 3 * 96);
-        assert_eq!(pipelined.replies_sent, 3 * 96);
+        assert_eq!(plain.u64("replies_sent"), 3 * 96);
+        assert_eq!(pipelined.u64("replies_sent"), 3 * 96);
         // Closed-loop: one ReplyBatch wire per request per server.
-        assert_eq!(plain.reply_messages_sent, plain.replies_sent);
+        assert_eq!(plain.u64("reply_messages_sent"), plain.u64("replies_sent"));
         // Pipelined + window-batched: a client's replies coalesce per
         // in-flight window. The acceptance ceiling is servers × clients ×
         // ceil(requests / PIPELINE_DEPTH), with 2x slack for partially
@@ -3226,84 +2127,127 @@ mod tests {
         let per_client = 24u64.div_ceil(PIPELINE_DEPTH as u64);
         let ceiling = 2 * 3 * 4 * per_client;
         assert!(
-            pipelined.reply_messages_sent <= ceiling,
+            pipelined.u64("reply_messages_sent") <= ceiling,
             "pipelined reply wires {} exceed the amortisation ceiling {ceiling}",
-            pipelined.reply_messages_sent
+            pipelined.u64("reply_messages_sent")
         );
         assert!(
-            pipelined.reply_messages_sent < plain.reply_messages_sent / 2,
+            pipelined.u64("reply_messages_sent") < plain.u64("reply_messages_sent") / 2,
             "reply batching should cut the wire count at least in half \
              ({} vs {})",
-            pipelined.reply_messages_sent,
-            plain.reply_messages_sent
+            pipelined.u64("reply_messages_sent"),
+            plain.u64("reply_messages_sent")
         );
     }
 
     #[test]
     fn soak_bounds_hold_on_a_small_run() {
         let row = soak_experiment(4, 250, 11);
-        assert!(row.consistent);
-        assert_eq!(row.requests, 1000);
-        assert!(row.epochs_per_server > 2.0, "epoch cuts must close epochs");
-        assert!(row.payloads_pruned > 0, "the watermark GC must prune");
-        let violations = check_soak_bounds(&row, 250);
-        assert!(violations.is_empty(), "soak violations: {violations:?}");
+        assert!(row.bool("consistent"));
+        assert_eq!(row.u64("requests"), 1000);
+        assert!(
+            row.num("epochs_per_server") > 2.0,
+            "epoch cuts must close epochs"
+        );
+        assert!(
+            row.u64("payloads_pruned") > 0,
+            "the watermark GC must prune"
+        );
+        let params = Params(&[("clients", 4), ("per_client", 250)]);
+        let found = violations(SOAK_BOUNDS, &params, std::slice::from_ref(&row));
+        assert!(found.is_empty(), "soak violations: {found:?}");
         // The bound is about growth: peak payload memory stays far below the
         // total request count.
         assert!(
-            row.peak_payloads < 1000 / 2,
+            row.u64("peak_payloads") < 1000 / 2,
             "peak payloads {} should be bounded by the epoch window, not the \
              workload size",
-            row.peak_payloads
+            row.u64("peak_payloads")
         );
     }
 
     #[test]
     fn sharded_throughput_scales_with_group_count() {
         let rows = sharded_experiment(&[1, 4], 2, 20, 9);
-        let violations = check_sharded_bounds(&rows, 2, 20);
-        assert!(violations.is_empty(), "sharded violations: {violations:?}");
-        let row4 = rows.iter().find(|r| r.groups == 4).unwrap();
-        assert_eq!(row4.requests, 4 * 2 * 20);
-        assert_eq!(row4.misroutes, 0);
+        let params = Params(&[("clients_per_group", 2), ("per_client", 20)]);
+        let found = violations(SHARDED_BOUNDS, &params, &rows);
+        assert!(found.is_empty(), "sharded violations: {found:?}");
+        let row4 = find(&rows, "4-groups");
+        assert_eq!(row4.u64("requests"), 4 * 2 * 20);
+        assert_eq!(row4.u64("misroutes"), 0);
         // Every group ran its own sequencer: per-group ordering traffic is
         // non-zero wherever keys landed (the 64-key pool covers all groups).
-        assert!(row4.per_group_order_messages.iter().all(|&o| o > 0));
-        assert!(row4.per_group_wire_sent.iter().all(|&s| s > 0));
-        assert_eq!(row4.per_group_reply_messages.len(), 4);
+        assert!(row4.list("per_group_order_messages").iter().all(|&o| o > 0));
+        assert!(row4.list("per_group_wire_sent").iter().all(|&s| s > 0));
+        assert_eq!(row4.list("per_group_reply_messages").len(), 4);
+    }
+
+    #[test]
+    fn sharded_row_shape() {
+        let row = &sharded_experiment(&[1], 1, 4, 9)[0];
+        let values = vec![
+            ("groups", 2u64.into()),
+            ("servers_per_group", 3u64.into()),
+            ("clients_per_group", 2u64.into()),
+            ("requests", 80u64.into()),
+            ("requests_per_second", 1000.0.into()),
+            ("mean_latency_ms", 0.5.into()),
+            ("misroutes", 0u64.into()),
+            ("peak_seen", 40u64.into()),
+            ("per_group_order_messages", vec![5u64, 6].into()),
+            ("per_group_reply_messages", vec![30u64, 31].into()),
+            ("per_group_wire_sent", vec![100u64, 110].into()),
+            ("consistent", true.into()),
+        ];
+        assert_eq!(
+            json_with(row, values),
+            "{\"groups\":2,\"servers_per_group\":3,\"clients_per_group\":2,\"requests\":80,\
+             \"requests_per_second\":1000,\"mean_latency_ms\":0.5,\"misroutes\":0,\
+             \"peak_seen\":40,\"per_group_order_messages\":[5,6],\
+             \"per_group_reply_messages\":[30,31],\"per_group_wire_sent\":[100,110],\
+             \"consistent\":true}"
+        );
     }
 
     #[test]
     fn soak_tracks_seen_set_aging() {
         let row = soak_experiment(2, 120, 13);
-        assert!(row.consistent);
+        assert!(row.bool("consistent"));
         // Only PhaseII broadcasts enter a duplicate-suppression set, and
         // they are aged out with the payloads: the peak is a few epochs'
         // worth of ids, nowhere near the request count, and the bound check
         // accepts the run.
-        assert!(row.peak_seen > 0);
+        assert!(row.u64("peak_seen") > 0);
         assert!(
-            row.peak_seen < 16,
+            row.u64("peak_seen") < 16,
             "peak seen {} should count unacknowledged epochs, not requests",
-            row.peak_seen
+            row.u64("peak_seen")
         );
-        assert!(check_soak_bounds(&row, 120).is_empty());
+        let params = Params(&[("clients", 2), ("per_client", 120)]);
+        assert!(check(SOAK_BOUNDS, &params, &[row]).is_empty());
     }
 
     #[test]
     fn txn_fastpath_is_wire_identical_and_multi_group_commits_are_atomic() {
         let rows = txn_experiment(&[1, 2], 2, 8, 21);
-        let violations = check_txn_bounds(&rows, 2, 8);
-        assert!(violations.is_empty(), "txn violations: {violations:?}");
-        let row1 = rows.iter().find(|r| r.groups == 1).unwrap();
+        let params = Params(&[("clients", 2), ("per_client", 8)]);
+        let found = violations(TXN_BOUNDS, &params, &rows);
+        assert!(found.is_empty(), "txn violations: {found:?}");
+        let row1 = find(&rows, "1-groups");
         // One group: even the spanning workload collapses onto the fast
         // path, so no envelope ever travels.
-        assert_eq!(row1.txn_prepares, 0);
-        assert_eq!(row1.multi_group_txns, 0);
-        let row2 = rows.iter().find(|r| r.groups == 2).unwrap();
-        assert!(row2.multi_group_txns > 0, "the workload must span groups");
-        assert_eq!(row2.fastpath_wires_txn, row2.fastpath_wires_plain);
-        assert!(row2.mean_commit_latency_ms > 0.0);
+        assert_eq!(row1.u64("txn_prepares"), 0);
+        assert_eq!(row1.u64("multi_group_txns"), 0);
+        let row2 = find(&rows, "2-groups");
+        assert!(
+            row2.u64("multi_group_txns") > 0,
+            "the workload must span groups"
+        );
+        assert_eq!(
+            row2.u64("fastpath_wires_txn"),
+            row2.u64("fastpath_wires_plain")
+        );
+        assert!(row2.num("mean_commit_latency_ms") > 0.0);
     }
 
     #[test]
@@ -3314,46 +2258,237 @@ mod tests {
         // cannot flake `cargo test`.
         let rows = parallel_apply_experiment(24, 100, 0, 1);
         assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.matches_serial));
-        let disjoint = rows
-            .iter()
-            .find(|r| r.workload == "disjoint" && r.workers == PARALLEL_WORKERS)
-            .unwrap();
-        assert_eq!(disjoint.waves, 1);
-        assert_eq!(disjoint.max_wave, 24);
-        let conflicting = rows
-            .iter()
-            .find(|r| r.workload == "conflicting" && r.workers == PARALLEL_WORKERS)
-            .unwrap();
-        assert_eq!(conflicting.waves, 24);
-        assert_eq!(conflicting.max_wave, 1);
+        assert!(rows.iter().all(|r| r.bool("matches_serial")));
+        let disjoint = find(&rows, "disjoint@4");
+        assert_eq!(disjoint.u64("waves"), 1);
+        assert_eq!(disjoint.u64("max_wave"), 24);
+        let conflicting = find(&rows, "conflicting@4");
+        assert_eq!(conflicting.u64("waves"), 24);
+        assert_eq!(conflicting.u64("max_wave"), 1);
+    }
+
+    #[test]
+    fn parallel_row_shape() {
+        let row = &parallel_apply_experiment(2, 1, 0, 1)[0];
+        let values = vec![
+            ("workload", "disjoint".into()),
+            ("workers", 4u64.into()),
+            ("commands", 64u64.into()),
+            ("spin_rounds", 2000u64.into()),
+            ("block_us", 250u64.into()),
+            ("waves", 1u64.into()),
+            ("max_wave", 64u64.into()),
+            ("wall_ms", 5.5.into()),
+            ("ops_per_sec", 11636.0.into()),
+            ("matches_serial", true.into()),
+        ];
+        assert_eq!(
+            json_with(row, values),
+            "{\"workload\":\"disjoint\",\"workers\":4,\"commands\":64,\"spin_rounds\":2000,\
+             \"block_us\":250,\"waves\":1,\"max_wave\":64,\"wall_ms\":5.5,\
+             \"ops_per_sec\":11636,\"matches_serial\":true}"
+        );
     }
 
     #[test]
     fn parallel_cluster_twin_runs_agree() {
         let row = parallel_cluster_experiment(2, 16, 7);
-        assert!(row.consistent);
-        assert_eq!(row.requests, 2 * 16);
-        assert!(row.digests_match, "parallel digests must equal the twin's");
-        assert!(row.responses_match, "replies must be bit-identical");
+        assert!(row.bool("consistent"));
+        assert_eq!(row.u64("requests"), 2 * 16);
         assert!(
-            row.wave_commands > 0,
+            row.bool("digests_match"),
+            "parallel digests must equal the twin's"
+        );
+        assert!(row.bool("responses_match"), "replies must be bit-identical");
+        assert!(
+            row.u64("wave_commands") > 0,
             "disjoint per-client keys must schedule multi-command waves"
         );
-        assert!(row.apply_ns > 0 && row.serial_apply_ns > 0);
+        assert!(row.u64("apply_ns") > 0 && row.u64("serial_apply_ns") > 0);
     }
 
     #[test]
     fn gc_ablation_runs_more_epochs_when_cutting() {
         let rows = gc_experiment(&[None, Some(5)], 20, 4);
-        let never = rows.iter().find(|r| r.cut_after.is_none()).unwrap();
-        let often = rows.iter().find(|r| r.cut_after == Some(5)).unwrap();
-        assert!(never.consistent && often.consistent);
+        let never = find(&rows, "cut-never");
+        let often = find(&rows, "cut-5");
+        assert!(never.bool("consistent") && often.bool("consistent"));
         assert!(
-            often.epochs_per_server > never.epochs_per_server,
+            often.num("epochs_per_server") > never.num("epochs_per_server"),
             "cutting epochs should complete more epochs ({} vs {})",
-            often.epochs_per_server,
-            never.epochs_per_server
+            often.num("epochs_per_server"),
+            never.num("epochs_per_server")
         );
+        assert!(never
+            .to_json()
+            .starts_with("{\"cut_after\":null,\"requests\":40,"));
+        assert!(often
+            .to_json()
+            .starts_with("{\"cut_after\":5,\"requests\":40,"));
+        assert_eq!(
+            keys(never),
+            "cut_after requests epochs_per_server mean_latency_ms p99_latency_ms consistent"
+        );
+    }
+
+    /// A size small enough for `cargo test` for each gated experiment (the
+    /// `mc` control arms are capped low; everything it gates on is swept
+    /// exhaustively regardless).
+    fn test_size(name: &str) -> Params {
+        match name {
+            "soak" => Params(&[("clients", 2), ("per_client", 120)]),
+            "recovery" => Params(&[("clients", 4), ("per_client", 200)]),
+            "sharded" => Params(&[("clients_per_group", 2), ("per_client", 20)]),
+            "txn" => Params(&[("clients", 2), ("per_client", 8)]),
+            "adaptive" => Params(&[("per_client", 30), ("repeats", 1), ("skew_per_client", 24)]),
+            "parallel" => Params(&[
+                ("commands", 24),
+                ("block_us", 0),
+                ("repeats", 1),
+                ("clients", 2),
+                ("per_client", 16),
+            ]),
+            "reconfig" => Params(&[("per_client", 60)]),
+            "mc" => Params(&[("state_cap", 500)]),
+            other => panic!("no test size for gated experiment `{other}`"),
+        }
+    }
+
+    /// The JSON keys of every gated family, in order.
+    fn golden_keys(label: &str) -> &'static str {
+        match label {
+            "soak" => {
+                "servers clients requests epochs_per_server peak_payloads final_payloads \
+                 peak_seen final_seen payloads_pruned reply_messages_sent replies_sent \
+                 order_messages_sent consensus_allocations consensus_messages consistent"
+            }
+            "recovery" => {
+                "servers clients requests consistent rejoined catch_up_snapshot_position \
+                 catch_up_delta rejoined_settled peak_a_delivered peak_undo_depth snapshots \
+                 compacted catch_up_requests catch_up_replies payload_fetches"
+            }
+            "sharded" => {
+                "groups servers_per_group clients_per_group requests requests_per_second \
+                 mean_latency_ms misroutes peak_seen per_group_order_messages \
+                 per_group_reply_messages per_group_wire_sent consistent"
+            }
+            "txn" => {
+                "groups clients txns multi_group_txns commits_per_second mean_commit_latency_ms \
+                 p99_commit_latency_ms txn_prepares misroutes fastpath_wires_txn \
+                 fastpath_wires_plain fastpath_txn_prepares fastpath_latency_ms \
+                 plain_latency_ms consistent"
+            }
+            "adaptive" => {
+                "protocol clients requests wall_ms requests_per_second mean_latency_ms \
+                 p50_latency_ms p95_latency_ms p99_latency_ms order_messages_sent \
+                 reply_messages_sent effective_batch_peak batch_target target_raises \
+                 target_drops deadline_flushes client_window_peak consistent"
+            }
+            "adaptive_skew" => {
+                "groups clients requests per_group_requests per_group_batch_target \
+                 per_group_effective_batch per_group_target_raises misroutes consistent"
+            }
+            "parallel" => {
+                "workload workers commands spin_rounds block_us waves max_wave wall_ms \
+                 ops_per_sec matches_serial"
+            }
+            "parallel_cluster" => {
+                "servers clients requests workers wave_commands apply_ns serial_apply_ns \
+                 digests_match responses_match consistent"
+            }
+            "mc" => {
+                "label scenario por dedup states_explored transitions pruned_sleep pruned_dedup \
+                 goal_states deadlocks truncated violations violation_kind trace_replays wall_ms"
+            }
+            "reconfig" => {
+                "scenario requests completed_run consistent reconfigs_applied rejoined \
+                 catch_up_replies redirected migrate_state_wires duplicates sync_probes \
+                 sync_node_wires sync_repairs wall_ms"
+            }
+            other => panic!("no golden keys for family `{other}`"),
+        }
+    }
+
+    /// Writes `value` into the cell a metric names, keeping the cell's type.
+    fn set_metric(row: &mut Row, metric: &str, value: f64) {
+        let (name, index) = match metric.split_once('[') {
+            Some((name, index)) => (name, index.trim_end_matches(']').parse::<usize>().ok()),
+            None => (metric, None),
+        };
+        let cell = match (row.cell(name).clone(), index) {
+            (Cell::U64(_), None) => Cell::U64(value.max(0.0) as u64),
+            (Cell::F64(_), None) => Cell::F64(value),
+            (Cell::Bool(_), None) => Cell::Bool(value != 0.0),
+            (Cell::List(mut items), Some(i)) => {
+                items[i] = value.max(0.0) as u64;
+                Cell::List(items)
+            }
+            (other, _) => panic!("cannot perturb `{metric}`: {other:?}"),
+        };
+        row.set(name, cell);
+    }
+
+    /// For every bound of every experiment: a passing row set, perturbed in
+    /// the one cell the bound constrains so as to break it, yields that
+    /// bound's violation — and no violation about any other cell. (Two
+    /// bounds on the same cell can be entangled: a throughput pushed below
+    /// `1.15 × unbatched` is necessarily below `0.5 × best static` too.) So
+    /// no limit was lost, inverted or attached to the wrong metric.
+    #[test]
+    fn every_bound_is_violated_by_its_own_mutation_and_only_there() {
+        for experiment in EXPERIMENTS.iter().filter(|e| !e.bounds.is_empty()) {
+            let params = test_size(experiment.name);
+            let mut rows = (experiment.run)(&params);
+            for row in &rows {
+                assert_eq!(keys(row), golden_keys(row.label), "{} row shape", row.label);
+            }
+            if experiment.name == "parallel" {
+                // Host time decides the speed-up cells; pin them.
+                for (key, ops) in [("disjoint@4", 2_000.0), ("conflicting@4", 1_000.0)] {
+                    let at = rows.iter().position(|r| r.key == key).expect("row");
+                    rows[at].set("ops_per_sec", ops);
+                    rows[at - 1].set("ops_per_sec", 1_000.0);
+                }
+            }
+            let clean = violations(experiment.bounds, &params, &rows);
+            assert!(clean.is_empty(), "{}: {clean:?}", experiment.name);
+
+            for (i, bound) in experiment.bounds.iter().enumerate() {
+                let at = rows.iter().position(|row| bound.rows.matches(row));
+                let at =
+                    at.unwrap_or_else(|| panic!("{}: bound {i} selects no row", experiment.name));
+                let mut mutated = rows.clone();
+                if let Limit::Text(_) = bound.limit {
+                    mutated[at].set(bound.metric, "mutated");
+                } else {
+                    let ctx = Ctx {
+                        params: &params,
+                        row: &rows[at],
+                        rows: &rows,
+                    };
+                    let limit = bound.limit.value(&ctx);
+                    let broken = match bound.op {
+                        Op::Eq if limit >= 1.0 => limit - 1.0,
+                        Op::Eq | Op::Le => limit + 1.0,
+                        Op::Ge => limit - 1.0,
+                        Op::Ne | Op::Lt | Op::Gt => limit,
+                    };
+                    set_metric(&mut mutated[at], bound.metric, broken);
+                }
+                let found = check(experiment.bounds, &params, &mutated);
+                let what = format!("{} bound {i} (`{}`)", experiment.name, bound.metric);
+                assert!(
+                    found.iter().any(|v| v.bound == i),
+                    "{what} survived its mutation: {found:?}"
+                );
+                for violation in &found {
+                    let other = &experiment.bounds[violation.bound];
+                    assert!(
+                        other.metric == bound.metric && other.rows.matches(&rows[at]),
+                        "{what}: collateral violation {violation:?}"
+                    );
+                }
+            }
+        }
     }
 }

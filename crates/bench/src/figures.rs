@@ -15,6 +15,8 @@ use oar_baselines::{BaselineConfig, SequencerCluster};
 use oar_fd::FdConfig;
 use oar_simnet::{LatencyModel, LinkConfig, NetConfig, SimDuration, SimTime};
 
+use crate::row::Row;
+
 /// The measured facts of one figure scenario.
 #[derive(Clone, Debug)]
 pub struct FigureOutcome {
@@ -35,6 +37,21 @@ pub struct FigureOutcome {
     pub consistent: bool,
     /// Human-readable annotation timeline of the run.
     pub timeline: String,
+}
+
+impl FigureOutcome {
+    /// The outcome as a harness row of family `figure`.
+    pub fn row(&self) -> Row {
+        Row::new("figure", self.id.clone())
+            .with("id", self.id.clone())
+            .with("servers", self.servers)
+            .with("completed_requests", self.completed_requests)
+            .with("undeliveries", self.undeliveries)
+            .with("phase2_entries", self.phase2_entries)
+            .with("client_inconsistencies", self.client_inconsistencies)
+            .with("consistent", self.consistent)
+            .with("timeline", self.timeline.clone())
+    }
 }
 
 fn stack_net() -> NetConfig {
@@ -153,14 +170,14 @@ pub fn figure_2(seed: u64) -> FigureOutcome {
     let consistent = done
         && cluster.check_replica_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
-        && cluster.total_phase2_entries() == 0
-        && cluster.total_undeliveries() == 0;
+        && cluster.sum_stats(|s| s.phase2_entered) == 0
+        && cluster.sum_stats(|s| s.opt_undelivered) == 0;
     FigureOutcome {
         id: "fig2".into(),
         servers: 3,
         completed_requests: cluster.completed_requests().len(),
-        undeliveries: cluster.total_undeliveries(),
-        phase2_entries: cluster.total_phase2_entries(),
+        undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
+        phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
         consistent,
         timeline: cluster.world.tracer().render_timeline(),
@@ -215,14 +232,14 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
     let consistent = done
         && cluster.check_replica_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
-        && cluster.total_undeliveries() == 0
-        && cluster.total_phase2_entries() > 0;
+        && cluster.sum_stats(|s| s.opt_undelivered) == 0
+        && cluster.sum_stats(|s| s.phase2_entered) > 0;
     FigureOutcome {
         id: "fig3".into(),
         servers: 3,
         completed_requests: cluster.completed_requests().len(),
-        undeliveries: cluster.total_undeliveries(),
-        phase2_entries: cluster.total_phase2_entries(),
+        undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
+        phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
         consistent,
         timeline: cluster.world.tracer().render_timeline(),
@@ -280,7 +297,7 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
     // can happen shortly after the last client adopted its reply).
     let settle = cluster.world.now() + SimDuration::from_millis(300);
     cluster.world.run_until(settle);
-    let undeliveries = cluster.total_undeliveries();
+    let undeliveries = cluster.sum_stats(|s| s.opt_undelivered);
     let consistent = done
         && cluster.check_replica_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
@@ -290,7 +307,7 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
         servers: 5,
         completed_requests: cluster.completed_requests().len(),
         undeliveries,
-        phase2_entries: cluster.total_phase2_entries(),
+        phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
         consistent,
         timeline: cluster.world.tracer().render_timeline(),
@@ -349,8 +366,8 @@ pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
         id: "fig1b-oar".into(),
         servers: 3,
         completed_requests: cluster.completed_requests().len(),
-        undeliveries: cluster.total_undeliveries(),
-        phase2_entries: cluster.total_phase2_entries(),
+        undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
+        phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
         consistent,
         timeline: cluster.world.tracer().render_timeline(),

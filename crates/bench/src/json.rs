@@ -1,461 +1,26 @@
-//! Hand-rolled JSON emission for the experiment rows.
-//!
-//! The build environment has no crates.io access, so instead of `serde_json`
-//! the harness serialises its (small, flat) row types through the [`ToJson`]
-//! trait below. Output is plain JSON objects, one per row, identical in shape
-//! to what a serde derive would produce.
+//! The committed `BENCH_*.json` trajectory files: where they live, the line
+//! a harness row contributes to one, and how such lines are merged in next to
+//! what `cargo bench` wrote.
 
-use oar_simnet::Summary;
+use crate::row::{escape, Row};
 
-use crate::experiments::{
-    AdaptiveRow, AdaptiveSkewRow, FailoverRow, GcRow, LatencyRow, McRow, ParallelClusterRow,
-    ParallelRow, RealtimeRow, ReconfigRow, RecoveryRow, ShardedRow, SoakRow, ThroughputRow, TxnRow,
-    UndoRow,
-};
-use crate::figures::FigureOutcome;
-
-/// Types that can render themselves as a JSON value.
-pub trait ToJson {
-    /// The JSON representation of `self`.
-    fn to_json(&self) -> String;
-}
-
-/// Escapes a string for inclusion in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-impl ToJson for Summary {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"std_dev\":{}}}",
-            self.count,
-            f(self.mean),
-            f(self.min),
-            f(self.p50),
-            f(self.p95),
-            f(self.p99),
-            f(self.max),
-            f(self.std_dev),
-        )
-    }
-}
-
-impl ToJson for McRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"label\":\"{}\",\"scenario\":\"{}\",\"por\":{},\"dedup\":{},",
-                "\"states_explored\":{},\"transitions\":{},\"pruned_sleep\":{},",
-                "\"pruned_dedup\":{},\"goal_states\":{},\"deadlocks\":{},",
-                "\"truncated\":{},\"violations\":{},\"violation_kind\":\"{}\",",
-                "\"trace_replays\":{},\"wall_ms\":{}}}"
-            ),
-            escape(&self.label),
-            escape(&self.scenario),
-            self.por,
-            self.dedup,
-            self.states_explored,
-            self.transitions,
-            self.pruned_sleep,
-            self.pruned_dedup,
-            self.goal_states,
-            self.deadlocks,
-            self.truncated,
-            self.violations,
-            escape(&self.violation_kind),
-            self.trace_replays,
-            f(self.wall_ms),
-        )
-    }
-}
-
-impl ToJson for ReconfigRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scenario\":\"{}\",\"requests\":{},\"completed_run\":{},",
-                "\"consistent\":{},\"reconfigs_applied\":{},\"rejoined\":{},",
-                "\"catch_up_replies\":{},\"redirected\":{},",
-                "\"migrate_state_wires\":{},\"duplicates\":{},\"sync_probes\":{},",
-                "\"sync_node_wires\":{},\"sync_repairs\":{},\"wall_ms\":{}}}"
-            ),
-            escape(&self.scenario),
-            self.requests,
-            self.completed_run,
-            self.consistent,
-            self.reconfigs_applied,
-            self.rejoined,
-            self.catch_up_replies,
-            self.redirected,
-            self.migrate_state_wires,
-            self.duplicates,
-            self.sync_probes,
-            self.sync_node_wires,
-            self.sync_repairs,
-            f(self.wall_ms),
-        )
-    }
-}
-
-impl ToJson for LatencyRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"protocol\":\"{}\",\"servers\":{},\"requests\":{},\"latency_ms\":{}}}",
-            escape(&self.protocol),
-            self.servers,
-            self.requests,
-            self.latency_ms.to_json(),
-        )
-    }
-}
-
-impl ToJson for FailoverRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"servers\":{},\"fd_timeout_ms\":{},\"recovery_ms\":{},\"undeliveries\":{},\"consistent\":{}}}",
-            self.servers,
-            f(self.fd_timeout_ms),
-            f(self.recovery_ms),
-            self.undeliveries,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for UndoRow {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"servers\":{},\"scenario\":\"{}\",\"requests\":{},\"opt_deliveries\":{},\"opt_undeliveries\":{},\"undo_rate\":{},\"phase2_entries\":{},\"consistent\":{}}}",
-            self.servers,
-            escape(&self.scenario),
-            self.requests,
-            self.opt_deliveries,
-            self.opt_undeliveries,
-            f(self.undo_rate),
-            self.phase2_entries,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for ThroughputRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"protocol\":\"{}\",\"servers\":{},\"clients\":{},\"requests\":{},",
-                "\"requests_per_second\":{},\"mean_latency_ms\":{},",
-                "\"p50_latency_ms\":{},\"p95_latency_ms\":{},\"p99_latency_ms\":{},",
-                "\"order_messages_sent\":{},\"reply_messages_sent\":{},",
-                "\"replies_sent\":{},\"consensus_allocations\":{},",
-                "\"consensus_messages\":{},\"peak_payloads\":{},\"apply_ns\":{}}}"
-            ),
-            escape(&self.protocol),
-            self.servers,
-            self.clients,
-            self.requests,
-            f(self.requests_per_second),
-            f(self.mean_latency_ms),
-            f(self.p50_latency_ms),
-            f(self.p95_latency_ms),
-            f(self.p99_latency_ms),
-            self.order_messages_sent,
-            self.reply_messages_sent,
-            self.replies_sent,
-            self.consensus_allocations,
-            self.consensus_messages,
-            self.peak_payloads,
-            self.apply_ns,
-        )
-    }
-}
-
-impl ToJson for ParallelRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"workers\":{},\"commands\":{},",
-                "\"spin_rounds\":{},\"block_us\":{},\"waves\":{},",
-                "\"max_wave\":{},\"wall_ms\":{},\"ops_per_sec\":{},",
-                "\"matches_serial\":{}}}"
-            ),
-            escape(&self.workload),
-            self.workers,
-            self.commands,
-            self.spin_rounds,
-            self.block_us,
-            self.waves,
-            self.max_wave,
-            f(self.wall_ms),
-            f(self.ops_per_sec),
-            self.matches_serial,
-        )
-    }
-}
-
-impl ToJson for ParallelClusterRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"servers\":{},\"clients\":{},\"requests\":{},",
-                "\"workers\":{},\"wave_commands\":{},\"apply_ns\":{},",
-                "\"serial_apply_ns\":{},\"digests_match\":{},",
-                "\"responses_match\":{},\"consistent\":{}}}"
-            ),
-            self.servers,
-            self.clients,
-            self.requests,
-            self.workers,
-            self.wave_commands,
-            self.apply_ns,
-            self.serial_apply_ns,
-            self.digests_match,
-            self.responses_match,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for AdaptiveRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"protocol\":\"{}\",\"clients\":{},\"requests\":{},",
-                "\"wall_ms\":{},\"requests_per_second\":{},",
-                "\"mean_latency_ms\":{},\"p50_latency_ms\":{},",
-                "\"p95_latency_ms\":{},\"p99_latency_ms\":{},",
-                "\"order_messages_sent\":{},\"reply_messages_sent\":{},",
-                "\"effective_batch_peak\":{},\"batch_target\":{},",
-                "\"target_raises\":{},\"target_drops\":{},",
-                "\"deadline_flushes\":{},\"client_window_peak\":{},",
-                "\"consistent\":{}}}"
-            ),
-            escape(&self.protocol),
-            self.clients,
-            self.requests,
-            f(self.wall_ms),
-            f(self.requests_per_second),
-            f(self.mean_latency_ms),
-            f(self.p50_latency_ms),
-            f(self.p95_latency_ms),
-            f(self.p99_latency_ms),
-            self.order_messages_sent,
-            self.reply_messages_sent,
-            self.effective_batch_peak,
-            self.batch_target,
-            self.target_raises,
-            self.target_drops,
-            self.deadline_flushes,
-            self.client_window_peak,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for AdaptiveSkewRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"groups\":{},\"clients\":{},\"requests\":{},",
-                "\"per_group_requests\":{},\"per_group_batch_target\":{},",
-                "\"per_group_effective_batch\":{},\"per_group_target_raises\":{},",
-                "\"misroutes\":{},\"consistent\":{}}}"
-            ),
-            self.groups,
-            self.clients,
-            self.requests,
-            u64_array(&self.per_group_requests),
-            u64_array(&self.per_group_batch_target),
-            u64_array(&self.per_group_effective_batch),
-            u64_array(&self.per_group_target_raises),
-            self.misroutes,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for SoakRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"servers\":{},\"clients\":{},\"requests\":{},",
-                "\"epochs_per_server\":{},\"peak_payloads\":{},",
-                "\"final_payloads\":{},\"peak_seen\":{},\"final_seen\":{},",
-                "\"payloads_pruned\":{},",
-                "\"reply_messages_sent\":{},\"replies_sent\":{},",
-                "\"order_messages_sent\":{},\"consensus_allocations\":{},",
-                "\"consensus_messages\":{},\"consistent\":{}}}"
-            ),
-            self.servers,
-            self.clients,
-            self.requests,
-            f(self.epochs_per_server),
-            self.peak_payloads,
-            self.final_payloads,
-            self.peak_seen,
-            self.final_seen,
-            self.payloads_pruned,
-            self.reply_messages_sent,
-            self.replies_sent,
-            self.order_messages_sent,
-            self.consensus_allocations,
-            self.consensus_messages,
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for RecoveryRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"servers\":{},\"clients\":{},\"requests\":{},",
-                "\"consistent\":{},\"rejoined\":{},",
-                "\"catch_up_snapshot_position\":{},\"catch_up_delta\":{},",
-                "\"rejoined_settled\":{},\"peak_a_delivered\":{},",
-                "\"peak_undo_depth\":{},\"snapshots\":{},\"compacted\":{},",
-                "\"catch_up_requests\":{},\"catch_up_replies\":{},",
-                "\"payload_fetches\":{}}}"
-            ),
-            self.servers,
-            self.clients,
-            self.requests,
-            self.consistent,
-            self.rejoined,
-            self.catch_up_snapshot_position,
-            self.catch_up_delta,
-            self.rejoined_settled,
-            self.peak_a_delivered,
-            self.peak_undo_depth,
-            self.snapshots,
-            self.compacted,
-            self.catch_up_requests,
-            self.catch_up_replies,
-            self.payload_fetches,
-        )
-    }
-}
-
-fn u64_array(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-impl ToJson for ShardedRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"groups\":{},\"servers_per_group\":{},",
-                "\"clients_per_group\":{},\"requests\":{},",
-                "\"requests_per_second\":{},\"mean_latency_ms\":{},",
-                "\"misroutes\":{},\"peak_seen\":{},",
-                "\"per_group_order_messages\":{},",
-                "\"per_group_reply_messages\":{},",
-                "\"per_group_wire_sent\":{},\"consistent\":{}}}"
-            ),
-            self.groups,
-            self.servers_per_group,
-            self.clients_per_group,
-            self.requests,
-            f(self.requests_per_second),
-            f(self.mean_latency_ms),
-            self.misroutes,
-            self.peak_seen,
-            u64_array(&self.per_group_order_messages),
-            u64_array(&self.per_group_reply_messages),
-            u64_array(&self.per_group_wire_sent),
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for TxnRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"groups\":{},\"clients\":{},\"txns\":{},",
-                "\"multi_group_txns\":{},\"commits_per_second\":{},",
-                "\"mean_commit_latency_ms\":{},\"p99_commit_latency_ms\":{},",
-                "\"txn_prepares\":{},\"misroutes\":{},",
-                "\"fastpath_wires_txn\":{},\"fastpath_wires_plain\":{},",
-                "\"fastpath_txn_prepares\":{},\"fastpath_latency_ms\":{},",
-                "\"plain_latency_ms\":{},\"consistent\":{}}}"
-            ),
-            self.groups,
-            self.clients,
-            self.txns,
-            self.multi_group_txns,
-            f(self.commits_per_second),
-            f(self.mean_commit_latency_ms),
-            f(self.p99_commit_latency_ms),
-            self.txn_prepares,
-            self.misroutes,
-            self.fastpath_wires_txn,
-            self.fastpath_wires_plain,
-            self.fastpath_txn_prepares,
-            f(self.fastpath_latency_ms),
-            f(self.plain_latency_ms),
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for GcRow {
-    fn to_json(&self) -> String {
-        let cut = self.cut_after.map_or("null".to_string(), |c| c.to_string());
-        format!(
-            "{{\"cut_after\":{},\"requests\":{},\"epochs_per_server\":{},\"mean_latency_ms\":{},\"p99_latency_ms\":{},\"consistent\":{}}}",
-            cut,
-            self.requests,
-            f(self.epochs_per_server),
-            f(self.mean_latency_ms),
-            f(self.p99_latency_ms),
-            self.consistent,
-        )
-    }
-}
-
-impl ToJson for RealtimeRow {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"servers\":{},\"clients\":{},\"offered_rate\":{},",
-                "\"submitted\":{},\"requests\":{},\"elapsed_ms\":{},",
-                "\"requests_per_second\":{},\"latency_ms\":{},",
-                "\"completed_run\":{},\"consistent\":{}}}"
-            ),
-            self.servers,
-            self.clients,
-            f(self.offered_rate),
-            self.submitted,
-            self.requests,
-            f(self.elapsed_ms),
-            f(self.requests_per_second),
-            self.latency_ms.to_json(),
-            self.completed_run,
-            self.consistent,
-        )
-    }
+/// `row` as one result line of a `BENCH_*.json` file, in the shape the
+/// vendored criterion writes: `mean_ns` / `min_ns` are the row's host
+/// `wall_ms`, `elements` its `requests`, `counters` its [`Row::counters`].
+pub fn bench_line(group: &str, id: &str, row: &Row) -> String {
+    let wall_ns = row.num("wall_ms") * 1e6;
+    let counters: Vec<String> = row
+        .counters()
+        .iter()
+        .map(|(name, value)| format!("\"{name}\":{value}"))
+        .collect();
+    format!(
+        "{{\"group\":\"{group}\",\"id\":\"{}\",\"mean_ns\":{wall_ns:.1},\"min_ns\":{wall_ns:.1},\
+         \"iters_per_sample\":1,\"samples\":1,\"elements\":{},\"counters\":{{{}}}}}",
+        escape(id),
+        row.u64("requests"),
+        counters.join(",")
+    )
 }
 
 /// Merges result rows into a criterion-written `BENCH_<bench>.json` file.
@@ -464,10 +29,9 @@ impl ToJson for RealtimeRow {
 /// (see `vendor/criterion`); this helper relies on that layout: every line
 /// holding a `"group":"<group>"` row is replaced by `rows` (each element one
 /// serialised result object), other groups' rows are preserved, and a
-/// missing or foreign file is rewritten from scratch. This is how the
-/// `harness realtime` experiment lands its wall-clock rows next to the
-/// `cargo bench` trajectory in `BENCH_throughput.json` without clobbering
-/// it.
+/// missing or foreign file is rewritten from scratch. This is how a full
+/// `harness reconfig` run lands its rows next to the `cargo bench`
+/// trajectory in `BENCH_throughput.json` without clobbering it.
 ///
 /// # Errors
 ///
@@ -520,81 +84,23 @@ pub fn bench_out_dir() -> std::path::PathBuf {
     }
 }
 
-impl ToJson for FigureOutcome {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"id\":\"{}\",\"servers\":{},\"completed_requests\":{},\"undeliveries\":{},\"phase2_entries\":{},\"client_inconsistencies\":{},\"consistent\":{},\"timeline\":\"{}\"}}",
-            escape(&self.id),
-            self.servers,
-            self.completed_requests,
-            self.undeliveries,
-            self.phase2_entries,
-            self.client_inconsistencies,
-            self.consistent,
-            escape(&self.timeline),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("plain"), "plain");
-    }
-
-    #[test]
-    fn summary_round_trips_shape() {
-        let s = Summary {
-            count: 2,
-            mean: 1.5,
-            min: 1.0,
-            p50: 1.5,
-            p95: 2.0,
-            p99: 2.0,
-            max: 2.0,
-            std_dev: 0.5,
-        };
-        let j = s.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"mean\":1.5"));
-        assert!(j.contains("\"count\":2"));
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        assert_eq!(f(f64::NAN), "null");
-        assert_eq!(f(f64::INFINITY), "null");
-    }
-
-    #[test]
-    fn u64_arrays_render_as_json() {
-        assert_eq!(u64_array(&[]), "[]");
-        assert_eq!(u64_array(&[1, 2, 3]), "[1,2,3]");
-    }
-
-    #[test]
-    fn parallel_row_shape() {
-        let row = ParallelRow {
-            workload: "disjoint".to_string(),
-            workers: 4,
-            commands: 64,
-            spin_rounds: 2000,
-            block_us: 250,
-            waves: 1,
-            max_wave: 64,
-            wall_ms: 5.5,
-            ops_per_sec: 11636.0,
-            matches_serial: true,
-        };
-        let j = row.to_json();
-        assert!(j.contains("\"workload\":\"disjoint\""));
-        assert!(j.contains("\"max_wave\":64"));
-        assert!(j.contains("\"matches_serial\":true"));
-        assert!(j.starts_with('{') && j.ends_with('}'));
+    fn bench_line_has_the_criterion_row_shape() {
+        let row = Row::new("reconfig", "replace")
+            .with("scenario", "replace")
+            .with("requests", 240u64)
+            .with("consistent", true)
+            .with("wall_ms", 1.5);
+        assert_eq!(
+            bench_line("reconfig", "replace/120", &row),
+            "{\"group\":\"reconfig\",\"id\":\"replace/120\",\"mean_ns\":1500000.0,\
+             \"min_ns\":1500000.0,\"iters_per_sample\":1,\"samples\":1,\"elements\":240,\
+             \"counters\":{\"requests\":240,\"consistent\":1}}"
+        );
     }
 
     #[test]
@@ -607,23 +113,23 @@ mod tests {
             concat!(
                 "{\"bench\":\"throughput\",\"results\":[\n",
                 "{\"group\":\"oar_throughput\",\"id\":\"unbatched/1\",\"mean_ns\":1.0},\n",
-                "{\"group\":\"realtime\",\"id\":\"openloop/2\",\"mean_ns\":2.0}\n",
+                "{\"group\":\"reconfig\",\"id\":\"replace/2\",\"mean_ns\":2.0}\n",
                 "]}\n"
             ),
         )
         .unwrap();
-        let fresh = "{\"group\":\"realtime\",\"id\":\"openloop/4\",\"mean_ns\":3.0}".to_string();
-        merge_bench_rows(&path, "throughput", "realtime", &[fresh]).unwrap();
+        let fresh = "{\"group\":\"reconfig\",\"id\":\"replace/4\",\"mean_ns\":3.0}".to_string();
+        merge_bench_rows(&path, "throughput", "reconfig", &[fresh]).unwrap();
         let merged = std::fs::read_to_string(&path).unwrap();
         assert!(merged.contains("\"id\":\"unbatched/1\""), "{merged}");
-        assert!(merged.contains("\"id\":\"openloop/4\""), "{merged}");
-        assert!(!merged.contains("\"id\":\"openloop/2\""), "{merged}");
+        assert!(merged.contains("\"id\":\"replace/4\""), "{merged}");
+        assert!(!merged.contains("\"id\":\"replace/2\""), "{merged}");
         // The merged file still parses as one row per line between the
         // header and the footer, so a second merge round-trips.
-        merge_bench_rows(&path, "throughput", "realtime", &[]).unwrap();
+        merge_bench_rows(&path, "throughput", "reconfig", &[]).unwrap();
         let stripped = std::fs::read_to_string(&path).unwrap();
         assert!(stripped.contains("\"id\":\"unbatched/1\""));
-        assert!(!stripped.contains("\"group\":\"realtime\""));
+        assert!(!stripped.contains("\"group\":\"reconfig\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -632,33 +138,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("oar-bench-create-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_fresh.json");
-        let row = "{\"group\":\"realtime\",\"id\":\"openloop/1\",\"mean_ns\":1.0}".to_string();
-        merge_bench_rows(&path, "fresh", "realtime", &[row]).unwrap();
+        let row = "{\"group\":\"reconfig\",\"id\":\"replace/1\",\"mean_ns\":1.0}".to_string();
+        merge_bench_rows(&path, "fresh", "reconfig", &[row]).unwrap();
         let written = std::fs::read_to_string(&path).unwrap();
         assert!(written.starts_with("{\"bench\":\"fresh\",\"results\":["));
-        assert!(written.contains("\"id\":\"openloop/1\""));
+        assert!(written.contains("\"id\":\"replace/1\""));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_row_shape() {
-        let row = ShardedRow {
-            groups: 2,
-            servers_per_group: 3,
-            clients_per_group: 2,
-            requests: 80,
-            requests_per_second: 1000.0,
-            mean_latency_ms: 0.5,
-            misroutes: 0,
-            peak_seen: 40,
-            per_group_order_messages: vec![5, 6],
-            per_group_reply_messages: vec![30, 31],
-            per_group_wire_sent: vec![100, 110],
-            consistent: true,
-        };
-        let j = row.to_json();
-        assert!(j.contains("\"per_group_order_messages\":[5,6]"));
-        assert!(j.contains("\"misroutes\":0"));
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

@@ -1,13 +1,15 @@
 //! # oar-bench — experiment harness for the OAR reproduction
 //!
-//! Two kinds of artifacts:
-//!
 //! * [`figures`] — deterministic reproductions of the paper's execution
 //!   scenarios (Figures 1–4), each returning the measured facts and a textual
 //!   timeline;
 //! * [`experiments`] — the quantitative claims (latency vs the baselines,
 //!   fail-over time, Opt-undeliver frequency, throughput, the §5.3 epoch-cut
-//!   ablation), each returning serialisable rows.
+//!   ablation, and the gates of every layer added since), each a function
+//!   returning [`row::Row`]s next to the [`gate::Bound`] table that must hold
+//!   of them;
+//! * [`registry`] — the one list of experiments the `harness` binary, CI and
+//!   the docs are derived from.
 //!
 //! The `harness` binary (`cargo run -p oar-bench --bin harness -- <experiment>`)
 //! prints the rows as a table plus JSON; the Criterion benches under
@@ -18,10 +20,9 @@
 
 pub mod experiments;
 pub mod figures;
+pub mod gate;
 pub mod json;
+pub mod registry;
+pub mod row;
 
-pub use experiments::{
-    failover_experiment, gc_experiment, latency_experiment, throughput_experiment, undo_experiment,
-    FailoverRow, GcRow, LatencyRow, ThroughputRow, UndoRow,
-};
 pub use figures::{all_figures, FigureOutcome};

@@ -6,10 +6,11 @@
 use oar_channels::CastWire;
 use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, World};
 
+use crate::adaptive::PipelineStats;
 use crate::client::{CompletedRequest, OarClient};
 use crate::config::{ClientConfig, OarConfig};
 use crate::message::{OarWire, ReconfigCmd, Request, RequestId};
-use crate::server::{DeliveryRecord, OarServer};
+use crate::server::{OarServer, ServerStats};
 use crate::state_machine::StateMachine;
 
 /// Parameters of a cluster deployment.
@@ -183,32 +184,6 @@ impl<S: StateMachine> Cluster<S> {
             .inject_divergence(key, value)
     }
 
-    /// Total settled reconfiguration fences applied across all servers.
-    pub fn total_reconfigs_applied(&self) -> u64 {
-        self.sum_stats(|st| st.reconfigs_applied)
-    }
-
-    /// Total requests door-dropped and redirected for stale routing.
-    pub fn total_redirected(&self) -> u64 {
-        self.sum_stats(|st| st.redirected)
-    }
-
-    /// Total anti-entropy root probes sent across all servers.
-    pub fn total_sync_probes(&self) -> u64 {
-        self.sum_stats(|st| st.sync_probes)
-    }
-
-    /// Total anti-entropy descent wires (node requests + replies) across all
-    /// servers — the O(log n) localisation cost the gate bounds.
-    pub fn total_sync_node_wires(&self) -> u64 {
-        self.sum_stats(|st| st.sync_node_wires)
-    }
-
-    /// Total divergent keys repaired by majority vote across all servers.
-    pub fn total_sync_repairs(&self) -> u64 {
-        self.sum_stats(|st| st.sync_repairs)
-    }
-
     /// The alive servers that finished any catch-up they were doing — the
     /// population the consistency checks compare (a replica mid-recovery
     /// deliberately holds blank state).
@@ -275,275 +250,47 @@ impl<S: StateMachine> Cluster<S> {
         samples
     }
 
-    /// Total number of `Opt-undeliver` events across all servers.
-    pub fn total_undeliveries(&self) -> u64 {
+    fn server_stats(&self) -> impl Iterator<Item = (ProcessId, ServerStats)> + '_ {
         self.servers
             .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .opt_undelivered
-            })
-            .sum()
-    }
-
-    /// Total number of `OrderMsg` broadcasts sent by sequencers across all
-    /// servers. With batching (`OarConfig::max_batch > 1`) this drops well
-    /// below the number of requests.
-    pub fn total_order_messages(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .order_messages_sent
-            })
-            .sum()
-    }
-
-    /// Total number of phase-2 entries across all servers.
-    pub fn total_phase2_entries(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .phase2_entered
-            })
-            .sum()
+            .map(|&s| (s, self.world.process_ref::<OarServer<S>>(s).stats()))
     }
 
     /// Sums `f` over the stats of all servers (crashed ones included — their
-    /// counters froze at crash time, which is what the traffic totals want).
-    fn sum_stats(&self, f: impl Fn(&crate::server::ServerStats) -> u64) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| f(&self.world.process_ref::<OarServer<S>>(s).stats()))
-            .sum()
+    /// counters froze at crash time, which is what the traffic totals want):
+    /// `cluster.sum_stats(|s| s.order_messages_sent)`.
+    pub fn sum_stats(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
+        self.server_stats().map(|(_, stats)| f(&stats)).sum()
     }
 
-    /// Total `ReplyBatch` wires sent to clients across all servers.
-    pub fn total_reply_messages(&self) -> u64 {
-        self.sum_stats(|st| st.reply_messages_sent)
-    }
-
-    /// Total real wall-clock nanoseconds spent inside `StateMachine`
-    /// application across all servers. Host time, not simulated time — a
-    /// measurement channel for the parallel-apply experiments, never part of
-    /// the deterministic protocol state.
-    pub fn total_apply_ns(&self) -> u64 {
-        self.sum_stats(|st| st.apply_ns)
-    }
-
-    /// Total commands applied through multi-command waves (wave size ≥ 2)
-    /// across all servers — how much of the workload the conflict-graph
-    /// scheduler actually ran concurrently.
-    pub fn total_parallel_wave_commands(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                let stats = self.world.process_ref::<OarServer<S>>(s).stats();
-                let h = stats.wave_sizes;
-                h.sum() - h.counts()[0]
-            })
-            .sum()
-    }
-
-    /// Total individual request replies carried by those wires.
-    pub fn total_replies(&self) -> u64 {
-        self.sum_stats(|st| st.replies_sent)
-    }
-
-    /// Total consensus wire allocations across all servers (each allocation
-    /// may reach many destinations through a shared payload).
-    pub fn total_consensus_wires(&self) -> u64 {
-        self.sum_stats(|st| st.consensus_wires_sent)
-    }
-
-    /// Total per-destination consensus deliveries requested — the allocation
-    /// count the pre-clone implementation would have paid.
-    pub fn total_consensus_messages(&self) -> u64 {
-        self.sum_stats(|st| st.consensus_messages_sent)
-    }
-
-    /// Total payloads pruned by the epoch-watermark garbage collector.
-    pub fn total_payloads_pruned(&self) -> u64 {
-        self.sum_stats(|st| st.payloads_pruned)
-    }
-
-    /// The largest `OrderMsg` batch any server emitted as the sequencer.
-    pub fn peak_effective_batch(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .effective_batch
-                    .peak()
-            })
+    /// The maximum of `f` over the stats of all servers — for gauge peaks
+    /// (`|s| s.payloads.peak()`) and per-sequencer signals such as the
+    /// converged batch target, which only one replica carries.
+    pub fn max_stats(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
+        self.server_stats()
+            .map(|(_, stats)| f(&stats))
             .max()
             .unwrap_or(0)
     }
 
-    /// The largest batch threshold currently in force at any server (the
-    /// adaptive controller's converged target; servers that never sequenced
-    /// report their starting value).
-    pub fn max_batch_target(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .batch_target
-            })
+    /// [`Self::max_stats`] over the *alive* servers only — for current gauge
+    /// levels (`|s| s.payloads.current()`): a crashed replica's gauges froze
+    /// at crash time and say nothing about what the group retains now.
+    pub fn max_alive_stats(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
+        self.server_stats()
+            .filter(|(s, _)| !self.world.is_crashed(*s))
+            .map(|(_, stats)| f(&stats))
             .max()
             .unwrap_or(0)
     }
 
-    /// Total adaptive-target raises across all servers (convergence counter).
-    pub fn total_target_raises(&self) -> u64 {
-        self.sum_stats(|st| st.target_raises)
-    }
-
-    /// Total adaptive-target drops across all servers (convergence counter).
-    pub fn total_target_drops(&self) -> u64 {
-        self.sum_stats(|st| st.target_drops)
-    }
-
-    /// Total partial batches flushed by the deadline timer across all
-    /// servers.
-    pub fn total_deadline_flushes(&self) -> u64 {
-        self.sum_stats(|st| st.deadline_flushes)
-    }
-
-    /// The deepest adaptive pipeline window any client ever adopted (0 when
-    /// the clients run a static pipeline).
-    pub fn peak_client_window(&self) -> u64 {
+    /// The maximum of `f` over the clients' adaptive pipeline-window counters
+    /// (0 when the clients run a static pipeline).
+    pub fn max_pipeline_stats(&self, f: impl Fn(&PipelineStats) -> u64) -> u64 {
         self.clients
             .iter()
-            .filter_map(|&c| {
-                self.world
-                    .process_ref::<OarClient<S>>(c)
-                    .pipeline_stats()
-                    .map(|s| s.window_peak)
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The largest peak `payloads` size observed at any server.
-    pub fn peak_payloads(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .payloads
-                    .peak()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The largest peak `seen`-set size (reliable-multicast duplicate
-    /// suppression) observed at any server — bounded by the epoch-watermark
-    /// aging, like `payloads`.
-    pub fn peak_seen(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .seen
-                    .peak()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The largest *current* `seen`-set size across alive servers.
-    pub fn current_seen(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter(|&&s| !self.world.is_crashed(s))
-            .map(|&s| self.world.process_ref::<OarServer<S>>(s).seen_len() as u64)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The largest peak retained-`A_delivered` length observed at any
-    /// server — with [`OarConfig::snapshot_every`] set this is bounded by
-    /// the snapshot window instead of growing with the run.
-    pub fn peak_a_delivered_len(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .a_delivered_len
-                    .peak()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The deepest optimistic undo stack observed at any server.
-    pub fn peak_undo_depth(&self) -> u64 {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .undo_depth
-                    .peak()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total snapshots captured (each also compacted the log) across all
-    /// servers.
-    pub fn total_snapshots(&self) -> u64 {
-        self.sum_stats(|st| st.snapshots_taken)
-    }
-
-    /// Total `A_delivered` entries pruned by log compaction across all
-    /// servers.
-    pub fn total_compacted(&self) -> u64 {
-        self.sum_stats(|st| st.compacted)
-    }
-
-    /// Total `CatchUpRequest` wires sent (rejoin attempts) across all
-    /// servers.
-    pub fn total_catch_up_requests(&self) -> u64 {
-        self.sum_stats(|st| st.catch_up_requests)
-    }
-
-    /// Total `CatchUpReply` transfers served across all servers.
-    pub fn total_catch_up_replies(&self) -> u64 {
-        self.sum_stats(|st| st.catch_up_replies)
-    }
-
-    /// Total `PayloadFetch` repair wires sent across all servers.
-    pub fn total_payload_fetches(&self) -> u64 {
-        self.sum_stats(|st| st.payload_fetches)
-    }
-
-    /// The largest *current* `payloads` size across alive servers.
-    pub fn current_payloads(&self) -> u64 {
-        self.servers
-            .iter()
-            .filter(|&&s| !self.world.is_crashed(s))
-            .map(|&s| self.world.process_ref::<OarServer<S>>(s).payloads_len() as u64)
+            .filter_map(|&c| self.world.process_ref::<OarClient<S>>(c).pipeline_stats())
+            .map(|p| f(&p))
             .max()
             .unwrap_or(0)
     }
@@ -588,24 +335,6 @@ impl<S: StateMachine> Cluster<S> {
             .map(|&c| self.world.process_ref::<OarClient<S>>(c).completed())
             .collect();
         crate::consistency::check_external_consistency(&alive, &completed)
-    }
-
-    /// Collects every delivery record of every server, annotated with the
-    /// server index — handy for figure-style timelines.
-    pub fn delivery_logs(&self) -> Vec<(usize, Vec<DeliveryRecord>)> {
-        self.servers
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                (
-                    i,
-                    self.world
-                        .process_ref::<OarServer<S>>(s)
-                        .delivery_log()
-                        .to_vec(),
-                )
-            })
-            .collect()
     }
 }
 
@@ -680,8 +409,8 @@ mod tests {
         cluster.check_replica_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
         // No failures: phase 2 never runs, nothing is undone.
-        assert_eq!(cluster.total_phase2_entries(), 0);
-        assert_eq!(cluster.total_undeliveries(), 0);
+        assert_eq!(cluster.sum_stats(|s| s.phase2_entered), 0);
+        assert_eq!(cluster.sum_stats(|s| s.opt_undelivered), 0);
         // All replies were optimistic with weight 2 (p + sequencer) or 1.
         for r in cluster.completed_requests() {
             assert!(r.adopted_weight <= 3);
@@ -718,7 +447,7 @@ mod tests {
         cluster.check_replica_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
         assert!(
-            cluster.total_phase2_entries() > 0,
+            cluster.sum_stats(|s| s.phase2_entered) > 0,
             "phase 2 should have run"
         );
     }

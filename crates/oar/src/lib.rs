@@ -98,7 +98,7 @@ pub use message::{
     Reply, Request, RequestId, TxnEnvelope, TxnId, Weight,
 };
 pub use parallel::{plan_waves, wave_apply, ParallelStateMachine};
-pub use server::{DeliveryRecord, OarServer, Phase, ServerStats};
+pub use server::{OarServer, Phase, ServerStats};
 pub use shard::{KeyRange, MigrationRecord, Partitioner, ShardKey, ShardRouter};
 pub use sharded::{ShardCompleted, ShardedClient, ShardedCluster, ShardedConfig};
 pub use state_machine::{

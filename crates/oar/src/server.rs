@@ -233,37 +233,6 @@ pub enum Phase {
     Conservative,
 }
 
-/// One entry of the server's delivery log, used by tests and experiments to
-/// check the paper's propositions (total order, at-most-once, …).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DeliveryRecord {
-    /// `Opt-deliver(m)` at the given global position.
-    OptDeliver {
-        /// Epoch of the delivery.
-        epoch: u64,
-        /// The request.
-        request: RequestId,
-        /// 1-based position in the server's delivery order.
-        position: u64,
-    },
-    /// `Opt-undeliver(m)`.
-    OptUndeliver {
-        /// Epoch of the undelivery.
-        epoch: u64,
-        /// The request.
-        request: RequestId,
-    },
-    /// `A-deliver(m)` at the given global position.
-    ADeliver {
-        /// Epoch of the delivery.
-        epoch: u64,
-        /// The request.
-        request: RequestId,
-        /// 1-based position in the server's delivery order.
-        position: u64,
-    },
-}
-
 /// Counters maintained by each server, used by the experiment harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -400,6 +369,15 @@ pub struct ServerStats {
     pub sync_node_wires: u64,
     /// Divergent leaves repaired by the anti-entropy majority vote.
     pub sync_repairs: u64,
+}
+
+impl ServerStats {
+    /// Commands applied through multi-command waves (wave size ≥ 2) — how
+    /// much of the workload the conflict-graph scheduler actually ran
+    /// concurrently.
+    pub fn wave_commands(&self) -> u64 {
+        self.wave_sizes.sum() - self.wave_sizes.counts()[0]
+    }
 }
 
 /// The OAR server process, generic over the replicated [`StateMachine`].
@@ -578,7 +556,6 @@ pub struct OarServer<S: StateMachine> {
     sm: S,
 
     // --- observability ---
-    log: Vec<DeliveryRecord>,
     stats: ServerStats,
 }
 
@@ -662,7 +639,6 @@ impl<S: StateMachine> OarServer<S> {
             sync_votes: BTreeMap::new(),
             sync_idle_mark: None,
             sm,
-            log: Vec::new(),
             stats,
         }
     }
@@ -750,11 +726,6 @@ impl<S: StateMachine> OarServer<S> {
     /// The replicated state machine (read access, for tests and examples).
     pub fn state_machine(&self) -> &S {
         &self.sm
-    }
-
-    /// The delivery log (Opt-deliver / Opt-undeliver / A-deliver events).
-    pub fn delivery_log(&self) -> &[DeliveryRecord] {
-        &self.log
     }
 
     /// Protocol counters.
@@ -1225,11 +1196,6 @@ impl<S: StateMachine> OarServer<S> {
             self.stats.undo_depth.record(self.undo_stack.len() as u64);
             self.position += 1;
             self.stats.opt_delivered += 1;
-            self.log.push(DeliveryRecord::OptDeliver {
-                epoch: self.epoch,
-                request: id,
-                position: self.position,
-            });
             ctx.annotate_with(|| format!("Opt-deliver({id}) @{}", self.position));
             pending.entry(request.client).or_default().push(ReplyItem {
                 request: id,
@@ -1482,10 +1448,6 @@ impl<S: StateMachine> OarServer<S> {
             self.sm.undo(token);
             self.position -= 1;
             self.stats.opt_undelivered += 1;
-            self.log.push(DeliveryRecord::OptUndeliver {
-                epoch: self.epoch,
-                request: *id,
-            });
             ctx.annotate_with(|| format!("Opt-undeliver({id})"));
         }
 
@@ -1513,11 +1475,6 @@ impl<S: StateMachine> OarServer<S> {
                 let id = request.id;
                 self.position += 1;
                 self.stats.a_delivered += 1;
-                self.log.push(DeliveryRecord::ADeliver {
-                    epoch: self.epoch,
-                    request: id,
-                    position: self.position,
-                });
                 ctx.annotate_with(|| format!("A-deliver({id}) @{}", self.position));
                 pending.entry(request.client).or_default().push(ReplyItem {
                     request: id,
@@ -2641,7 +2598,6 @@ impl<S: StateMachine> OarServer<S> {
             sync_votes: self.sync_votes.clone(),
             sync_idle_mark: self.sync_idle_mark,
             sm,
-            log: self.log.clone(),
             stats: self.stats,
         })
     }
@@ -2653,9 +2609,9 @@ impl<S: StateMachine> OarServer<S> {
     /// queue, the components (caster via [`ReliableCaster::digest_view`],
     /// failure detector via its suspect set, consensus and the out-of-epoch
     /// buffers via their deterministic `Debug` form), the recovery layer and
-    /// the state machine's own [`StateMachine::digest`]. Excluded: the
-    /// delivery log and [`ServerStats`] — observability only, `apply_ns` is
-    /// even host wall-clock — and payload *contents* (a `RequestId`
+    /// the state machine's own [`StateMachine::digest`]. Excluded:
+    /// [`ServerStats`] — observability only, `apply_ns` is even host
+    /// wall-clock — and payload *contents* (a `RequestId`
     /// determines its payload group-wide, so the sorted key set suffices).
     /// Unordered containers are hashed in sorted order.
     fn mc_digest(&self) -> u64 {

@@ -652,37 +652,11 @@ where
             .unwrap_or(0)
     }
 
-    /// Total requests stamped for one group that arrived at another — the
-    /// misroute count the sharded experiments gate at zero.
-    pub fn total_misroutes(&self) -> u64 {
-        self.sum_stats(|st| st.misrouted)
-    }
-
-    /// The largest peak `seen`-set size observed at any server (bounded by
-    /// the epoch-watermark aging).
-    pub fn peak_seen(&self) -> u64 {
-        self.all_servers()
-            .map(|s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .seen
-                    .peak()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The largest peak `payloads` size observed at any server.
-    pub fn peak_payloads(&self) -> u64 {
-        self.all_servers()
-            .map(|s| {
-                self.world
-                    .process_ref::<OarServer<S>>(s)
-                    .stats()
-                    .payloads
-                    .peak()
-            })
+    /// The maximum of `f` over the server stats of every group (gauge peaks:
+    /// `|s| s.seen.peak()`).
+    pub fn max_stats(&self, f: impl Fn(&ServerStats) -> u64 + Copy) -> u64 {
+        (0..self.groups.len())
+            .map(|g| self.max_group_stat(g, f))
             .max()
             .unwrap_or(0)
     }
@@ -691,10 +665,6 @@ where
     /// servers: ordering, replies, consensus, heartbeats, repair).
     pub fn group_net_stats(&self, g: usize) -> NetStats {
         self.world.group_stats(GroupId::new(g))
-    }
-
-    fn all_servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.groups.iter().flatten().copied()
     }
 
     /// Migrates `range` from group `from` to group `to` online: injects one
@@ -799,37 +769,6 @@ where
         self.world
             .process_mut::<OarServer<S>>(id)
             .inject_divergence(key, value)
-    }
-
-    /// Total requests door-dropped and redirected for stale routing.
-    pub fn total_redirected(&self) -> u64 {
-        self.sum_stats(|st| st.redirected)
-    }
-
-    /// Total settled reconfiguration fences applied across all servers.
-    pub fn total_reconfigs_applied(&self) -> u64 {
-        self.sum_stats(|st| st.reconfigs_applied)
-    }
-
-    /// Total `CatchUpReply` transfers served across all servers.
-    pub fn total_catch_up_replies(&self) -> u64 {
-        self.sum_stats(|st| st.catch_up_replies)
-    }
-
-    /// Total `MigrateState` transfer wires sent across all servers.
-    pub fn total_migrate_state_wires(&self) -> u64 {
-        self.sum_stats(|st| st.migrate_state_wires)
-    }
-
-    /// Total anti-entropy descent wires (node requests + replies) across all
-    /// servers.
-    pub fn total_sync_node_wires(&self) -> u64 {
-        self.sum_stats(|st| st.sync_node_wires)
-    }
-
-    /// Total divergent keys repaired by majority vote across all servers.
-    pub fn total_sync_repairs(&self) -> u64 {
-        self.sum_stats(|st| st.sync_repairs)
     }
 
     /// The settled-state digest of `range` at every server of group `g`
@@ -1059,7 +998,7 @@ mod tests {
         assert_eq!(cluster.completed_requests().len(), 24);
         cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
-        assert_eq!(cluster.total_misroutes(), 0);
+        assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
         // The workload's 16 keys spread over all 3 groups under the hash
         // router, and every group moved traffic of its own.
         let with_requests = (0..3)
@@ -1114,7 +1053,7 @@ mod tests {
         );
         cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
-        assert_eq!(cluster.total_misroutes(), 0);
+        assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
         // Group 0 failed over (phase 2 ran); the *other* groups never left
         // the optimistic phase — their failure detectors are independent.
         assert!(cluster.sum_group_stats(0, |st| st.phase2_entered) > 0);

@@ -673,25 +673,6 @@ where
             .sum()
     }
 
-    /// Total misrouted requests across all groups (must stay 0).
-    pub fn total_misroutes(&self) -> u64 {
-        self.sum_stats(|st| st.misrouted)
-    }
-
-    /// Total `TxnPrepare` requests (requests carrying a transaction
-    /// envelope) buffered across all servers. Zero in a purely single-group
-    /// (fast-path) workload — the gate the `txn-smoke` harness enforces.
-    pub fn total_txn_prepares(&self) -> u64 {
-        self.sum_stats(|st| st.txn_prepares)
-    }
-
-    /// Total wire messages handed to the network by every process — the
-    /// quantity compared against a plain [`crate::sharded::ShardedCluster`]
-    /// run by the fast-path gate.
-    pub fn total_wires(&self) -> u64 {
-        self.world.stats().sent
-    }
-
     /// The per-group safety propositions (total order, at-most-once, digest
     /// agreement) plus cross-group isolation — identical to
     /// [`crate::sharded::ShardedCluster::check_per_group_consistency`].
@@ -879,11 +860,11 @@ mod tests {
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
         assert_eq!(cluster.completed_txns().len(), 20);
         cluster.check_all().unwrap();
-        assert_eq!(cluster.total_misroutes(), 0);
+        assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
         // The 12-key pool spans groups: some transactions must have paid the
         // multi-group commit, and their prepares carried envelopes.
         assert!(cluster.multi_group_commits() > 0);
-        assert!(cluster.total_txn_prepares() > 0);
+        assert!(cluster.sum_stats(|s| s.txn_prepares) > 0);
         // Every committed part reports a plausible weight: 2 (optimistic) in
         // this failure-free run.
         for txn in cluster.completed_txns() {
@@ -915,12 +896,12 @@ mod tests {
             ShardedCluster::build(&config, TxnCounters::default, |c| ops_of(c, n));
         assert!(plain_cluster.run_to_completion(SimTime::from_secs(30)));
         assert_eq!(
-            txn_cluster.total_wires(),
+            txn_cluster.world.stats().sent,
             plain_cluster.world.stats().sent,
             "single-group transactions must add zero wires"
         );
         assert_eq!(
-            txn_cluster.total_txn_prepares(),
+            txn_cluster.sum_stats(|s| s.txn_prepares),
             0,
             "no envelopes on the fast path"
         );

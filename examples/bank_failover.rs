@@ -94,7 +94,7 @@ fn main() {
     println!(
         "completed {} requests; phase-2 entries: {}; latency: {}",
         cluster.completed_requests().len(),
-        cluster.total_phase2_entries(),
+        cluster.sum_stats(|s| s.phase2_entered),
         cluster.latencies().summary()
     );
     println!("OK: sequencer crash tolerated, funds conserved, clients consistent");

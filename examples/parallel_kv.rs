@@ -101,7 +101,7 @@ fn main() {
     println!(
         "completed {} requests on {WORKERS} workers; {} commands ran in multi-command waves",
         parallel.completed_requests().len(),
-        parallel.total_parallel_wave_commands(),
+        parallel.sum_stats(|s| s.wave_commands()),
     );
     println!(
         "replica digests and all replies are bit-identical to the serial twin \

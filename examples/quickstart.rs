@@ -61,7 +61,7 @@ fn main() {
     println!("latency summary (ms): {}", cluster.latencies().summary());
     println!(
         "OK: failure-free run, {} phase-2 entries, {} undeliveries",
-        cluster.total_phase2_entries(),
-        cluster.total_undeliveries()
+        cluster.sum_stats(|s| s.phase2_entered),
+        cluster.sum_stats(|s| s.opt_undelivered)
     );
 }

@@ -105,7 +105,7 @@ fn main() {
     cluster
         .check_external_consistency()
         .expect("client replies are final");
-    assert_eq!(cluster.total_misroutes(), 0, "the router is exact");
+    assert_eq!(cluster.sum_stats(|s| s.misrouted), 0, "the router is exact");
     assert!(
         !cluster.server(0, 2).is_recovering(),
         "the replacement finished catch-up"
@@ -127,10 +127,10 @@ fn main() {
     println!("completed {total} requests, zero lost, zero duplicated");
     println!(
         "fences applied {} | catch-up replies {} | redirected {} | MigrateState wires {}",
-        cluster.total_reconfigs_applied(),
-        cluster.total_catch_up_replies(),
-        cluster.total_redirected(),
-        cluster.total_migrate_state_wires(),
+        cluster.sum_stats(|s| s.reconfigs_applied),
+        cluster.sum_stats(|s| s.catch_up_replies),
+        cluster.sum_stats(|s| s.redirected),
+        cluster.sum_stats(|s| s.migrate_state_wires),
     );
     println!(
         "migrated-range digest agreed across group 1: {:#018x}",

@@ -72,7 +72,7 @@ fn main() {
     }
     println!(
         "phase-2 entries: {}   opt-undeliveries: {}",
-        cluster.total_phase2_entries(),
-        cluster.total_undeliveries()
+        cluster.sum_stats(|s| s.phase2_entered),
+        cluster.sum_stats(|s| s.opt_undelivered)
     );
 }

@@ -59,7 +59,7 @@ fn main() {
     cluster
         .check_external_consistency()
         .expect("client replies are final");
-    assert_eq!(cluster.total_misroutes(), 0, "the router is exact");
+    assert_eq!(cluster.sum_stats(|s| s.misrouted), 0, "the router is exact");
 
     println!("completed {} requests:", cluster.completed_requests().len());
     println!(

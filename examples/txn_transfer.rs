@@ -87,7 +87,7 @@ fn main() {
     cluster
         .check_all()
         .expect("per-group propositions + atomicity");
-    assert_eq!(cluster.total_misroutes(), 0);
+    assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
 
     println!(
         "committed {} transactions ({} spanning both groups)",

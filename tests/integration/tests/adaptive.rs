@@ -47,9 +47,9 @@ fn adaptive_is_identical_to_unbatched_at_light_load() {
     assert!((lat_a.mean().unwrap() - lat_u.mean().unwrap()).abs() < 1e-9);
     assert!((lat_a.quantile(0.99).unwrap() - lat_u.quantile(0.99).unwrap()).abs() < 1e-9);
     // And the controller never ramped.
-    assert_eq!(adaptive.total_target_raises(), 0);
-    assert_eq!(adaptive.max_batch_target(), 1);
-    assert_eq!(adaptive.peak_effective_batch(), 1);
+    assert_eq!(adaptive.sum_stats(|s| s.target_raises), 0);
+    assert_eq!(adaptive.max_stats(|s| s.batch_target), 1);
+    assert_eq!(adaptive.max_stats(|s| s.effective_batch.peak()), 1);
 }
 
 /// A load step (1 client → 8 clients mid-run) must ramp the sequencer's
@@ -82,29 +82,29 @@ fn load_step_converges_and_load_drop_decays() {
     cluster.check_external_consistency().unwrap();
     // Convergence up: the burst formed real batches within the run.
     assert!(
-        cluster.total_target_raises() > 0,
+        cluster.sum_stats(|s| s.target_raises) > 0,
         "the controller must ramp during the burst"
     );
     assert!(
-        cluster.peak_effective_batch() >= 8,
+        cluster.max_stats(|s| s.effective_batch.peak()) >= 8,
         "the burst should batch at least one request per client (peak {})",
-        cluster.peak_effective_batch()
+        cluster.max_stats(|s| s.effective_batch.peak())
     );
     assert!(
-        cluster.peak_client_window() >= 4,
+        cluster.max_pipeline_stats(|p| p.window_peak) >= 4,
         "client windows should open during the burst (peak {})",
-        cluster.peak_client_window()
+        cluster.max_pipeline_stats(|p| p.window_peak)
     );
     // Decay back: once the burst clients finish, the rate estimate shrinks
     // and the target walks down from its burst-time value.
     assert!(
-        cluster.total_target_drops() > 0,
+        cluster.sum_stats(|s| s.target_drops) > 0,
         "the controller must decay after the load drop"
     );
     assert!(
-        cluster.max_batch_target() <= 8,
+        cluster.max_stats(|s| s.batch_target) <= 8,
         "the target should be near the single-client rate again (target {})",
-        cluster.max_batch_target()
+        cluster.max_stats(|s| s.batch_target)
     );
 }
 
@@ -150,7 +150,7 @@ fn flush_deadline_bounds_partial_batch_latency_independent_of_tick() {
         "deadline-flushed latency should be sub-millisecond, got {worst:.3}ms"
     );
     assert!(
-        bounded.total_deadline_flushes() >= 1,
+        bounded.sum_stats(|s| s.deadline_flushes) >= 1,
         "the deadline timer must have fired"
     );
 
@@ -162,7 +162,7 @@ fn flush_deadline_bounds_partial_batch_latency_independent_of_tick() {
         "without a deadline the batch waits for the tick, got {:.3}ms",
         tick_bound.latencies().max().unwrap()
     );
-    assert_eq!(tick_bound.total_deadline_flushes(), 0);
+    assert_eq!(tick_bound.sum_stats(|s| s.deadline_flushes), 0);
 }
 
 /// The deadline also holds in adaptive mode, where it doubles as the
@@ -187,7 +187,7 @@ fn adaptive_mode_flushes_partial_batches_by_deadline() {
     // Once the target ramps past 1, stragglers are flushed by the deadline
     // rather than a full batch or the 1ms tick; the p99 latency stays well
     // below one tick plus a round trip.
-    assert!(cluster.total_deadline_flushes() > 0);
+    assert!(cluster.sum_stats(|s| s.deadline_flushes) > 0);
     let p99 = cluster.latencies().quantile(0.99).unwrap();
     assert!(
         p99 < 1.2,

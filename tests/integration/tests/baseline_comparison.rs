@@ -2,17 +2,13 @@
 //! paper argues for, measured on identical workloads.
 
 use oar_bench::experiments;
+use oar_bench::row::by_key as row;
 
 #[test]
 fn latency_ordering_oar_tracks_sequencer_and_beats_consensus() {
     let rows = experiments::latency_experiment(&[3, 5], 40, 77);
     for &n in &[3usize, 5] {
-        let mean = |protocol: &str| {
-            rows.iter()
-                .find(|r| r.protocol == protocol && r.servers == n)
-                .map(|r| r.latency_ms.mean)
-                .expect("row present")
-        };
+        let mean = |protocol: &str| row(&rows, &format!("{protocol}@{n}")).num("latency_ms.mean");
         let oar = mean("oar");
         let seq = mean("fixed-sequencer");
         let ct = mean("ct-abcast");
@@ -34,50 +30,33 @@ fn throughput_rows_cover_all_protocols() {
     // ct-abcast) × two client counts.
     assert_eq!(rows.len(), 10);
     for r in &rows {
-        assert!(r.requests_per_second > 0.0, "{r:?}");
-        assert!(r.requests > 0, "{r:?}");
+        assert!(r.num("requests_per_second") > 0.0, "{r:?}");
+        assert!(r.u64("requests") > 0, "{r:?}");
     }
     // More closed-loop clients => more total completed requests per second for
     // every protocol (the sweep is far from saturation at these sizes).
     for protocol in ["oar", "oar-batched", "fixed-sequencer", "ct-abcast"] {
-        let one = rows
-            .iter()
-            .find(|r| r.protocol == protocol && r.clients == 1)
-            .unwrap();
-        let four = rows
-            .iter()
-            .find(|r| r.protocol == protocol && r.clients == 4)
-            .unwrap();
-        assert!(
-            four.requests_per_second > one.requests_per_second,
-            "{protocol}: {} vs {}",
-            four.requests_per_second,
-            one.requests_per_second
-        );
+        let one = row(&rows, &format!("{protocol}@1")).num("requests_per_second");
+        let four = row(&rows, &format!("{protocol}@4")).num("requests_per_second");
+        assert!(four > one, "{protocol}: {four} vs {one}");
     }
     // The batched sequencer amortises its ordering broadcasts.
-    let batched = rows
-        .iter()
-        .find(|r| r.protocol == "oar-batched" && r.clients == 4)
-        .unwrap();
+    let batched = row(&rows, "oar-batched@4");
     assert!(
-        batched.order_messages_sent < batched.requests as u64,
+        batched.u64("order_messages_sent") < batched.u64("requests"),
         "batched sequencer sent {} OrderMsgs for {} requests",
-        batched.order_messages_sent,
-        batched.requests
+        batched.u64("order_messages_sent"),
+        batched.u64("requests")
     );
     // The pipelined variant also amortises the reply traffic: fewer
     // ReplyBatch wires than individual replies, while answering everything.
-    let pipelined = rows
-        .iter()
-        .find(|r| r.protocol == "oar-pipelined" && r.clients == 4)
-        .unwrap();
-    assert_eq!(pipelined.replies_sent, 3 * pipelined.requests as u64);
+    let pipelined = row(&rows, "oar-pipelined@4");
+    assert_eq!(pipelined.u64("replies_sent"), 3 * pipelined.u64("requests"));
     assert!(
-        pipelined.reply_messages_sent * 2 < pipelined.replies_sent,
+        pipelined.u64("reply_messages_sent") * 2 < pipelined.u64("replies_sent"),
         "reply batching should at least halve the wire count ({} vs {})",
-        pipelined.reply_messages_sent,
-        pipelined.replies_sent
+        pipelined.u64("reply_messages_sent"),
+        pipelined.u64("replies_sent")
     );
 }
 
@@ -86,24 +65,24 @@ fn undo_experiment_scenarios_stay_consistent() {
     let rows = experiments::undo_experiment(123);
     assert_eq!(rows.len(), 3);
     for r in &rows {
-        assert!(r.consistent, "{r:?}");
+        assert!(r.bool("consistent"), "{r:?}");
     }
-    let failure_free = rows.iter().find(|r| r.scenario == "failure-free").unwrap();
-    assert_eq!(failure_free.opt_undeliveries, 0);
-    assert_eq!(failure_free.phase2_entries, 0);
+    let failure_free = row(&rows, "failure-free");
+    assert_eq!(failure_free.u64("opt_undeliveries"), 0);
+    assert_eq!(failure_free.u64("phase2_entries"), 0);
 }
 
 #[test]
 fn failover_recovery_grows_with_fd_timeout() {
     let rows = experiments::failover_experiment(&[3], &[10, 100], 11);
-    let fast = rows.iter().find(|r| r.fd_timeout_ms == 10.0).unwrap();
-    let slow = rows.iter().find(|r| r.fd_timeout_ms == 100.0).unwrap();
-    assert!(fast.consistent && slow.consistent);
+    let fast = row(&rows, "n3/fd10");
+    let slow = row(&rows, "n3/fd100");
+    assert!(fast.bool("consistent") && slow.bool("consistent"));
     assert!(
-        slow.recovery_ms > fast.recovery_ms,
+        slow.num("recovery_ms") > fast.num("recovery_ms"),
         "a larger suspicion timeout must lengthen fail-over ({} vs {})",
-        slow.recovery_ms,
-        fast.recovery_ms
+        slow.num("recovery_ms"),
+        fast.num("recovery_ms")
     );
 }
 
@@ -111,9 +90,9 @@ fn failover_recovery_grows_with_fd_timeout() {
 fn gc_ablation_is_safe_and_bounds_epoch_length() {
     let rows = experiments::gc_experiment(&[None, Some(10)], 30, 21);
     for r in &rows {
-        assert!(r.consistent, "{r:?}");
+        assert!(r.bool("consistent"), "{r:?}");
     }
-    let never = rows.iter().find(|r| r.cut_after.is_none()).unwrap();
-    let cut = rows.iter().find(|r| r.cut_after == Some(10)).unwrap();
-    assert!(cut.epochs_per_server > never.epochs_per_server);
+    let never = row(&rows, "cut-never");
+    let cut = row(&rows, "cut-10");
+    assert!(cut.num("epochs_per_server") > never.num("epochs_per_server"));
 }

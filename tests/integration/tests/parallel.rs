@@ -101,7 +101,7 @@ fn parallel_apply_is_observably_identical_to_serial_across_seeds() {
             "replies diverged on seed {seed}"
         );
         assert!(
-            parallel.total_parallel_wave_commands() > 0,
+            parallel.sum_stats(|s| s.wave_commands()) > 0,
             "seed {seed} never exercised a multi-command wave"
         );
     }
@@ -127,10 +127,10 @@ fn worker_count_never_changes_the_outcome() {
 #[test]
 fn apply_stats_record_wave_execution() {
     let parallel = run(Some(4), 5, 21);
-    assert!(parallel.total_apply_ns() > 0);
-    assert!(parallel.total_parallel_wave_commands() > 0);
+    assert!(parallel.sum_stats(|s| s.apply_ns) > 0);
+    assert!(parallel.sum_stats(|s| s.wave_commands()) > 0);
     let serial = run(None, 5, 21);
     // The serial twin records apply time too, but only singleton waves.
-    assert!(serial.total_apply_ns() > 0);
-    assert_eq!(serial.total_parallel_wave_commands(), 0);
+    assert!(serial.sum_stats(|s| s.apply_ns) > 0);
+    assert_eq!(serial.sum_stats(|s| s.wave_commands()), 0);
 }

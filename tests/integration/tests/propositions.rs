@@ -55,11 +55,11 @@ fn failure_free_runs_over_many_seeds() {
         );
         assert_eq!(cluster.completed_requests().len(), 20, "seed {seed}");
         assert_eq!(
-            cluster.total_phase2_entries(),
+            cluster.sum_stats(|s| s.phase2_entered),
             0,
             "seed {seed}: no failures, no phase 2"
         );
-        assert_eq!(cluster.total_undeliveries(), 0, "seed {seed}");
+        assert_eq!(cluster.sum_stats(|s| s.opt_undelivered), 0, "seed {seed}");
         run_checks(&cluster, &format!("failure-free seed {seed}"));
     }
 }
@@ -192,7 +192,7 @@ fn repeated_sequencer_crashes_across_epochs() {
     );
     assert_eq!(cluster.completed_requests().len(), 40);
     assert!(
-        cluster.total_phase2_entries() >= 2,
+        cluster.sum_stats(|s| s.phase2_entered) >= 2,
         "two fail-overs expected"
     );
     run_checks(&cluster, "double-crash");
@@ -365,12 +365,12 @@ fn payload_gc_bounded_after_sequencer_crash() {
         // The collector actually ran and the bound is the epoch window, not
         // the workload size.
         assert!(
-            cluster.total_payloads_pruned() > 0,
+            cluster.sum_stats(|s| s.payloads_pruned) > 0,
             "seed {seed}: watermark GC never pruned"
         );
         let window = cut + (config.num_clients * pipeline) as u64;
         let bound = 2 * window + 8;
-        let residual = cluster.current_payloads();
+        let residual = cluster.max_alive_stats(|s| s.payloads.current());
         assert!(
             residual <= bound,
             "seed {seed}: {residual} payloads retained after recovery \
@@ -424,12 +424,12 @@ fn payload_gc_recovers_after_minority_partition() {
         assert_eq!(cluster.completed_requests().len(), 60, "seed {seed}");
         run_checks(&cluster, &format!("gc partition seed {seed}"));
         assert!(
-            cluster.total_payloads_pruned() > 0,
+            cluster.sum_stats(|s| s.payloads_pruned) > 0,
             "seed {seed}: watermark GC never pruned"
         );
         let window = cut + (config.num_clients * pipeline) as u64;
         let bound = 2 * window + 8;
-        let residual = cluster.current_payloads();
+        let residual = cluster.max_alive_stats(|s| s.payloads.current());
         assert!(
             residual <= bound,
             "seed {seed}: {residual} payloads retained after heal \
@@ -493,11 +493,11 @@ fn epoch_cutting_preserves_correctness() {
     assert!(cluster.run_to_completion(SimTime::from_secs(120)));
     assert_eq!(cluster.completed_requests().len(), 50);
     assert!(
-        cluster.total_phase2_entries() > 0,
+        cluster.sum_stats(|s| s.phase2_entered) > 0,
         "epoch cutting should run phase 2"
     );
     assert_eq!(
-        cluster.total_undeliveries(),
+        cluster.sum_stats(|s| s.opt_undelivered),
         0,
         "proactive cuts never undo deliveries"
     );

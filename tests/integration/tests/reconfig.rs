@@ -97,7 +97,7 @@ fn replaced_replica_restores_the_fault_budget() {
         );
         assert_eq!(cluster.completed_requests().len(), 300, "seed {seed}");
         assert!(
-            cluster.total_reconfigs_applied() >= 2,
+            cluster.sum_stats(|s| s.reconfigs_applied) >= 2,
             "seed {seed}: both survivors must apply the fence"
         );
         // Membership converged on the post-replacement roster everywhere
@@ -196,19 +196,19 @@ fn online_migration_loses_and_duplicates_nothing() {
         cluster
             .check_external_consistency()
             .unwrap_or_else(|e| panic!("seed {seed}: external consistency: {e}"));
-        assert_eq!(cluster.total_misroutes(), 0, "seed {seed}");
+        assert_eq!(cluster.sum_stats(|s| s.misrouted), 0, "seed {seed}");
 
         // Stale-routed traffic was counted and redirected.
         assert!(
-            cluster.total_redirected() > 0,
+            cluster.sum_stats(|s| s.redirected) > 0,
             "seed {seed}: migration under traffic must redirect something"
         );
         // Transfer wires within the s² bound: each donor replica ships the
         // range to each recipient member at most once.
         assert!(
-            cluster.total_migrate_state_wires() <= 9,
+            cluster.sum_stats(|s| s.migrate_state_wires) <= 9,
             "seed {seed}: {} transfer wires exceed the s² bound",
-            cluster.total_migrate_state_wires()
+            cluster.sum_stats(|s| s.migrate_state_wires)
         );
         // The migrated range lives identically on every recipient replica
         // and is gone from every donor replica.
@@ -271,9 +271,12 @@ fn merkle_anti_entropy_heals_injected_divergence() {
     // running but finding nothing.
     let settle = cluster.world.now() + SimDuration::from_millis(100);
     cluster.world.run_until(settle);
-    assert!(cluster.total_sync_probes() > 0, "probes must be running");
+    assert!(
+        cluster.sum_stats(|s| s.sync_probes) > 0,
+        "probes must be running"
+    );
     assert_eq!(
-        cluster.total_sync_node_wires(),
+        cluster.sum_stats(|s| s.sync_node_wires),
         0,
         "equal replicas must exchange no descent wires"
     );
@@ -286,7 +289,7 @@ fn merkle_anti_entropy_heals_injected_divergence() {
     cluster.world.run_until(heal);
 
     assert!(
-        cluster.total_sync_repairs() >= 1,
+        cluster.sum_stats(|s| s.sync_repairs) >= 1,
         "the corrupted replica must repair itself"
     );
     run_cluster_checks(&cluster, "anti-entropy heal");
@@ -296,12 +299,12 @@ fn merkle_anti_entropy_heals_injected_divergence() {
     let depth = 24u64.next_power_of_two().trailing_zeros() as u64;
     let bound = 12 * (2 * depth + 2);
     assert!(
-        cluster.total_sync_node_wires() <= bound,
+        cluster.sum_stats(|s| s.sync_node_wires) <= bound,
         "descent cost {} exceeds the O(log n) bound {bound}",
-        cluster.total_sync_node_wires()
+        cluster.sum_stats(|s| s.sync_node_wires)
     );
     assert!(
-        cluster.total_sync_node_wires() >= depth,
+        cluster.sum_stats(|s| s.sync_node_wires) >= depth,
         "the descent must actually walk the tree"
     );
 }
@@ -336,7 +339,10 @@ fn merkle_anti_entropy_heals_shape_divergence() {
     assert!(cluster.run_to_completion(SimTime::from_secs(30)));
     let settle = cluster.world.now() + SimDuration::from_millis(100);
     cluster.world.run_until(settle);
-    assert!(cluster.total_sync_probes() > 0, "probes must be running");
+    assert!(
+        cluster.sum_stats(|s| s.sync_probes) > 0,
+        "probes must be running"
+    );
 
     // Delete a key on replica 1: its tree narrows to 8 leaves while the
     // others keep 16 — no aligned descent exists.
@@ -344,25 +350,25 @@ fn merkle_anti_entropy_heals_shape_divergence() {
         cluster.inject_divergence(1, "k4", None),
         "injection must change the state"
     );
-    let wires_before = cluster.total_sync_node_wires();
+    let wires_before = cluster.sum_stats(|s| s.sync_node_wires);
     let heal = cluster.world.now() + SimDuration::from_millis(200);
     cluster.world.run_until(heal);
 
     assert!(
-        cluster.total_sync_repairs() >= 1,
+        cluster.sum_stats(|s| s.sync_repairs) >= 1,
         "the narrowed replica must re-install the deleted key"
     );
     run_cluster_checks(&cluster, "anti-entropy shape heal");
     assert!(
-        cluster.total_sync_node_wires() > wires_before,
+        cluster.sum_stats(|s| s.sync_node_wires) > wires_before,
         "the key-set fallback must have travelled"
     );
     // The fallback is bounded: one `SyncKeys` round trip per divergent
     // probe, never an unbounded descent. A handful of probes race before
     // the heal lands; each costs at most 2 key-set wires.
     assert!(
-        cluster.total_sync_node_wires() - wires_before <= 24,
+        cluster.sum_stats(|s| s.sync_node_wires) - wires_before <= 24,
         "shape fallback cost {} wires — the mismatch must not loop",
-        cluster.total_sync_node_wires() - wires_before
+        cluster.sum_stats(|s| s.sync_node_wires) - wires_before
     );
 }

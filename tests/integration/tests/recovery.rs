@@ -118,12 +118,15 @@ fn restarted_replica_catches_up_by_snapshot_plus_delta() {
         run_checks(&cluster, &format!("restart seed {seed}"));
         // Compaction kept the retained log bounded by the snapshot window,
         // not the 160-request workload.
-        assert!(cluster.total_snapshots() > 0, "seed {seed}: no snapshots");
+        assert!(
+            cluster.sum_stats(|s| s.snapshots_taken) > 0,
+            "seed {seed}: no snapshots"
+        );
         let window = 2 * (4 + (config.num_clients * config.client_pipeline) as u64);
         assert!(
-            cluster.peak_a_delivered_len() <= 2 * window,
+            cluster.max_stats(|s| s.a_delivered_len.peak()) <= 2 * window,
             "seed {seed}: peak A_delivered {} exceeds the snapshot window bound {}",
-            cluster.peak_a_delivered_len(),
+            cluster.max_stats(|s| s.a_delivered_len.peak()),
             2 * window
         );
     }
@@ -215,9 +218,9 @@ fn no_settled_replay_and_bounded_seen_across_restart() {
         // workload (120 ids and their PhaseII ids) has been forgotten.
         let window = 2 * (4 + (config.num_clients * config.client_pipeline) as u64) + 8;
         assert!(
-            cluster.current_seen() <= 3 * window,
+            cluster.max_alive_stats(|s| s.seen.current()) <= 3 * window,
             "seed {seed}: {} seen ids retained at quiesce (bound {})",
-            cluster.current_seen(),
+            cluster.max_alive_stats(|s| s.seen.current()),
             3 * window
         );
     }
@@ -257,7 +260,7 @@ fn sequencer_restart_catches_up_after_failover() {
         );
         assert_eq!(cluster.completed_requests().len(), 120, "seed {seed}");
         assert!(
-            cluster.total_phase2_entries() > 0,
+            cluster.sum_stats(|s| s.phase2_entered) > 0,
             "seed {seed}: fail-over expected"
         );
         assert!(

@@ -49,7 +49,7 @@ fn run_checks(cluster: &ShardedCluster<KvMachine>, label: &str) {
         .check_external_consistency()
         .unwrap_or_else(|e| panic!("[{label}] external consistency: {e}"));
     assert_eq!(
-        cluster.total_misroutes(),
+        cluster.sum_stats(|s| s.misrouted),
         0,
         "[{label}] misroutes must be 0"
     );
@@ -222,9 +222,9 @@ fn seen_sets_stay_window_bounded_under_epoch_cuts() {
     // near the epoch window (16 deliveries + in-flight pipeline).
     let bound = 4 * (16 + 3 * 4) + 64;
     assert!(
-        cluster.peak_seen() <= bound as u64,
+        cluster.max_stats(|s| s.seen.peak()) <= bound as u64,
         "peak seen {} exceeds the watermark window bound {bound}",
-        cluster.peak_seen()
+        cluster.max_stats(|s| s.seen.peak())
     );
     // Responses still correct: a Get that completed adopted a real value.
     for done in cluster.completed_requests() {

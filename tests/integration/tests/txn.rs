@@ -64,7 +64,7 @@ fn run_checks(cluster: &TxnCluster<KvMachine>, label: &str) {
         .check_external_consistency()
         .unwrap_or_else(|e| panic!("[{label}] external consistency: {e}"));
     assert_eq!(
-        cluster.total_misroutes(),
+        cluster.sum_stats(|s| s.misrouted),
         0,
         "[{label}] misroutes must be 0"
     );
