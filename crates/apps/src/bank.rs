@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use oar::state_machine::{Snapshottable, StateImage, StateMachine};
+use oar::state_machine::{entry_term, AdHash, Snapshottable, StateImage, StateMachine};
 
 /// Account identifier.
 pub type AccountId = u32;
@@ -94,6 +94,21 @@ pub struct BankUndo {
 pub struct BankMachine {
     accounts: BTreeMap<AccountId, Amount>,
     ops: u64,
+    /// The [`AdHash`] of `accounts`, kept in step by [`BankMachine::set`]
+    /// and [`BankMachine::adjust`] (the only writers of `accounts`) so
+    /// [`StateMachine::digest`] is O(1).
+    entries: AdHash,
+}
+
+/// The digest term of one account.
+fn term(account: AccountId, balance: Amount) -> u64 {
+    entry_term(account as u64, balance as u64)
+}
+
+/// The from-scratch [`AdHash`] of `accounts` — what `entries` must always
+/// equal.
+fn hash_entries(accounts: &BTreeMap<AccountId, Amount>) -> AdHash {
+    accounts.iter().map(|(&a, &b)| term(a, b)).collect()
 }
 
 impl BankMachine {
@@ -105,8 +120,10 @@ impl BankMachine {
     /// Creates a bank with `accounts` accounts numbered `0..accounts`, each
     /// holding `initial`.
     pub fn with_accounts(accounts: u32, initial: Amount) -> Self {
+        let accounts = (0..accounts).map(|a| (a, initial)).collect();
         BankMachine {
-            accounts: (0..accounts).map(|a| (a, initial)).collect(),
+            entries: hash_entries(&accounts),
+            accounts,
             ops: 0,
         }
     }
@@ -129,6 +146,32 @@ impl BankMachine {
     /// Number of operations applied and not undone.
     pub fn operations(&self) -> u64 {
         self.ops
+    }
+
+    /// Sets `account` to `balance` (`None` = closes it).
+    fn set(&mut self, account: AccountId, balance: Option<Amount>) {
+        let previous = match balance {
+            Some(b) => {
+                self.entries.add(term(account, b));
+                self.accounts.insert(account, b)
+            }
+            None => self.accounts.remove(&account),
+        };
+        if let Some(old) = previous {
+            self.entries.remove(term(account, old));
+        }
+    }
+
+    /// Adds `delta` to the existing `account`, returning the new balance.
+    fn adjust(&mut self, account: AccountId, delta: Amount) -> Amount {
+        let balance = self
+            .accounts
+            .get_mut(&account)
+            .expect("callers check the account exists");
+        self.entries.remove(term(account, *balance));
+        *balance += delta;
+        self.entries.add(term(account, *balance));
+        *balance
     }
 
     fn save(&self, accounts: &[AccountId]) -> BankUndo {
@@ -157,7 +200,7 @@ impl StateMachine for BankMachine {
                 if self.accounts.contains_key(&account) {
                     return (BankResponse::Rejected(BankError::AlreadyExists), undo);
                 }
-                self.accounts.insert(account, initial);
+                self.set(account, Some(initial));
                 (BankResponse::Ok(initial), undo)
             }
             BankCommand::Deposit { account, amount } => {
@@ -165,28 +208,22 @@ impl StateMachine for BankMachine {
                 if amount <= 0 {
                     return (BankResponse::Rejected(BankError::InvalidAmount), undo);
                 }
-                match self.accounts.get_mut(&account) {
-                    None => (BankResponse::Rejected(BankError::NoSuchAccount), undo),
-                    Some(balance) => {
-                        *balance += amount;
-                        (BankResponse::Ok(*balance), undo)
-                    }
+                if !self.accounts.contains_key(&account) {
+                    return (BankResponse::Rejected(BankError::NoSuchAccount), undo);
                 }
+                (BankResponse::Ok(self.adjust(account, amount)), undo)
             }
             BankCommand::Withdraw { account, amount } => {
                 let undo = self.save(&[account]);
                 if amount <= 0 {
                     return (BankResponse::Rejected(BankError::InvalidAmount), undo);
                 }
-                match self.accounts.get_mut(&account) {
+                match self.accounts.get(&account) {
                     None => (BankResponse::Rejected(BankError::NoSuchAccount), undo),
-                    Some(balance) if *balance < amount => {
+                    Some(&balance) if balance < amount => {
                         (BankResponse::Rejected(BankError::InsufficientFunds), undo)
                     }
-                    Some(balance) => {
-                        *balance -= amount;
-                        (BankResponse::Ok(*balance), undo)
-                    }
+                    Some(_) => (BankResponse::Ok(self.adjust(account, -amount)), undo),
                 }
             }
             BankCommand::Transfer { from, to, amount } => {
@@ -201,9 +238,9 @@ impl StateMachine for BankMachine {
                 if from_balance < amount {
                     return (BankResponse::Rejected(BankError::InsufficientFunds), undo);
                 }
-                *self.accounts.get_mut(&from).expect("checked") -= amount;
-                *self.accounts.get_mut(&to).expect("checked") += amount;
-                (BankResponse::Ok(from_balance - amount), undo)
+                let from_after = self.adjust(from, -amount);
+                self.adjust(to, amount);
+                (BankResponse::Ok(from_after), undo)
             }
             BankCommand::Balance { account } => {
                 let undo = BankUndo {
@@ -222,26 +259,12 @@ impl StateMachine for BankMachine {
         // Restore in reverse order so a command touching the same account twice
         // (not possible today, but harmless) still restores the oldest value.
         for (account, previous) in token.touched.into_iter().rev() {
-            match previous {
-                Some(balance) => {
-                    self.accounts.insert(account, balance);
-                }
-                None => {
-                    self.accounts.remove(&account);
-                }
-            }
+            self.set(account, previous);
         }
     }
 
     fn digest(&self) -> u64 {
-        let mut h: u64 = 0x84222325_cbf29ce4;
-        for (a, b) in &self.accounts {
-            h ^= (*a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            h = h.rotate_left(13);
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^ self.ops
+        self.entries.value() ^ self.ops
     }
 
     fn snapshot(&self) -> Option<StateImage> {
@@ -265,8 +288,12 @@ impl Snapshottable for BankMachine {
         self.clone()
     }
 
+    /// Re-hashes the installed ledger rather than trusting the image's
+    /// digest (see [`crate::kv::KvMachine`]'s `install_image`).
     fn install_image(&mut self, image: &BankMachine) {
-        *self = image.clone();
+        self.accounts = image.accounts.clone();
+        self.ops = image.ops;
+        self.entries = hash_entries(&self.accounts);
     }
 }
 
@@ -484,6 +511,114 @@ mod proptests {
                     }
                 }
             }
+        }
+    }
+
+    /// The digest recomputed from scratch: a full scan of the ledger.
+    fn scanned_digest(bank: &BankMachine) -> u64 {
+        bank.accounts.iter().fold(0u64, |h, (&a, &b)| {
+            h.wrapping_add(entry_term(a as u64, b as u64))
+        }) ^ bank.ops
+    }
+
+    /// One step: `Some` applies, `None` undoes the most recent token still
+    /// on the stack.
+    fn arb_step() -> impl Strategy<Value = Option<BankCommand>> {
+        prop_oneof![
+            arb_command().prop_map(Some),
+            arb_command().prop_map(Some),
+            Just(None),
+        ]
+    }
+
+    proptest! {
+        /// Differential: after every apply, undo and (every tenth step) a
+        /// reinstall from its own snapshot, the incremental digest equals
+        /// the one recomputed from scratch.
+        #[test]
+        fn incremental_digest_matches_a_full_scan(
+            steps in proptest::collection::vec(arb_step(), 0..60),
+        ) {
+            let mut bank = BankMachine::with_accounts(4, 100);
+            prop_assert_eq!(bank.digest(), scanned_digest(&bank));
+            let mut undos = Vec::new();
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Some(c) => undos.push(bank.apply(&c).1),
+                    None => {
+                        if let Some(u) = undos.pop() {
+                            bank.undo(u);
+                        }
+                    }
+                }
+                if i % 10 == 9 {
+                    let image = bank.snapshot().expect("bank supports snapshots");
+                    bank = BankMachine::new();
+                    prop_assert!(bank.install(&image));
+                }
+                prop_assert_eq!(bank.digest(), scanned_digest(&bank));
+            }
+        }
+
+        /// Equal ledgers reached through different histories have equal
+        /// digests: a transfer and its reversal against two reads, and an
+        /// undone suffix against one never applied.
+        #[test]
+        fn equal_contents_have_equal_digests(
+            amount in 1i64..100,
+            undone in proptest::collection::vec(arb_command(), 0..10),
+        ) {
+            let mut there_and_back = BankMachine::with_accounts(4, 100);
+            there_and_back.apply(&BankCommand::Transfer { from: 0, to: 1, amount });
+            there_and_back.apply(&BankCommand::Transfer { from: 1, to: 0, amount });
+            let mut reads = BankMachine::with_accounts(4, 100);
+            reads.apply(&BankCommand::Balance { account: 0 });
+            reads.apply(&BankCommand::Balance { account: 1 });
+            let tokens: Vec<BankUndo> = undone.iter().map(|c| reads.apply(c).1).collect();
+            for token in tokens.into_iter().rev() {
+                reads.undo(token);
+            }
+            prop_assert_eq!(there_and_back.digest(), reads.digest());
+        }
+
+        /// snapshot → install → delta replay reproduces the donor's digest.
+        #[test]
+        fn install_then_replay_reproduces_the_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..30),
+            delta in proptest::collection::vec(arb_command(), 0..30),
+        ) {
+            let mut donor = BankMachine::with_accounts(4, 100);
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let image = donor.snapshot().expect("bank supports snapshots");
+            let mut rejoiner = BankMachine::with_accounts(2, 7);
+            prop_assert!(rejoiner.install(&image));
+            for c in &delta {
+                donor.apply(c);
+                rejoiner.apply(c);
+            }
+            prop_assert_eq!(rejoiner.digest(), donor.digest());
+        }
+
+        /// An image whose balances were edited after capture installs with
+        /// a digest of its own content, so it no longer matches its donor.
+        #[test]
+        fn an_edited_image_no_longer_matches_its_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..30),
+            account in 0u32..4,
+            skew in 1i64..50,
+        ) {
+            let mut donor = BankMachine::with_accounts(4, 100);
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let mut image = donor.snapshot_image();
+            *image.accounts.get_mut(&account).expect("accounts 0..4 stay open") += skew;
+            let mut rejoiner = BankMachine::new();
+            rejoiner.install_image(&image);
+            prop_assert_ne!(rejoiner.digest(), donor.digest());
+            prop_assert_eq!(rejoiner.digest(), scanned_digest(&rejoiner));
         }
     }
 }

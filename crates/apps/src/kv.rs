@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use oar::parallel::ParallelStateMachine;
 use oar::shard::ShardKey;
 use oar::state_machine::{
-    AppliedBatch, ConflictKeys, KeySet, Snapshottable, StateImage, StateMachine,
+    entry_term, str_hash, AdHash, AppliedBatch, ConflictKeys, KeySet, Snapshottable, StateImage,
+    StateMachine,
 };
 use oar::txn::MultiOp;
 
@@ -181,6 +182,22 @@ pub enum KvUndo {
 pub struct KvMachine {
     map: BTreeMap<Key, Value>,
     ops: u64,
+    /// The [`AdHash`] of `map`, so [`StateMachine::digest`] is O(1). Every
+    /// write of `map` goes through [`KvMachine::put_entry`] or
+    /// [`KvMachine::remove_entry`], which keep it in step; `install_image`
+    /// recomputes it.
+    entries: AdHash,
+}
+
+/// The digest term of the entry `key = value`, `key_hash` being
+/// `str_hash(key)`.
+fn term(key_hash: u64, value: &str) -> u64 {
+    entry_term(key_hash, str_hash(value))
+}
+
+/// The from-scratch [`AdHash`] of `map` — what `entries` must always equal.
+fn hash_entries(map: &BTreeMap<Key, Value>) -> AdHash {
+    map.iter().map(|(k, v)| term(str_hash(k), v)).collect()
 }
 
 impl KvMachine {
@@ -211,13 +228,34 @@ impl KvMachine {
 }
 
 impl KvMachine {
+    /// Writes `key = value`, returning the replaced value. The key is hashed
+    /// once, for the term added and the term of the value it replaces.
+    fn put_entry(&mut self, key: Key, value: Value) -> Option<Value> {
+        let key_hash = str_hash(&key);
+        self.entries.add(term(key_hash, &value));
+        let previous = self.map.insert(key, value);
+        if let Some(old) = &previous {
+            self.entries.remove(term(key_hash, old));
+        }
+        previous
+    }
+
+    /// Removes `key`, returning its value.
+    fn remove_entry(&mut self, key: &str) -> Option<Value> {
+        let previous = self.map.remove(key);
+        if let Some(old) = &previous {
+            self.entries.remove(term(str_hash(key), old));
+        }
+        previous
+    }
+
     /// Applies one command without touching the operation counter (so a
     /// whole `Multi` batch counts as a single operation — one delivery, one
     /// position in the replicated order).
     fn apply_inner(&mut self, command: &KvCommand) -> (KvResponse, KvUndo) {
         match command {
             KvCommand::Put { key, value } => {
-                let previous = self.map.insert(key.clone(), value.clone());
+                let previous = self.put_entry(key.clone(), value.clone());
                 (
                     KvResponse::Previous(previous.clone()),
                     KvUndo::Restore {
@@ -231,7 +269,7 @@ impl KvMachine {
                 KvUndo::Nothing,
             ),
             KvCommand::Delete { key } => {
-                let previous = self.map.remove(key);
+                let previous = self.remove_entry(key);
                 (
                     KvResponse::Previous(previous.clone()),
                     KvUndo::Restore {
@@ -243,7 +281,7 @@ impl KvMachine {
             KvCommand::CompareAndSwap { key, expected, new } => {
                 let current = self.map.get(key).cloned();
                 if &current == expected {
-                    self.map.insert(key.clone(), new.clone());
+                    self.put_entry(key.clone(), new.clone());
                     (
                         KvResponse::Swapped(true),
                         KvUndo::Restore {
@@ -271,7 +309,7 @@ impl KvMachine {
                 let mut undos = Vec::new();
                 for (key, value) in entries {
                     if !self.map.contains_key(key) {
-                        self.map.insert(key.clone(), value.clone());
+                        self.put_entry(key.clone(), value.clone());
                         undos.push(KvUndo::Restore {
                             key: key.clone(),
                             previous: None,
@@ -388,10 +426,10 @@ impl KvMachine {
         match token {
             KvUndo::Restore { key, previous } => match previous {
                 Some(v) => {
-                    self.map.insert(key, v);
+                    self.put_entry(key, v);
                 }
                 None => {
-                    self.map.remove(&key);
+                    self.remove_entry(&key);
                 }
             },
             KvUndo::Nothing => {}
@@ -433,10 +471,10 @@ impl ParallelStateMachine for KvMachine {
         for (key, value) in effect.writes {
             match value {
                 Some(v) => {
-                    self.map.insert(key, v);
+                    self.put_entry(key, v);
                 }
                 None => {
-                    self.map.remove(&key);
+                    self.remove_entry(&key);
                 }
             }
         }
@@ -466,15 +504,7 @@ impl StateMachine for KvMachine {
     }
 
     fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (k, v) in &self.map {
-            for b in k.bytes().chain(v.bytes()) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h = h.rotate_left(7);
-        }
-        h ^ self.ops
+        self.entries.value() ^ self.ops
     }
 
     fn snapshot(&self) -> Option<StateImage> {
@@ -507,7 +537,7 @@ impl StateMachine for KvMachine {
         Some(
             keys.into_iter()
                 .map(|k| {
-                    let v = self.map.remove(&k).expect("key just listed");
+                    let v = self.remove_entry(&k).expect("key just listed");
                     (k, v)
                 })
                 .collect(),
@@ -544,8 +574,8 @@ impl StateMachine for KvMachine {
 
     fn anti_entropy_repair(&mut self, key: &str, value: Option<&str>) -> bool {
         match value {
-            Some(v) => self.map.insert(key.to_string(), v.to_string()) != Some(v.to_string()),
-            None => self.map.remove(key).is_some(),
+            Some(v) => self.put_entry(key.to_string(), v.to_string()).as_deref() != Some(v),
+            None => self.remove_entry(key).is_some(),
         }
     }
 }
@@ -559,8 +589,13 @@ impl Snapshottable for KvMachine {
         self.clone()
     }
 
+    /// The image's digest is not trusted: state that arrives from another
+    /// process is re-hashed from its content, so an image whose content no
+    /// longer matches its donor fails the catch-up digest check.
     fn install_image(&mut self, image: &KvMachine) {
-        *self = image.clone();
+        self.map = image.map.clone();
+        self.ops = image.ops;
+        self.entries = hash_entries(&self.map);
     }
 }
 
@@ -830,6 +865,17 @@ mod tests {
         b.apply(&put("k", "2"));
         assert_ne!(a.digest(), b.digest());
     }
+
+    /// Regression: key and value bytes used to be hashed back to back, so
+    /// `{"ab": "c"}` and `{"a": "bc"}` had the same digest.
+    #[test]
+    fn digest_marks_where_a_key_ends() {
+        let mut a = KvMachine::new();
+        let mut b = KvMachine::new();
+        a.apply(&put("ab", "c"));
+        b.apply(&put("a", "bc"));
+        assert_ne!(a.digest(), b.digest());
+    }
 }
 
 #[cfg(test)]
@@ -926,6 +972,175 @@ mod proptests {
                 parallel.undo(undo);
             }
             prop_assert_eq!(parallel, KvMachine::new());
+        }
+    }
+
+    fn put(key: &str, value: &str) -> KvCommand {
+        KvCommand::Put {
+            key: key.into(),
+            value: value.into(),
+        }
+    }
+
+    /// The digest recomputed from scratch: a full scan of the store.
+    fn scanned_digest(kv: &KvMachine) -> u64 {
+        let entries: Vec<(&Key, &Value)> = kv.map.iter().collect();
+        oar::state_machine::entries_digest(&entries) ^ kv.ops
+    }
+
+    /// One step over the store's mutation paths.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// `apply` (including `InstallRange`).
+        Apply(KvCommand),
+        /// `apply_batch` through the wave executor's `stage` + `commit`.
+        Batch(Vec<KvCommand>, usize),
+        /// `undo` of the most recent token still on the stack.
+        Undo,
+        /// `extract_range` of the keys in `lo..hi`.
+        Extract(&'static str, &'static str),
+        /// `anti_entropy_repair` of one key.
+        Repair(String, Option<String>),
+        /// snapshot, then `install` into a fresh machine that carries on.
+        Reinstall,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let key = prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(String::from);
+        let value = "[a-z]{1,4}".prop_map(String::from);
+        let install = proptest::collection::vec((key.clone(), value.clone()), 1..4)
+            .prop_map(KvCommand::InstallRange);
+        // Applies and undos listed twice: they are the common case.
+        prop_oneof![
+            arb_command().prop_map(Step::Apply),
+            arb_command().prop_map(Step::Apply),
+            install.prop_map(Step::Apply),
+            (proptest::collection::vec(arb_command(), 1..6), 1usize..4)
+                .prop_map(|(batch, workers)| Step::Batch(batch, workers)),
+            Just(Step::Undo),
+            Just(Step::Undo),
+            prop_oneof![Just(("a", "b")), Just(("b", "d")), Just(("a", "z"))]
+                .prop_map(|(lo, hi)| Step::Extract(lo, hi)),
+            (key, proptest::option::of(value)).prop_map(|(key, value)| Step::Repair(key, value)),
+            Just(Step::Reinstall),
+        ]
+    }
+
+    proptest! {
+        /// Differential: whatever path changed the store, the incremental
+        /// digest equals the one recomputed from scratch.
+        #[test]
+        fn incremental_digest_matches_a_full_scan(
+            steps in proptest::collection::vec(arb_step(), 0..40),
+        ) {
+            let mut kv = KvMachine::new();
+            let mut undos = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Apply(c) => undos.push(kv.apply(&c).1),
+                    Step::Batch(batch, workers) => {
+                        let refs: Vec<&KvCommand> = batch.iter().collect();
+                        let out = kv.apply_batch(&refs, workers);
+                        undos.extend(out.results.into_iter().map(|(_, u)| u));
+                    }
+                    Step::Undo => {
+                        if let Some(u) = undos.pop() {
+                            kv.undo(u);
+                        }
+                    }
+                    Step::Extract(lo, hi) => {
+                        kv.extract_range(&oar::KeyRange::new(lo, hi));
+                    }
+                    Step::Repair(key, value) => {
+                        kv.anti_entropy_repair(&key, value.as_deref());
+                    }
+                    Step::Reinstall => {
+                        let image = kv.snapshot().expect("kv supports snapshots");
+                        kv = KvMachine::new();
+                        prop_assert!(kv.install(&image));
+                    }
+                }
+                prop_assert_eq!(kv.digest(), scanned_digest(&kv));
+            }
+        }
+
+        /// Equal contents reached through different histories have equal
+        /// digests: insertion order, a put-then-delete against two reads,
+        /// and an undone suffix against one never applied.
+        #[test]
+        fn equal_contents_have_equal_digests(
+            entries in proptest::collection::vec(("[a-z]{1,3}", "[a-z]{0,3}"), 0..8),
+            undone in proptest::collection::vec(arb_command(), 0..10),
+        ) {
+            let entries: BTreeMap<String, String> = entries.into_iter().collect();
+            let mut forward = KvMachine::new();
+            for (k, v) in &entries {
+                forward.apply(&put(k, v));
+            }
+            forward.apply(&put("fresh-key", "x"));
+            forward.apply(&KvCommand::Delete { key: "fresh-key".into() });
+            let mut backward = KvMachine::new();
+            for (k, v) in entries.iter().rev() {
+                backward.apply(&put(k, v));
+            }
+            backward.apply(&KvCommand::Get { key: "a".into() });
+            backward.apply(&KvCommand::Get { key: "b".into() });
+            let tokens: Vec<KvUndo> = undone.iter().map(|c| backward.apply(c).1).collect();
+            for token in tokens.into_iter().rev() {
+                backward.undo(token);
+            }
+            prop_assert_eq!(forward.digest(), backward.digest());
+        }
+
+        /// snapshot → install → delta replay reproduces the donor's digest,
+        /// whatever the rejoiner held before.
+        #[test]
+        fn install_then_replay_reproduces_the_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..20),
+            delta in proptest::collection::vec(arb_command(), 0..20),
+            stale in proptest::collection::vec(arb_command(), 0..5),
+        ) {
+            let mut donor = KvMachine::new();
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let image = donor.snapshot().expect("kv supports snapshots");
+            let mut rejoiner = KvMachine::new();
+            for c in &stale {
+                rejoiner.apply(c);
+            }
+            prop_assert!(rejoiner.install(&image));
+            for c in &delta {
+                donor.apply(c);
+                rejoiner.apply(c);
+            }
+            prop_assert_eq!(rejoiner.digest(), donor.digest());
+        }
+
+        /// An image whose content was edited after capture installs with a
+        /// digest of its own content, so it no longer matches its donor.
+        #[test]
+        fn an_edited_image_no_longer_matches_its_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..20),
+            key in "[a-d]",
+            value in proptest::option::of("[a-z]{1,4}"),
+        ) {
+            let mut donor = KvMachine::new();
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let mut image = donor.snapshot_image();
+            // Edited behind the machine's back: `entries` still describes
+            // the donor's content.
+            let edited = match &value {
+                Some(v) => image.map.insert(key.clone(), v.clone()).as_ref() != Some(v),
+                None => image.map.remove(&key).is_some(),
+            };
+            prop_assume!(edited);
+            let mut rejoiner = KvMachine::new();
+            rejoiner.install_image(&image);
+            prop_assert_ne!(rejoiner.digest(), donor.digest());
+            prop_assert_eq!(rejoiner.digest(), scanned_digest(&rejoiner));
         }
     }
 }

@@ -8,7 +8,7 @@
 //! fixed-sequencer baseline (where the inconsistency shows up) and on OAR
 //! (where it cannot).
 
-use oar::state_machine::{Snapshottable, StateImage, StateMachine};
+use oar::state_machine::{entry_term, AdHash, Snapshottable, StateImage, StateMachine};
 
 /// Commands of the replicated stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,6 +52,15 @@ pub enum StackUndo {
 pub struct StackMachine {
     items: Vec<i64>,
     ops: u64,
+    /// The [`AdHash`] of `items`, one term per (position, value), kept in
+    /// step by [`StackMachine::push`] and [`StackMachine::pop`] (the only
+    /// writers of `items`) so [`StateMachine::digest`] is O(1).
+    entries: AdHash,
+}
+
+/// The digest term of the item at `position` (0 = bottom).
+fn term(position: usize, value: i64) -> u64 {
+    entry_term(position as u64, value as u64)
 }
 
 impl StackMachine {
@@ -69,6 +78,17 @@ impl StackMachine {
     pub fn operations(&self) -> u64 {
         self.ops
     }
+
+    fn push(&mut self, value: i64) {
+        self.entries.add(term(self.items.len(), value));
+        self.items.push(value);
+    }
+
+    fn pop(&mut self) -> Option<i64> {
+        let value = self.items.pop()?;
+        self.entries.remove(term(self.items.len(), value));
+        Some(value)
+    }
 }
 
 impl StateMachine for StackMachine {
@@ -80,11 +100,11 @@ impl StateMachine for StackMachine {
         self.ops += 1;
         match command {
             StackCommand::Push(v) => {
-                self.items.push(*v);
+                self.push(*v);
                 (StackResponse::Pushed(self.items.len()), StackUndo::UnPush)
             }
             StackCommand::Pop => {
-                let popped = self.items.pop();
+                let popped = self.pop();
                 (StackResponse::Popped(popped), StackUndo::UnPop(popped))
             }
             StackCommand::Peek => (
@@ -99,20 +119,15 @@ impl StateMachine for StackMachine {
         self.ops -= 1;
         match token {
             StackUndo::UnPush => {
-                self.items.pop();
+                self.pop();
             }
-            StackUndo::UnPop(Some(v)) => self.items.push(v),
+            StackUndo::UnPop(Some(v)) => self.push(v),
             StackUndo::UnPop(None) | StackUndo::Nothing => {}
         }
     }
 
     fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in &self.items {
-            h ^= *v as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^ self.ops
+        self.entries.value() ^ self.ops
     }
 
     fn snapshot(&self) -> Option<StateImage> {
@@ -136,8 +151,17 @@ impl Snapshottable for StackMachine {
         self.clone()
     }
 
+    /// Re-hashes the installed items rather than trusting the image's
+    /// digest (see [`crate::kv::KvMachine`]'s `install_image`).
     fn install_image(&mut self, image: &StackMachine) {
-        *self = image.clone();
+        self.items = image.items.clone();
+        self.ops = image.ops;
+        self.entries = self
+            .items
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| term(i, v))
+            .collect();
     }
 }
 
@@ -268,6 +292,121 @@ mod proptests {
             }
             prop_assert_eq!(a.digest(), b.digest());
             prop_assert_eq!(a.items(), b.items());
+        }
+    }
+
+    /// The digest recomputed from scratch: a full scan of the items.
+    fn scanned_digest(sm: &StackMachine) -> u64 {
+        sm.items.iter().enumerate().fold(0u64, |h, (i, &v)| {
+            h.wrapping_add(entry_term(i as u64, v as u64))
+        }) ^ sm.ops
+    }
+
+    /// One step: `Some` applies, `None` undoes the most recent token still
+    /// on the stack.
+    fn arb_step() -> impl Strategy<Value = Option<StackCommand>> {
+        prop_oneof![
+            arb_command().prop_map(Some),
+            arb_command().prop_map(Some),
+            Just(None),
+        ]
+    }
+
+    proptest! {
+        /// Differential: after every apply, undo and (every tenth step) a
+        /// reinstall from its own snapshot, the incremental digest equals
+        /// the one recomputed from scratch.
+        #[test]
+        fn incremental_digest_matches_a_full_scan(
+            steps in proptest::collection::vec(arb_step(), 0..60),
+        ) {
+            let mut sm = StackMachine::new();
+            let mut undos = Vec::new();
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Some(c) => undos.push(sm.apply(&c).1),
+                    None => {
+                        if let Some(u) = undos.pop() {
+                            sm.undo(u);
+                        }
+                    }
+                }
+                if i % 10 == 9 {
+                    let image = sm.snapshot().expect("stack supports snapshots");
+                    sm = StackMachine::new();
+                    prop_assert!(sm.install(&image));
+                }
+                prop_assert_eq!(sm.digest(), scanned_digest(&sm));
+            }
+        }
+
+        /// Equal stacks reached through different histories have equal
+        /// digests: a push-then-pop against two reads, and an undone suffix
+        /// against one never applied.
+        #[test]
+        fn equal_contents_have_equal_digests(
+            items in proptest::collection::vec(0i64..100, 0..10),
+            pushed in 0i64..100,
+            undone in proptest::collection::vec(arb_command(), 0..10),
+        ) {
+            let mut a = StackMachine::new();
+            let mut b = StackMachine::new();
+            for &v in &items {
+                a.apply(&StackCommand::Push(v));
+                b.apply(&StackCommand::Push(v));
+            }
+            a.apply(&StackCommand::Push(pushed));
+            a.apply(&StackCommand::Pop);
+            b.apply(&StackCommand::Peek);
+            b.apply(&StackCommand::Len);
+            let tokens: Vec<StackUndo> = undone.iter().map(|c| b.apply(c).1).collect();
+            for token in tokens.into_iter().rev() {
+                b.undo(token);
+            }
+            prop_assert_eq!(a.digest(), b.digest());
+        }
+
+        /// snapshot → install → delta replay reproduces the donor's digest.
+        #[test]
+        fn install_then_replay_reproduces_the_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..30),
+            delta in proptest::collection::vec(arb_command(), 0..30),
+        ) {
+            let mut donor = StackMachine::new();
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let image = donor.snapshot().expect("stack supports snapshots");
+            let mut rejoiner = StackMachine::new();
+            rejoiner.apply(&StackCommand::Push(-1));
+            prop_assert!(rejoiner.install(&image));
+            for c in &delta {
+                donor.apply(c);
+                rejoiner.apply(c);
+            }
+            prop_assert_eq!(rejoiner.digest(), donor.digest());
+        }
+
+        /// An image whose items were edited after capture installs with a
+        /// digest of its own content, so it no longer matches its donor.
+        #[test]
+        fn an_edited_image_no_longer_matches_its_donor(
+            prefix in proptest::collection::vec(arb_command(), 0..30),
+            extra in 0i64..100,
+        ) {
+            let mut donor = StackMachine::new();
+            for c in &prefix {
+                donor.apply(c);
+            }
+            let mut image = donor.snapshot_image();
+            match image.items.first_mut() {
+                Some(bottom) => *bottom += 1,
+                None => image.items.push(extra),
+            }
+            let mut rejoiner = StackMachine::new();
+            rejoiner.install_image(&image);
+            prop_assert_ne!(rejoiner.digest(), donor.digest());
+            prop_assert_eq!(rejoiner.digest(), scanned_digest(&rejoiner));
         }
     }
 }

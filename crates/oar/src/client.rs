@@ -33,7 +33,7 @@ use oar_simnet::{GroupId, Process, ProcessId, Runtime, SimDuration, SimTime, Tim
 
 use crate::adaptive::{PipelineController, PipelineStats};
 use crate::config::{ClientConfig, PipelineMode};
-use crate::message::{majority, OarWire, Reply, ReplyBatch, Request, RequestId, Weight};
+use crate::message::{majority, OarWire, Reply, ReplyBatch, ReplyItem, Request, RequestId, Weight};
 use crate::state_machine::StateMachine;
 
 /// Timer tag used for the think-time delay between two requests.
@@ -289,21 +289,23 @@ impl<S: StateMachine> OarClient<S> {
         if let Some(controller) = self.adaptive.as_mut() {
             self.pipeline = controller.observe_batch(batch.batch_hint);
         }
-        for reply in batch.unpack() {
-            self.handle_reply(ctx, reply);
+        for item in &batch.items {
+            self.handle_reply(ctx, &batch, item);
         }
     }
 
     fn handle_reply(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        reply: Reply<S::Response>,
+        batch: &ReplyBatch<S::Response>,
+        item: &ReplyItem<S::Response>,
     ) {
-        let request = reply.request;
+        let request = item.request;
         let Some(outstanding) = self.outstanding.get_mut(&request) else {
             return; // stale reply for an already-completed request
         };
-        let Some((epoch, reply)) = outstanding.quorum.absorb(reply, self.majority) else {
+        let Some((epoch, reply)) = outstanding.quorum.absorb(batch.reply(item), self.majority)
+        else {
             return;
         };
         let outstanding = self.outstanding.remove(&request).expect("outstanding");

@@ -189,7 +189,14 @@ impl<R: Clone> ReplyBatch<R> {
     /// Unpacks the batch into per-request [`Reply`] values (the form the
     /// client's quorum accounting works with).
     pub fn unpack(&self) -> impl Iterator<Item = Reply<R>> + '_ {
-        self.items.iter().map(move |item| Reply {
+        self.items.iter().map(|item| self.reply(item))
+    }
+
+    /// The [`Reply`] of one of this batch's items. Clients call it only for
+    /// requests still outstanding: most replies arrive after the quorum
+    /// closed, and building one clones the weight set and the response.
+    pub fn reply(&self, item: &ReplyItem<R>) -> Reply<R> {
+        Reply {
             request: item.request,
             epoch: self.epoch,
             weight: self.weight.clone(),
@@ -197,7 +204,7 @@ impl<R: Clone> ReplyBatch<R> {
             response: item.response.clone(),
             from: self.from,
             kind: self.kind,
-        })
+        }
     }
 }
 

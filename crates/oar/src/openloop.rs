@@ -29,7 +29,7 @@ use oar_simnet::{GroupId, Process, ProcessId, Runtime, SimDuration, SimTime, Tim
 
 use crate::client::{CompletedRequest, QuorumTracker};
 use crate::config::ClientConfig;
-use crate::message::{majority, OarWire, Reply, ReplyBatch, Request, RequestId};
+use crate::message::{majority, OarWire, ReplyBatch, ReplyItem, Request, RequestId};
 use crate::state_machine::StateMachine;
 
 #[derive(Debug)]
@@ -184,21 +184,23 @@ impl<S: StateMachine> OpenLoopClient<S> {
         rt: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
         batch: ReplyBatch<S::Response>,
     ) {
-        for reply in batch.unpack() {
-            self.handle_reply(rt, reply);
+        for item in &batch.items {
+            self.handle_reply(rt, &batch, item);
         }
     }
 
     fn handle_reply(
         &mut self,
         rt: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        reply: Reply<S::Response>,
+        batch: &ReplyBatch<S::Response>,
+        item: &ReplyItem<S::Response>,
     ) {
-        let request = reply.request;
+        let request = item.request;
         let Some(outstanding) = self.outstanding.get_mut(&request) else {
             return; // stale reply for an already-completed request
         };
-        let Some((epoch, reply)) = outstanding.quorum.absorb(reply, self.majority) else {
+        let Some((epoch, reply)) = outstanding.quorum.absorb(batch.reply(item), self.majority)
+        else {
             return;
         };
         let outstanding = self.outstanding.remove(&request).expect("outstanding");

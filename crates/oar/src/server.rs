@@ -1178,9 +1178,9 @@ impl<S: StateMachine> OarServer<S> {
         ids: &[RequestId],
         pending: &mut PendingReplies<S::Response>,
     ) {
-        let requests: Vec<Request<S::Command>> = ids
+        let requests: Vec<&Request<S::Command>> = ids
             .iter()
-            .map(|id| self.payloads.get(id).expect("payload present").clone())
+            .map(|id| self.payloads.get(id).expect("payload present"))
             .collect();
         let commands: Vec<&S::Command> = requests.iter().map(|r| &r.command).collect();
         let results = apply_command_batch(
@@ -1189,7 +1189,7 @@ impl<S: StateMachine> OarServer<S> {
             &mut self.stats,
             &commands,
         );
-        for (request, (response, undo)) in requests.iter().zip(results) {
+        for (request, (response, undo)) in requests.into_iter().zip(results) {
             let id = request.id;
             self.o_delivered.push(id);
             self.undo_stack.push((id, undo));
@@ -1459,10 +1459,10 @@ impl<S: StateMachine> OarServer<S> {
         // A-deliveries are settled and never rolled back.
         let mut pending: PendingReplies<S::Response> = BTreeMap::new();
         if !outcome.new.is_empty() {
-            let requests: Vec<Request<S::Command>> = outcome
+            let requests: Vec<&Request<S::Command>> = outcome
                 .new
                 .iter()
-                .map(|id| self.payloads.get(id).expect("payload present").clone())
+                .map(|id| self.payloads.get(id).expect("payload present"))
                 .collect();
             let commands: Vec<&S::Command> = requests.iter().map(|r| &r.command).collect();
             let results = apply_command_batch(
@@ -1471,7 +1471,7 @@ impl<S: StateMachine> OarServer<S> {
                 &mut self.stats,
                 &commands,
             );
-            for (request, (response, _undo)) in requests.iter().zip(results) {
+            for (request, (response, _undo)) in requests.into_iter().zip(results) {
                 let id = request.id;
                 self.position += 1;
                 self.stats.a_delivered += 1;

@@ -39,7 +39,7 @@ use crate::client::{CompletedRequest, QuorumTracker};
 use crate::config::OarConfig;
 use crate::config::{ClientConfig, PipelineMode};
 use crate::consistency::{check_server_consistency, retained_positions};
-use crate::message::{majority, OarWire, ReconfigCmd, Reply, ReplyBatch, Request, RequestId};
+use crate::message::{majority, OarWire, ReconfigCmd, ReplyBatch, ReplyItem, Request, RequestId};
 use crate::server::{OarServer, ServerStats};
 use crate::shard::{KeyRange, MigrationRecord, ShardKey, ShardRouter};
 use crate::state_machine::StateMachine;
@@ -327,8 +327,8 @@ where
                 a.controllers[g].observe_batch(batch.batch_hint);
             }
         }
-        for reply in batch.unpack() {
-            self.handle_reply(ctx, reply);
+        for item in &batch.items {
+            self.handle_reply(ctx, &batch, item);
         }
     }
 
@@ -337,14 +337,15 @@ where
     fn handle_reply(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        reply: Reply<S::Response>,
+        batch: &ReplyBatch<S::Response>,
+        item: &ReplyItem<S::Response>,
     ) {
-        let request = reply.request;
+        let request = item.request;
         let Some(outstanding) = self.outstanding.get_mut(&request) else {
             return; // stale reply for an already-completed request
         };
         let threshold = majority(self.groups[outstanding.group.index()].len());
-        let Some((epoch, reply)) = outstanding.quorum.absorb(reply, threshold) else {
+        let Some((epoch, reply)) = outstanding.quorum.absorb(batch.reply(item), threshold) else {
             return;
         };
         let outstanding = self.outstanding.remove(&request).expect("outstanding");

@@ -103,8 +103,16 @@ pub trait StateMachine: fmt::Debug + 'static {
     /// footnote 2 of the paper.
     fn undo(&mut self, token: Self::Undo);
 
-    /// A deterministic digest of the current state, used by tests and the
-    /// experiment harness to compare replica states.
+    /// A deterministic digest of the current state.
+    ///
+    /// The server reads it at every epoch close, every snapshot, every
+    /// catch-up install (to verify the transfer) and in every model-checker
+    /// state fingerprint, so it must be **O(1)** and a function of the
+    /// state's content only, not of the history that produced it: keep it
+    /// incrementally on every mutation (an [`AdHash`] over the entries is
+    /// the standard way) rather than scanning the state. A machine whose
+    /// state arrives from another process ([`StateMachine::install`]) must
+    /// recompute it from the installed content, not copy it from the image.
     fn digest(&self) -> u64;
 
     /// Applies one delivery batch in delivery order, returning per-command
@@ -233,16 +241,94 @@ pub trait StateMachine: fmt::Debug + 'static {
 /// donor stamps it onto the `MigrateState` hand-off, the recipient recomputes
 /// it over the installed range ([`StateMachine::range_digest`]) — both sides
 /// must use this one fold for the end-to-end check to mean anything.
+///
+/// It is the [`AdHash`] of the entries' [`entry_term`]s, i.e. the same sum a
+/// keyed machine keeps incrementally over its whole store. Key and value are
+/// hashed apart, so `("ab", "c")` and `("a", "bc")` differ.
 pub fn entries_digest<K: AsRef<str>, V: AsRef<str>>(entries: &[(K, V)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (k, v) in entries {
-        for b in k.as_ref().bytes().chain(v.as_ref().bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h = h.rotate_left(7);
+    entries
+        .iter()
+        .map(|(k, v)| entry_term(str_hash(k.as_ref()), str_hash(v.as_ref())))
+        .collect::<AdHash>()
+        .value()
+}
+
+// ---------------------------------------------------------------------------
+// Incremental state digests (AdHash: Bellare & Micciancio, "A New Paradigm
+// for Collision-free Hashing: Incrementality at Reduced Cost", 1997).
+// ---------------------------------------------------------------------------
+
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 finalizer: a bijective 64-bit mixer.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A hash of one string, eight bytes at a time. The length goes in first,
+/// so the zero-padded last word is unambiguous and a key hashed apart from
+/// its value can never run into it.
+pub fn str_hash(s: &str) -> u64 {
+    let step =
+        |h: u64, word: [u8; 8]| (h.rotate_left(26) ^ u64::from_le_bytes(word)).wrapping_mul(GOLDEN);
+    let bytes = s.as_bytes();
+    let mut h = (bytes.len() as u64).wrapping_mul(GOLDEN);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, word.try_into().expect("an 8-byte chunk"));
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, last);
+    }
+    mix64(h)
+}
+
+/// The digest term of one keyed entry, from the hash of its key and the
+/// hash of its value (integers may stand for themselves). Callers hash a
+/// key once per mutation and reuse it for both the term they add and the
+/// term of the value it replaces.
+pub fn entry_term(key_hash: u64, value_hash: u64) -> u64 {
+    mix64(key_hash ^ mix64(value_hash.wrapping_add(GOLDEN)))
+}
+
+/// A multiset hash: the wrapping sum of one term per entry. Adding or
+/// removing an entry is O(1), and the value depends only on which entries
+/// are present, never on the order or history that put them there — the
+/// shape [`StateMachine::digest`] needs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdHash(u64);
+
+impl AdHash {
+    /// Adds an entry's term.
+    pub fn add(&mut self, term: u64) {
+        self.0 = self.0.wrapping_add(term);
+    }
+
+    /// Removes an entry's term (which must have been added).
+    pub fn remove(&mut self, term: u64) {
+        self.0 = self.0.wrapping_sub(term);
+    }
+
+    /// The digest of the entries currently added.
+    pub fn value(self) -> u64 {
+        self.0
+    }
+}
+
+/// The from-scratch digest of a whole set of entry terms.
+impl FromIterator<u64> for AdHash {
+    fn from_iter<I: IntoIterator<Item = u64>>(terms: I) -> Self {
+        let mut sum = AdHash::default();
+        terms.into_iter().for_each(|t| sum.add(t));
+        sum
+    }
 }
 
 /// A serialized state-machine image, stamped by the snapshot layer with its
@@ -531,6 +617,40 @@ mod tests {
         let b = sm.snapshot().unwrap();
         assert_eq!(a, a.clone());
         assert_ne!(a, b, "identical state, distinct allocations");
+    }
+
+    /// Regression: key and value bytes used to be hashed back to back, so
+    /// moving the boundary between them left the digest unchanged.
+    #[test]
+    fn entries_digest_marks_where_a_key_ends() {
+        assert_ne!(
+            entries_digest(&[("ab", "c")]),
+            entries_digest(&[("a", "bc")])
+        );
+        assert_ne!(
+            entries_digest(&[("", "abcdefgh")]),
+            entries_digest(&[("abcdefgh", "")])
+        );
+    }
+
+    #[test]
+    fn str_hash_distinguishes_zero_padding_and_word_boundaries() {
+        assert_ne!(str_hash("a"), str_hash("a\0"));
+        assert_ne!(str_hash(""), str_hash("\0"));
+        assert_ne!(str_hash("abcdefgh"), str_hash("abcdefgh\0"));
+        assert_ne!(str_hash("abcdefghi"), str_hash("abcdefgih"));
+    }
+
+    #[test]
+    fn adhash_is_order_free_and_removal_cancels_addition() {
+        let forward: AdHash = [1, 2, 3].map(|v| entry_term(7, v)).into_iter().collect();
+        let backward: AdHash = [3, 2, 1].map(|v| entry_term(7, v)).into_iter().collect();
+        assert_eq!(forward, backward);
+        let mut sum = forward;
+        sum.add(entry_term(8, 4));
+        sum.remove(entry_term(8, 4));
+        assert_eq!(sum, forward);
+        assert_ne!(entry_term(1, 2), entry_term(2, 1));
     }
 
     #[test]

@@ -62,7 +62,7 @@ use crate::adaptive::{PipelineController, PipelineStats};
 use crate::client::QuorumTracker;
 use crate::config::{ClientConfig, PipelineMode};
 use crate::message::{
-    majority, OarWire, Reply, ReplyBatch, Request, RequestId, TxnEnvelope, TxnId,
+    majority, OarWire, ReplyBatch, ReplyItem, Request, RequestId, TxnEnvelope, TxnId,
 };
 use crate::server::{OarServer, ServerStats};
 use crate::shard::{MigrationRecord, ShardKey, ShardRouter};
@@ -362,8 +362,8 @@ where
         if let Some(controller) = self.adaptive.as_mut() {
             self.pipeline = controller.observe_batch(batch.batch_hint);
         }
-        for reply in batch.unpack() {
-            self.handle_reply(ctx, reply);
+        for item in &batch.items {
+            self.handle_reply(ctx, &batch, item);
         }
     }
 
@@ -373,9 +373,10 @@ where
     fn handle_reply(
         &mut self,
         ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        reply: Reply<S::Response>,
+        batch: &ReplyBatch<S::Response>,
+        item: &ReplyItem<S::Response>,
     ) {
-        let request = reply.request;
+        let request = item.request;
         let Some(&txn) = self.request_txn.get(&request) else {
             return; // stale reply for an already-adopted part
         };
@@ -388,7 +389,7 @@ where
             .get_mut(&request)
             .expect("pending part matches request_txn");
         let threshold = majority(self.groups[part.group.index()].len());
-        let Some((epoch, adopted)) = part.quorum.absorb(reply, threshold) else {
+        let Some((epoch, adopted)) = part.quorum.absorb(batch.reply(item), threshold) else {
             return;
         };
         let part = outstanding.pending.remove(&request).expect("checked above");
