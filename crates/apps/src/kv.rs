@@ -5,8 +5,16 @@
 //! multi-op batches (the per-group partition of a multi-key transaction) —
 //! all deterministic and undoable so that optimistic deliveries can be
 //! rolled back.
+//!
+//! The store is copy-on-write (path copying, Driscoll, Sarnak, Sleator &
+//! Tarjan, *Making Data Structures Persistent*, 1989): its entries live in
+//! hash-partitioned chunks behind `Arc`s, so a snapshot, an installed image
+//! and a fork share every chunk, and a write copies only the chunk it
+//! touches.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::Arc;
 
 use oar::parallel::ParallelStateMachine;
 use oar::shard::ShardKey;
@@ -177,10 +185,121 @@ pub enum KvUndo {
     Multi(Vec<KvUndo>),
 }
 
+/// The mean number of entries per chunk the store keeps to. A snapshot
+/// copies one pointer per chunk and the first write to a chunk after it
+/// copies that chunk's entries, so a small load keeps both cheap.
+const CHUNK_LOAD: usize = 4;
+
+/// One hash partition of the store, shared by every copy of the store until
+/// one of them writes to it.
+type Chunk = BTreeMap<Key, Value>;
+
+/// A map from keys to values, split by key hash into a power-of-two number
+/// of chunks that copies share copy-on-write. The chunk count follows the
+/// size: it doubles when the mean load passes [`CHUNK_LOAD`] and halves when
+/// it drops below one, and an empty map holds no chunk.
+///
+/// Equality and `Debug` are over the content, in key order, whatever the
+/// chunk layout.
+#[derive(Clone, Default)]
+struct ChunkedMap {
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
+}
+
+impl ChunkedMap {
+    /// The index of the chunk `key_hash` falls in, out of `count` (a power
+    /// of two).
+    fn slot(key_hash: u64, count: usize) -> usize {
+        key_hash as usize & (count - 1)
+    }
+
+    /// The chunk `key_hash` falls in; `None` while the map is empty.
+    fn chunk(&self, key_hash: u64) -> Option<&Chunk> {
+        (!self.chunks.is_empty()).then(|| &*self.chunks[Self::slot(key_hash, self.chunks.len())])
+    }
+
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.chunk(str_hash(key))?.get(key)
+    }
+
+    /// Writes `key = value`, `key_hash` being `str_hash(key)`; un-shares
+    /// the one chunk the key falls in.
+    fn insert(&mut self, key: Key, key_hash: u64, value: Value) -> Option<Value> {
+        if self.chunks.is_empty() {
+            self.chunks.push(Arc::default());
+        }
+        let slot = Self::slot(key_hash, self.chunks.len());
+        let previous = Arc::make_mut(&mut self.chunks[slot]).insert(key, value);
+        if previous.is_none() {
+            self.len += 1;
+            if self.len > CHUNK_LOAD * self.chunks.len() {
+                self.repartition(2 * self.chunks.len());
+            }
+        }
+        previous
+    }
+
+    /// Removes `key`, `key_hash` being `str_hash(key)`. A chunk that does
+    /// not hold the key stays shared.
+    fn remove(&mut self, key: &str, key_hash: u64) -> Option<Value> {
+        if !self.chunk(key_hash)?.contains_key(key) {
+            return None;
+        }
+        let slot = Self::slot(key_hash, self.chunks.len());
+        let previous = Arc::make_mut(&mut self.chunks[slot]).remove(key);
+        self.len -= 1;
+        if self.len == 0 {
+            self.chunks.clear();
+        } else if self.len < self.chunks.len() {
+            self.repartition(self.chunks.len() / 2);
+        }
+        previous
+    }
+
+    /// Re-distributes every entry over `count` chunks. Amortised O(1) per
+    /// write: the count doubles or halves, and only past a factor-two gap.
+    fn repartition(&mut self, count: usize) {
+        let mut chunks = vec![Chunk::new(); count];
+        for chunk in std::mem::take(&mut self.chunks) {
+            for (key, value) in Arc::unwrap_or_clone(chunk) {
+                chunks[Self::slot(str_hash(&key), count)].insert(key, value);
+            }
+        }
+        self.chunks = chunks.into_iter().map(Arc::new).collect();
+    }
+
+    /// Every entry, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (&Key, &Value)> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// Every entry, in key order.
+    fn sorted(&self) -> Vec<(&Key, &Value)> {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
+    }
+}
+
+impl PartialEq for ChunkedMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
+impl Eq for ChunkedMap {}
+
+impl fmt::Debug for ChunkedMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.sorted()).finish()
+    }
+}
+
 /// A deterministic, undoable key-value store.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvMachine {
-    map: BTreeMap<Key, Value>,
+    map: ChunkedMap,
     ops: u64,
     /// The [`AdHash`] of `map`, so [`StateMachine::digest`] is O(1). Every
     /// write of `map` goes through [`KvMachine::put_entry`] or
@@ -196,7 +315,7 @@ fn term(key_hash: u64, value: &str) -> u64 {
 }
 
 /// The from-scratch [`AdHash`] of `map` — what `entries` must always equal.
-fn hash_entries(map: &BTreeMap<Key, Value>) -> AdHash {
+fn hash_entries(map: &ChunkedMap) -> AdHash {
     map.iter().map(|(k, v)| term(str_hash(k), v)).collect()
 }
 
@@ -208,12 +327,12 @@ impl KvMachine {
 
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.map.len
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.map.len == 0
     }
 
     /// Direct read access (for tests and examples).
@@ -233,7 +352,7 @@ impl KvMachine {
     fn put_entry(&mut self, key: Key, value: Value) -> Option<Value> {
         let key_hash = str_hash(&key);
         self.entries.add(term(key_hash, &value));
-        let previous = self.map.insert(key, value);
+        let previous = self.map.insert(key, key_hash, value);
         if let Some(old) = &previous {
             self.entries.remove(term(key_hash, old));
         }
@@ -242,9 +361,10 @@ impl KvMachine {
 
     /// Removes `key`, returning its value.
     fn remove_entry(&mut self, key: &str) -> Option<Value> {
-        let previous = self.map.remove(key);
+        let key_hash = str_hash(key);
+        let previous = self.map.remove(key, key_hash);
         if let Some(old) = &previous {
-            self.entries.remove(term(str_hash(key), old));
+            self.entries.remove(term(key_hash, old));
         }
         previous
     }
@@ -308,7 +428,7 @@ impl KvMachine {
             KvCommand::InstallRange(entries) => {
                 let mut undos = Vec::new();
                 for (key, value) in entries {
-                    if !self.map.contains_key(key) {
+                    if self.map.get(key).is_none() {
                         self.put_entry(key.clone(), value.clone());
                         undos.push(KvUndo::Restore {
                             key: key.clone(),
@@ -528,12 +648,13 @@ impl StateMachine for KvMachine {
     }
 
     fn extract_range(&mut self, range: &oar::KeyRange) -> Option<Vec<(Key, Value)>> {
-        let keys: Vec<Key> = self
+        let mut keys: Vec<Key> = self
             .map
-            .keys()
-            .filter(|k| range.contains(k))
-            .cloned()
+            .iter()
+            .filter(|(k, _)| range.contains(k))
+            .map(|(k, _)| k.clone())
             .collect();
+        keys.sort_unstable();
         Some(
             keys.into_iter()
                 .map(|k| {
@@ -549,6 +670,7 @@ impl StateMachine for KvMachine {
     }
 
     fn range_digest(&self, range: &oar::KeyRange) -> Option<u64> {
+        // The digest is a sum over the entries, so they need no sorting.
         let entries: Vec<(&Key, &Value)> =
             self.map.iter().filter(|(k, _)| range.contains(k)).collect();
         Some(oar::state_machine::entries_digest(&entries))
@@ -557,7 +679,8 @@ impl StateMachine for KvMachine {
     fn anti_entropy_leaves(&self) -> Option<Vec<(String, u64)>> {
         Some(
             self.map
-                .iter()
+                .sorted()
+                .into_iter()
                 .map(|(k, v)| {
                     (
                         k.clone(),
@@ -580,8 +703,11 @@ impl StateMachine for KvMachine {
     }
 }
 
-/// Snapshots are a full copy of the store (map + op counter): in the
-/// simulator a clone is the byte-buffer a real deployment would serialize.
+/// A snapshot is a copy of the store that shares every chunk with it: taking
+/// one copies a pointer per chunk, O(len / `CHUNK_LOAD`), and the first later
+/// write to a chunk, on either side, copies that chunk alone. In the
+/// simulator the image stands for the byte buffer a real deployment would
+/// serialize.
 impl Snapshottable for KvMachine {
     type Image = KvMachine;
 
@@ -589,9 +715,10 @@ impl Snapshottable for KvMachine {
         self.clone()
     }
 
-    /// The image's digest is not trusted: state that arrives from another
-    /// process is re-hashed from its content, so an image whose content no
-    /// longer matches its donor fails the catch-up digest check.
+    /// Shares the image's chunks, but its digest is not trusted: state that
+    /// arrives from another process is re-hashed from its content, O(len),
+    /// so an image whose content no longer matches its donor fails the
+    /// catch-up digest check.
     fn install_image(&mut self, image: &KvMachine) {
         self.map = image.map.clone();
         self.ops = image.ops;
@@ -866,6 +993,96 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
     }
 
+    /// A snapshot image, a fork and an installed copy hold the very chunks
+    /// of their source, and a write to the source un-shares only the chunk
+    /// its key falls in: the O(touched) cost of copy-on-write, pinned
+    /// without timing anything.
+    #[test]
+    fn a_snapshot_shares_every_chunk_and_a_write_unshares_one() {
+        let mut kv = KvMachine::new();
+        assert!(kv.map.chunks.is_empty(), "a fresh store holds no chunk");
+        for i in 0..200 {
+            kv.apply(&put(&format!("key-{i}"), "v"));
+        }
+        let chunks = kv.map.chunks.len();
+        assert!(chunks > 1);
+        let mut installed = KvMachine::new();
+        installed.install_image(&kv.snapshot_image());
+        let copies = [kv.snapshot_image(), kv.fork().unwrap(), installed];
+        let shared = |kv: &KvMachine| -> Vec<usize> {
+            copies
+                .iter()
+                .map(|copy| {
+                    assert_eq!(copy.map.chunks.len(), chunks);
+                    (copy.map.chunks.iter())
+                        .zip(&kv.map.chunks)
+                        .filter(|(a, b)| Arc::ptr_eq(a, b))
+                        .count()
+                })
+                .collect()
+        };
+        assert_eq!(shared(&kv), [chunks; 3]);
+
+        // A read, a delete of an absent key and a failed swap write nothing.
+        kv.apply(&KvCommand::Get {
+            key: "key-7".into(),
+        });
+        kv.apply(&KvCommand::Delete {
+            key: "absent".into(),
+        });
+        kv.apply(&KvCommand::CompareAndSwap {
+            key: "key-7".into(),
+            expected: None,
+            new: "w".into(),
+        });
+        assert_eq!(shared(&kv), [chunks; 3]);
+
+        kv.apply(&put("key-7", "w"));
+        assert_eq!(shared(&kv), [chunks - 1; 3]);
+        // The chunk is the source's own now: writing it again copies nothing.
+        kv.apply(&put("key-7", "x"));
+        kv.apply(&KvCommand::Delete {
+            key: "key-7".into(),
+        });
+        assert_eq!(shared(&kv), [chunks - 1; 3]);
+        for copy in &copies {
+            assert_eq!(copy.get("key-7"), Some(&"v".to_string()));
+        }
+    }
+
+    /// Equality and `Debug` see the content, not the chunk layout: a store
+    /// that grew to many chunks and shrank again equals, and prints as, one
+    /// that only ever held the remaining keys.
+    #[test]
+    fn equality_and_debug_ignore_the_chunk_layout() {
+        let mut shrunk = KvMachine::new();
+        for i in 0..100 {
+            shrunk.apply(&put(&format!("key-{i:03}"), "v"));
+        }
+        for i in 2..100 {
+            shrunk.apply(&KvCommand::Delete {
+                key: format!("key-{i:03}"),
+            });
+        }
+        let mut direct = KvMachine::new();
+        direct.apply(&put("key-001", "v"));
+        direct.apply(&put("key-000", "v"));
+        direct.ops = shrunk.ops;
+        assert_ne!(shrunk.map.chunks.len(), direct.map.chunks.len());
+        assert_eq!(shrunk, direct);
+        assert_eq!(
+            format!("{direct:?}"),
+            format!(
+                "KvMachine {{ map: {{\"key-000\": \"v\", \"key-001\": \"v\"}}, ops: 198, \
+                 entries: {:?} }}",
+                direct.entries
+            )
+        );
+        assert_eq!(format!("{shrunk:?}"), format!("{direct:?}"));
+        direct.apply(&put("key-001", "w"));
+        assert_ne!(shrunk.map, direct.map);
+    }
+
     /// Regression: key and value bytes used to be hashed back to back, so
     /// `{"ab": "c"}` and `{"a": "bc"}` had the same digest.
     #[test]
@@ -1026,6 +1243,98 @@ mod proptests {
         ]
     }
 
+    /// Takes `step` on `kv`, whose undo tokens still on the stack are `undos`.
+    fn take_step(kv: &mut KvMachine, undos: &mut Vec<KvUndo>, step: &Step) {
+        match step {
+            Step::Apply(c) => undos.push(kv.apply(c).1),
+            Step::Batch(batch, workers) => {
+                let refs: Vec<&KvCommand> = batch.iter().collect();
+                let out = kv.apply_batch(&refs, *workers);
+                undos.extend(out.results.into_iter().map(|(_, u)| u));
+            }
+            Step::Undo => {
+                if let Some(u) = undos.pop() {
+                    kv.undo(u);
+                }
+            }
+            Step::Extract(lo, hi) => {
+                kv.extract_range(&oar::KeyRange::new(*lo, *hi));
+            }
+            Step::Repair(key, value) => {
+                kv.anti_entropy_repair(key, value.as_deref());
+            }
+            Step::Reinstall => {
+                let image = kv.snapshot().expect("kv supports snapshots");
+                *kv = KvMachine::new();
+                assert!(kv.install(&image));
+            }
+        }
+    }
+
+    /// What a copy must keep whatever its source does: content and digest.
+    fn observed(kv: &KvMachine) -> (String, u64) {
+        (format!("{kv:?}"), kv.digest())
+    }
+
+    /// Keys of the differential test: enough of them to take the store
+    /// through many chunk counts.
+    const MODEL_KEYS: u16 = 400;
+
+    fn model_key(i: u16) -> String {
+        format!("k{i:03}")
+    }
+
+    /// One step of the differential test against a `BTreeMap`.
+    #[derive(Clone, Debug)]
+    enum ModelStep {
+        Put(u16, String),
+        Delete(u16),
+        /// `extract_range` of the keys `lo..lo + width`.
+        Extract(u16, u16),
+    }
+
+    fn arb_model_step() -> impl Strategy<Value = ModelStep> {
+        let put = (0..MODEL_KEYS, "[a-z]{1,3}").prop_map(|(k, v)| ModelStep::Put(k, v));
+        // Puts listed three times, so the store grows; deletes and
+        // extractions shrink it again.
+        prop_oneof![
+            put.clone(),
+            put.clone(),
+            put,
+            (0..MODEL_KEYS).prop_map(ModelStep::Delete),
+            (0..MODEL_KEYS, 1u16..150).prop_map(|(lo, width)| ModelStep::Extract(lo, width)),
+        ]
+    }
+
+    /// Everything the store shows of its content equals the model's.
+    fn assert_matches(kv: &KvMachine, model: &BTreeMap<Key, Value>) {
+        let chunks = &kv.map.chunks;
+        for (slot, chunk) in chunks.iter().enumerate() {
+            for key in chunk.keys() {
+                assert_eq!(ChunkedMap::slot(str_hash(key), chunks.len()), slot);
+            }
+        }
+        for i in 0..MODEL_KEYS {
+            assert_eq!(kv.get(&model_key(i)), model.get(&model_key(i)));
+        }
+        let leaves: Vec<(String, u64)> = model
+            .iter()
+            .map(|(k, v)| {
+                let digest = oar::state_machine::entries_digest(&[("", v.as_str())]);
+                (k.clone(), digest)
+            })
+            .collect();
+        assert_eq!(kv.anti_entropy_leaves(), Some(leaves));
+        for (lo, hi) in [(0, 1), (0, 50), (120, 360), (0, 999)] {
+            let range = oar::KeyRange::new(model_key(lo), model_key(hi));
+            let entries: Vec<(&Key, &Value)> =
+                model.iter().filter(|(k, _)| range.contains(k)).collect();
+            let expected = oar::state_machine::entries_digest(&entries);
+            assert_eq!(kv.range_digest(&range), Some(expected));
+        }
+        assert_eq!(format!("{:?}", kv.map), format!("{model:?}"));
+    }
+
     proptest! {
         /// Differential: whatever path changed the store, the incremental
         /// digest equals the one recomputed from scratch.
@@ -1035,33 +1344,101 @@ mod proptests {
         ) {
             let mut kv = KvMachine::new();
             let mut undos = Vec::new();
-            for step in steps {
-                match step {
-                    Step::Apply(c) => undos.push(kv.apply(&c).1),
-                    Step::Batch(batch, workers) => {
-                        let refs: Vec<&KvCommand> = batch.iter().collect();
-                        let out = kv.apply_batch(&refs, workers);
-                        undos.extend(out.results.into_iter().map(|(_, u)| u));
-                    }
-                    Step::Undo => {
-                        if let Some(u) = undos.pop() {
-                            kv.undo(u);
-                        }
-                    }
-                    Step::Extract(lo, hi) => {
-                        kv.extract_range(&oar::KeyRange::new(lo, hi));
-                    }
-                    Step::Repair(key, value) => {
-                        kv.anti_entropy_repair(&key, value.as_deref());
-                    }
-                    Step::Reinstall => {
-                        let image = kv.snapshot().expect("kv supports snapshots");
-                        kv = KvMachine::new();
-                        prop_assert!(kv.install(&image));
-                    }
-                }
+            for step in &steps {
+                take_step(&mut kv, &mut undos, step);
                 prop_assert_eq!(kv.digest(), scanned_digest(&kv));
             }
+        }
+
+        /// Copies that share chunks never see each other's writes: a
+        /// snapshot image, a fork and an installed copy keep their content
+        /// and digest while the source goes through every write path, and
+        /// the source keeps its own while each copy does.
+        #[test]
+        fn copies_never_see_each_others_writes(
+            prefix in proptest::collection::vec(("[a-z]{1,2}", "[a-z]{1,3}"), 0..120),
+            steps in proptest::collection::vec(arb_step(), 1..30),
+        ) {
+            let mut source = KvMachine::new();
+            for (k, v) in &prefix {
+                source.apply(&put(k, v));
+            }
+            let copies_of = |source: &KvMachine| {
+                let mut installed = KvMachine::new();
+                installed.install_image(&source.snapshot_image());
+                [source.snapshot_image(), source.fork().unwrap(), installed]
+            };
+
+            let copies = copies_of(&source);
+            let kept: Vec<_> = copies.iter().map(observed).collect();
+            let mut undos = Vec::new();
+            for step in &steps {
+                take_step(&mut source, &mut undos, step);
+                for (copy, kept) in copies.iter().zip(&kept) {
+                    prop_assert_eq!(&observed(copy), kept, "after {:?}", step);
+                }
+            }
+
+            let kept = observed(&source);
+            for mut copy in copies_of(&source) {
+                let mut undos = Vec::new();
+                for step in &steps {
+                    take_step(&mut copy, &mut undos, step);
+                    prop_assert_eq!(&observed(&source), &kept, "after {:?}", step);
+                }
+            }
+        }
+
+        /// Differential against a plain `BTreeMap`: responses, sizes, reads,
+        /// extraction (entries and their key order), range digests and
+        /// anti-entropy leaves agree while the chunk count grows and
+        /// shrinks, and the count stays within a factor of the size.
+        #[test]
+        fn the_chunked_store_matches_a_btreemap(
+            steps in proptest::collection::vec(arb_model_step(), 100..600),
+        ) {
+            let mut kv = KvMachine::new();
+            let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+            for (i, step) in steps.iter().enumerate() {
+                match step {
+                    ModelStep::Put(k, v) => {
+                        let key = model_key(*k);
+                        let previous = model.insert(key.clone(), v.clone());
+                        prop_assert_eq!(kv.apply(&put(&key, v)).0, KvResponse::Previous(previous));
+                    }
+                    ModelStep::Delete(k) => {
+                        let key = model_key(*k);
+                        let previous = model.remove(&key);
+                        let response = kv.apply(&KvCommand::Delete { key }).0;
+                        prop_assert_eq!(response, KvResponse::Previous(previous));
+                    }
+                    ModelStep::Extract(lo, width) => {
+                        let range = oar::KeyRange::new(model_key(*lo), model_key(lo + width));
+                        let (taken, kept): (BTreeMap<Key, Value>, _) = std::mem::take(&mut model)
+                            .into_iter()
+                            .partition(|(k, _)| range.contains(k));
+                        model = kept;
+                        prop_assert_eq!(kv.extract_range(&range), Some(taken.into_iter().collect()));
+                    }
+                }
+                let (len, chunks) = (kv.len(), kv.map.chunks.len());
+                prop_assert_eq!(len, model.len());
+                prop_assert_eq!(kv.is_empty(), model.is_empty());
+                prop_assert!(
+                    if len == 0 {
+                        chunks == 0
+                    } else {
+                        chunks.is_power_of_two() && chunks <= len && len <= CHUNK_LOAD * chunks
+                    },
+                    "{} entries in {} chunks",
+                    len,
+                    chunks
+                );
+                if i % 25 == 0 {
+                    assert_matches(&kv, &model);
+                }
+            }
+            assert_matches(&kv, &model);
         }
 
         /// Equal contents reached through different histories have equal
@@ -1131,10 +1508,11 @@ mod proptests {
             }
             let mut image = donor.snapshot_image();
             // Edited behind the machine's back: `entries` still describes
-            // the donor's content.
+            // the donor's content. The image may hold no chunk yet.
+            let key_hash = str_hash(&key);
             let edited = match &value {
-                Some(v) => image.map.insert(key.clone(), v.clone()).as_ref() != Some(v),
-                None => image.map.remove(&key).is_some(),
+                Some(v) => image.map.insert(key.clone(), key_hash, v.clone()).as_ref() != Some(v),
+                None => image.map.remove(&key, key_hash).is_some(),
             };
             prop_assume!(edited);
             let mut rejoiner = KvMachine::new();

@@ -156,9 +156,10 @@ pub trait StateMachine: fmt::Debug + 'static {
         false
     }
 
-    /// A deep copy of the machine, used when the model checker forks a
-    /// replica at a scheduling choice. The default returns `None` ("not
-    /// forkable"); clonable machines override it with `Some(self.clone())`.
+    /// An independent copy of the machine, which may share structure
+    /// copy-on-write with it, used when the model checker forks a replica at
+    /// a scheduling choice. The default returns `None` ("not forkable");
+    /// clonable machines override it with `Some(self.clone())`.
     fn fork(&self) -> Option<Self>
     where
         Self: Sized,
@@ -338,7 +339,10 @@ impl FromIterator<u64> for AdHash {
 /// can carry images without growing another generic parameter; the concrete
 /// type is recovered by [`StateMachine::install`] on a machine of the same
 /// type. In a real deployment this would be a byte buffer; in the simulator
-/// an `Arc` keeps transfer cheap and deterministic.
+/// an `Arc` keeps transfer cheap and deterministic: wrapping an image is one
+/// allocation and cloning a `StateImage` (into a record, onto a wire) one
+/// reference-count increment, whatever the state's size. What capturing and
+/// installing the image cost is up to the machine ([`Snapshottable`]).
 #[derive(Clone)]
 pub struct StateImage(Arc<dyn Any + Send + Sync>);
 
@@ -371,6 +375,15 @@ impl PartialEq for StateImage {
 
 /// The typed face of snapshot support: a machine picks a concrete `Image`
 /// type and the blanket helpers erase/recover it for the wire layer.
+///
+/// **Cost.** A capture runs at the conservative close of every
+/// `snapshot_every`-th epoch, on the delivery path, so it should not cost
+/// O(state): an image that shares the live state's structure copy-on-write
+/// (`KvMachine`'s shares its chunks) costs one pointer per shared part, and
+/// the first later write to a part copies that part alone. An install runs
+/// once per catch-up, on the rejoiner, and may cost O(state): it must
+/// recompute the machine's digest from the installed content rather than
+/// trust the image, so that the catch-up digest check means something.
 ///
 /// Implementors override [`StateMachine::snapshot`]/[`StateMachine::install`]
 /// by forwarding to [`Snapshottable::erased_snapshot`] and
