@@ -1879,7 +1879,7 @@ fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> Row {
     for c in 0..clients {
         let completed = cluster.client(c).completed();
         requests += completed.len();
-        let mut ids: Vec<_> = completed.iter().map(|d| d.request.id).collect();
+        let mut ids: Vec<_> = completed.iter().map(|d| d.id).collect();
         ids.sort();
         ids.dedup();
         duplicates += (completed.len() - ids.len()) as u64;

@@ -9,7 +9,7 @@
 //! (`tests/integration/tests/figures.rs`).
 
 use oar::cluster::{Cluster, ClusterConfig};
-use oar::{OarClient, OarConfig};
+use oar::OarConfig;
 use oar_apps::stack::{StackCommand, StackMachine, StackResponse};
 use oar_baselines::{BaselineConfig, SequencerCluster};
 use oar_fd::FdConfig;
@@ -384,13 +384,6 @@ pub fn all_figures(seed: u64) -> Vec<FigureOutcome> {
         figure_3(seed),
         figure_4(seed),
     ]
-}
-
-/// Helper used by the clients: unused placeholder to keep `OarClient` import
-/// alive in docs.
-#[doc(hidden)]
-pub fn _client_type_holder() -> Option<&'static OarClient<StackMachine>> {
-    None
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use oar_channels::CastWire;
 use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, World};
 
 use crate::adaptive::PipelineStats;
-use crate::client::{CompletedRequest, OarClient};
+use crate::client::{Client, ClosedLoop, CompletedRequest, Flavour, OarClient};
 use crate::config::{ClientConfig, OarConfig};
 use crate::message::{OarWire, ReconfigCmd, Request, RequestId};
 use crate::server::{OarServer, ServerStats};
@@ -201,26 +201,12 @@ impl<S: StateMachine> Cluster<S> {
     /// Runs the simulation until every client finished its workload or the
     /// horizon is reached. Returns `true` if all clients finished.
     pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        // Step in slices so we can stop as soon as the workload is done.
-        let slice = SimDuration::from_millis(50);
-        let mut next = self.world.now() + slice;
-        loop {
-            self.world.run_until(next);
-            if self.all_clients_done() {
-                return true;
-            }
-            if self.world.now() >= horizon {
-                return self.all_clients_done();
-            }
-            next = self.world.now() + slice;
-        }
+        run_clients::<S, ClosedLoop>(&mut self.world, &self.clients, horizon)
     }
 
     /// Whether every client finished its workload.
     pub fn all_clients_done(&self) -> bool {
-        self.clients
-            .iter()
-            .all(|&c| self.world.process_ref::<OarClient<S>>(c).is_done())
+        clients_done::<S, ClosedLoop>(&self.world, &self.clients)
     }
 
     /// Read access to server `i` (by index in the group).
@@ -289,7 +275,7 @@ impl<S: StateMachine> Cluster<S> {
     pub fn max_pipeline_stats(&self, f: impl Fn(&PipelineStats) -> u64) -> u64 {
         self.clients
             .iter()
-            .filter_map(|&c| self.world.process_ref::<OarClient<S>>(c).pipeline_stats())
+            .flat_map(|&c| self.world.process_ref::<OarClient<S>>(c).pipeline_stats())
             .map(|p| f(&p))
             .max()
             .unwrap_or(0)
@@ -336,6 +322,39 @@ impl<S: StateMachine> Cluster<S> {
             .collect();
         crate::consistency::check_external_consistency(&alive, &completed)
     }
+}
+
+/// The run loop of the deployment harnesses ([`Cluster`],
+/// [`crate::ShardedCluster`], [`crate::TxnCluster`]): runs `world` in 50 ms
+/// slices until every one of `clients` — all of flavour `F` — finished its
+/// workload, or `horizon` has passed. Returns whether all finished.
+pub(crate) fn run_clients<S: StateMachine, F: Flavour<S::Response>>(
+    world: &mut World<OarWire<S::Command, S::Response>>,
+    clients: &[ProcessId],
+    horizon: SimTime,
+) -> bool {
+    let slice = SimDuration::from_millis(50);
+    loop {
+        let next = world.now() + slice;
+        world.run_until(next);
+        if clients_done::<S, F>(world, clients) {
+            return true;
+        }
+        if world.now() >= horizon {
+            return false;
+        }
+    }
+}
+
+/// Whether every one of `clients` — all of flavour `F` — finished its
+/// workload.
+pub(crate) fn clients_done<S: StateMachine, F: Flavour<S::Response>>(
+    world: &World<OarWire<S::Command, S::Response>>,
+    clients: &[ProcessId],
+) -> bool {
+    clients
+        .iter()
+        .all(|&c| world.process_ref::<Client<S, F>>(c).is_done())
 }
 
 /// The world-level core of [`Cluster::inject_replace`], usable without a

@@ -433,8 +433,7 @@ impl Default for PipelineMode {
     }
 }
 
-/// Configuration shared by every client flavour ([`crate::OarClient`],
-/// [`crate::sharded::ShardedClient`], [`crate::txn::TxnClient`]).
+/// Configuration of every client flavour (see [`crate::client`]).
 ///
 /// Construct one with [`ClientConfig::builder`], the single place where the
 /// client knobs are validated — the per-flavour `with_*` constructor zoo this
@@ -447,7 +446,8 @@ pub struct ClientConfig {
     pub think_time: SimDuration,
     /// Delay before the very first request, used to stagger clients.
     pub start_delay: SimDuration,
-    /// The outstanding-request window policy.
+    /// The outstanding-request window policy (an open-loop client paces by
+    /// its schedule instead).
     pub pipeline: PipelineMode,
     /// The replication group targeted by a single-group client, stamped on
     /// every request so servers can detect misroutes. Ignored by the sharded

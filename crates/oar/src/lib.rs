@@ -9,7 +9,7 @@
 //! ## Protocol in one paragraph
 //!
 //! Clients `R-multicast` their request to the server group `Π` and wait for a
-//! **weighted quorum** of replies ([`client::OarClient`], Fig. 5). Servers run
+//! **weighted quorum** of replies ([`client`], Fig. 5). Servers run
 //! in epochs ([`server::OarServer`], Fig. 6): during the optimistic phase a
 //! sequencer orders requests in one communication step and every server
 //! `Opt-deliver`s them immediately, replying with a small weight; if the
@@ -29,16 +29,20 @@
 //! * [`message`] — requests, weighted replies, ordering messages, wire enum;
 //! * [`cnsv_order`] — the pure `Cnsv-order` procedure (Fig. 7) and its
 //!   property-tested specification (§5.4);
-//! * [`server`] / [`client`] — the protocol participants as simulator
-//!   processes;
+//! * [`server`] — the replica, as a process of either runtime;
+//! * [`client`] — the one client: it routes each submission (a command or a
+//!   transaction), keeps a Fig. 5 quorum per part and paces by window or
+//!   schedule; [`OarClient`], [`OpenLoopClient`], [`ShardedClient`] and
+//!   [`TxnClient`] are its flavours;
 //! * [`cluster`] — a harness assembling whole deployments for tests, examples
 //!   and experiments;
 //! * [`shard`] / [`sharded`] — key-space partitioning over several
-//!   independent OAR groups (router, sharded clients and deployments), the
-//!   scale-out layer beyond one sequencer;
+//!   independent OAR groups (router and deployments), the scale-out layer
+//!   beyond one sequencer;
 //! * [`txn`] — client-side multi-key transactions over the sharded
 //!   deployment: single-group fast path (zero extra wires), per-group
-//!   `TxnPrepare` commit for multi-group key sets;
+//!   `TxnPrepare` commit for multi-group key sets ([`MultiOp`] and the
+//!   transactional deployment);
 //! * [`adaptive`] — load-driven controllers for the sequencer's batch
 //!   threshold and the clients' pipeline windows, converging to the paper's
 //!   unbatched behaviour under light load and amortised batches under
@@ -76,7 +80,6 @@ pub mod config;
 pub mod consistency;
 pub mod merkle;
 pub mod message;
-pub mod openloop;
 pub mod parallel;
 pub mod server;
 pub mod shard;
@@ -85,12 +88,14 @@ pub mod state_machine;
 pub mod txn;
 
 pub use adaptive::{AdaptiveConfig, BatchController, PipelineController, PipelineStats};
-pub use client::{CompletedRequest, OarClient, QuorumTracker};
+pub use client::{
+    Client, ClosedLoop, CompletedRequest, Flavour, OarClient, OpenLoop, OpenLoopClient,
+    QuorumTracker, Sharded, ShardedClient, Transactional, TxnClient, TxnCompleted,
+};
 pub use cluster::{spawn_replacement, Cluster, ClusterConfig};
 pub use cnsv_order::{cnsv_order_outcome, CnsvOutcome};
 pub use config::{ClientConfig, ClientConfigBuilder, OarConfig, OarConfigBuilder, PipelineMode};
 pub use consistency::{check_external_consistency, check_server_consistency};
-pub use openloop::OpenLoopClient;
 
 pub use merkle::{MerkleTree, SyncNode};
 pub use message::{
@@ -100,8 +105,8 @@ pub use message::{
 pub use parallel::{plan_waves, wave_apply, ParallelStateMachine};
 pub use server::{OarServer, Phase, ServerStats};
 pub use shard::{KeyRange, MigrationRecord, Partitioner, ShardKey, ShardRouter};
-pub use sharded::{ShardCompleted, ShardedClient, ShardedCluster, ShardedConfig};
+pub use sharded::{ShardedCluster, ShardedConfig};
 pub use state_machine::{
     AppliedBatch, ConflictKeys, KeySet, Snapshottable, StateImage, StateMachine,
 };
-pub use txn::{MultiOp, TxnClient, TxnCluster, TxnCompleted, TxnPart};
+pub use txn::{MultiOp, TxnCluster};

@@ -26,26 +26,19 @@
 //! drop + count mismatches ([`ServerStats::misrouted`]); the experiment
 //! harness gates on the count staying zero.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 
 use oar_channels::CastWire;
-use oar_simnet::{
-    GroupId, NetConfig, NetStats, Process, ProcessId, Runtime, Samples, SimDuration, SimTime,
-    Timer, TimerTag, World,
-};
+use oar_simnet::{GroupId, NetConfig, NetStats, ProcessId, Samples, SimDuration, SimTime, World};
 
-use crate::adaptive::{PipelineController, PipelineStats};
-use crate::client::{CompletedRequest, QuorumTracker};
-use crate::config::OarConfig;
-use crate::config::{ClientConfig, PipelineMode};
+use crate::client::{CompletedRequest, Sharded, ShardedClient};
+use crate::cluster::{clients_done, run_clients};
+use crate::config::{ClientConfig, OarConfig};
 use crate::consistency::{check_server_consistency, retained_positions};
-use crate::message::{majority, OarWire, ReconfigCmd, ReplyBatch, ReplyItem, Request, RequestId};
+use crate::message::{OarWire, ReconfigCmd, Request, RequestId};
 use crate::server::{OarServer, ServerStats};
 use crate::shard::{KeyRange, MigrationRecord, ShardKey, ShardRouter};
 use crate::state_machine::StateMachine;
-
-/// Timer tag used for the think-time delay between two requests.
-const NEXT_REQUEST: TimerTag = TimerTag::NextRequest;
 
 /// Parameters of a sharded deployment.
 #[derive(Clone, Debug)]
@@ -76,8 +69,7 @@ pub struct ShardedConfig {
     /// opened fully.
     pub client_pipeline: usize,
     /// When `true`, each client keeps one
-    /// [`PipelineController`] per group
-    /// and adapts that group's window to its reported delivery-batch sizes —
+    /// [`crate::adaptive::PipelineController`] per group and adapts that group's window to its reported delivery-batch sizes —
     /// groups under different load converge to different windows.
     pub adaptive_pipeline: bool,
 }
@@ -99,394 +91,18 @@ impl Default for ShardedConfig {
     }
 }
 
-#[derive(Debug)]
-struct Outstanding<C, R> {
-    group: GroupId,
-    index: usize,
-    sent_at: SimTime,
-    quorum: QuorumTracker<R>,
-    /// The command itself, retained so a [`OarWire::Redirect`] can re-route
-    /// the request to the group that now owns its key.
-    command: C,
-    /// The routing-boundary epoch the request was last sent under. Used to
-    /// de-duplicate redirects: once a request was re-sent under the current
-    /// epoch, further `Redirect`s naming it (one per group member that
-    /// door-dropped a first-hand copy) are ignored.
-    route_epoch: u64,
-}
-
-/// Per-group adaptive pipeline state of a [`ShardedClient`]: one window
-/// controller and in-flight count per group, so each group's window tracks
-/// *its* sequencer's batching independently (skewed per-group load converges
-/// to skewed windows).
-#[derive(Debug)]
-struct GroupPipelines {
-    controllers: Vec<PipelineController>,
-    in_flight: Vec<usize>,
-    /// Which group each server belongs to, for attributing reply wires.
-    server_group: HashMap<ProcessId, usize>,
-}
-
-impl GroupPipelines {
-    fn new(groups: &[Vec<ProcessId>], cap: usize) -> Self {
-        let server_group = groups
-            .iter()
-            .enumerate()
-            .flat_map(|(g, servers)| servers.iter().map(move |&s| (s, g)))
-            .collect();
-        GroupPipelines {
-            controllers: groups
-                .iter()
-                .map(|_| PipelineController::new(cap))
-                .collect(),
-            in_flight: vec![0; groups.len()],
-            server_group,
-        }
-    }
-}
-
-/// A request completed by a sharded client: the group that served it plus
-/// the per-request bookkeeping of the single-group client.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardCompleted<R> {
-    /// The group the request was routed to (and answered by).
-    pub group: GroupId,
-    /// The adopted reply and its bookkeeping.
-    pub request: CompletedRequest<R>,
-}
-
-/// A client of a sharded deployment: it routes every command of its workload
-/// to the group owning the command's key, R-multicasts it to that group, and
-/// applies the Fig. 5 weighted-quorum adoption rule *per owning group* — the
-/// optimistic/conservative reply semantics of each request are exactly those
-/// of a single-group client, with the majority threshold of the group that
-/// serves it.
-#[derive(Debug)]
-pub struct ShardedClient<S: StateMachine> {
-    id: ProcessId,
-    /// Server ids per group, indexed by [`GroupId`].
-    groups: Vec<Vec<ProcessId>>,
-    router: ShardRouter,
-    workload: VecDeque<S::Command>,
-    /// Requests get ids `(self.id, seq)` from one counter across all groups,
-    /// so ids stay unique however commands are routed.
-    next_seq: u64,
-    next_index: usize,
-    think_time: SimDuration,
-    start_delay: SimDuration,
-    pipeline: usize,
-    /// Present when each group's window adapts to its delivery-batch hints.
-    adaptive: Option<GroupPipelines>,
-    outstanding: BTreeMap<RequestId, Outstanding<S::Command, S::Response>>,
-    completed: Vec<ShardCompleted<S::Response>>,
-}
-
-impl<S: StateMachine> ShardedClient<S>
-where
-    S::Command: ShardKey,
-{
-    /// Creates a client submitting `workload` to the deployment described by
-    /// `groups` (server ids per group) and `router`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router's group count differs from `groups.len()`.
-    pub fn new(
-        id: ProcessId,
-        groups: Vec<Vec<ProcessId>>,
-        router: ShardRouter,
-        workload: Vec<S::Command>,
-        config: ClientConfig,
-    ) -> Self {
-        assert_eq!(
-            router.num_groups(),
-            groups.len(),
-            "router and deployment disagree on the group count"
-        );
-        let adaptive = match config.pipeline {
-            PipelineMode::Fixed(_) => None,
-            // One adaptive window per group, each driven by that group's
-            // reported delivery-batch sizes, so a heavily loaded group
-            // pipelines deeply while a light one stays closed-loop.
-            PipelineMode::Adaptive(cap) => Some(GroupPipelines::new(&groups, cap)),
-        };
-        ShardedClient {
-            id,
-            groups,
-            router,
-            workload: workload.into(),
-            next_seq: 0,
-            next_index: 0,
-            think_time: config.think_time,
-            start_delay: config.start_delay,
-            pipeline: config.initial_window().max(1),
-            adaptive,
-            outstanding: BTreeMap::new(),
-            completed: Vec::new(),
-        }
-    }
-
-    /// Convergence counters of group `g`'s adaptive window (`None` for a
-    /// static pipeline).
-    pub fn group_pipeline_stats(&self, g: usize) -> Option<PipelineStats> {
-        self.adaptive
-            .as_ref()
-            .and_then(|a| a.controllers.get(g))
-            .map(|c| c.stats())
-    }
-
-    /// The client's process identifier.
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
-
-    /// The requests completed so far, in completion order.
-    pub fn completed(&self) -> &[ShardCompleted<S::Response>] {
-        &self.completed
-    }
-
-    /// Whether the whole workload has been submitted and answered.
-    pub fn is_done(&self) -> bool {
-        self.workload.is_empty() && self.outstanding.is_empty()
-    }
-
-    /// Submits requests until the pipeline window is full or the workload is
-    /// exhausted. Each request is R-multicast to the servers of its owning
-    /// group only (one wire per member; the servers' push/pull repair
-    /// provides Agreement should this client die mid-send).
-    ///
-    /// With a static pipeline the window is global; with adaptive pipelining
-    /// the head-of-line command must fit its *owning group's* window —
-    /// commands stay FIFO, so a light group's shallow window can briefly
-    /// hold back traffic for a deep one, which keeps per-key submission
-    /// order trivially intact.
-    fn fill_pipeline(&mut self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>) {
-        loop {
-            let Some(command) = self.workload.front() else {
-                return;
-            };
-            let group = self.router.route(command);
-            match &self.adaptive {
-                None => {
-                    if self.outstanding.len() >= self.pipeline {
-                        return;
-                    }
-                }
-                Some(a) => {
-                    let g = group.index();
-                    if a.in_flight[g] >= a.controllers[g].window() {
-                        return;
-                    }
-                }
-            }
-            let command = self.workload.pop_front().expect("peeked above");
-            if let Some(a) = self.adaptive.as_mut() {
-                a.in_flight[group.index()] += 1;
-            }
-            let id = RequestId::new(self.id, self.next_seq);
-            self.next_seq += 1;
-            let wire = CastWire {
-                id,
-                origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: None,
-                    reconfig: None,
-                    route_epoch: self.router.route_epoch(),
-                    command: command.clone(),
-                },
-            };
-            ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate_with(|| format!("OAR-multicast({id}, {group})"));
-            self.outstanding.insert(
-                id,
-                Outstanding {
-                    group,
-                    index: self.next_index,
-                    sent_at: ctx.now(),
-                    quorum: QuorumTracker::new(),
-                    command,
-                    route_epoch: self.router.route_epoch(),
-                },
-            );
-            self.next_index += 1;
-        }
-    }
-
-    fn handle_reply_batch(
-        &mut self,
-        ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        batch: ReplyBatch<S::Response>,
-    ) {
-        // Adapt the sending group's window before unpacking, so the refills
-        // triggered by the adoptions below see the adjusted pipeline.
-        if let Some(a) = self.adaptive.as_mut() {
-            if let Some(&g) = a.server_group.get(&batch.from) {
-                a.controllers[g].observe_batch(batch.batch_hint);
-            }
-        }
-        for item in &batch.items {
-            self.handle_reply(ctx, &batch, item);
-        }
-    }
-
-    /// The Fig. 5 adoption rule, with the majority threshold of the request's
-    /// owning group.
-    fn handle_reply(
-        &mut self,
-        ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        batch: &ReplyBatch<S::Response>,
-        item: &ReplyItem<S::Response>,
-    ) {
-        let request = item.request;
-        let Some(outstanding) = self.outstanding.get_mut(&request) else {
-            return; // stale reply for an already-completed request
-        };
-        let threshold = majority(self.groups[outstanding.group.index()].len());
-        let Some((epoch, reply)) = outstanding.quorum.absorb(batch.reply(item), threshold) else {
-            return;
-        };
-        let outstanding = self.outstanding.remove(&request).expect("outstanding");
-        if let Some(a) = self.adaptive.as_mut() {
-            a.in_flight[outstanding.group.index()] -= 1;
-        }
-        ctx.annotate_with(|| {
-            format!(
-                "adopt({}, {}, pos={}, |W|={})",
-                request,
-                outstanding.group,
-                reply.position,
-                reply.weight.len()
-            )
-        });
-        self.completed.push(ShardCompleted {
-            group: outstanding.group,
-            request: CompletedRequest {
-                id: request,
-                index: outstanding.index,
-                response: reply.response,
-                position: reply.position,
-                epoch,
-                adopted_weight: reply.weight.len(),
-                replies_seen: outstanding.quorum.replies_seen(),
-                sent_at: outstanding.sent_at,
-                completed_at: ctx.now(),
-            },
-        });
-        if self.workload.is_empty() {
-            return;
-        }
-        if self.think_time.is_zero() {
-            self.fill_pipeline(ctx);
+impl ShardedConfig {
+    /// The configuration of client `c`: the deployment's think time and
+    /// pipeline policy, with starts staggered by 10 µs per client.
+    pub(crate) fn client_config(&self, c: usize) -> ClientConfig {
+        let builder = ClientConfig::builder()
+            .think_time(self.think_time)
+            .start_delay(SimDuration::from_micros(10 * c as u64));
+        if self.adaptive_pipeline {
+            builder.adaptive_pipeline(self.client_pipeline).build()
         } else {
-            ctx.set_timer(self.think_time, NEXT_REQUEST);
+            builder.pipeline(self.client_pipeline).build()
         }
-    }
-
-    /// Handles a routing redirect from a donor group: advance the local
-    /// router past the migrations the redirect carries, then re-send exactly
-    /// the requests the redirect names as **dropped** — under their
-    /// *original* [`RequestId`]s, so the servers' at-most-once guarantee
-    /// (and the cross-group leak check) still holds.
-    ///
-    /// Only dropped requests may be re-sent. An outstanding request the
-    /// donor already ordered is *not* dropped: its effect travels in the
-    /// migrated hand-off and its replies are still in flight, so re-sending
-    /// it to the recipient group — whose seen-set has never met its id —
-    /// would order and execute it a second time. The servers name a request
-    /// in `dropped` only when no copy of it can settle anywhere (door-drop
-    /// before the caster, or fence prune with the seen entry retained), so
-    /// the re-send is the request's only path to settlement.
-    fn handle_redirect(
-        &mut self,
-        ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        records: Vec<MigrationRecord>,
-        dropped: Vec<RequestId>,
-    ) {
-        for record in &records {
-            self.router.apply_record(record);
-        }
-        let route_epoch = self.router.route_epoch();
-        for id in dropped {
-            let Some(outstanding) = self.outstanding.get_mut(&id) else {
-                continue; // already completed (a racing group answered)
-            };
-            if outstanding.route_epoch >= route_epoch {
-                continue; // already re-sent under the current boundary
-            }
-            let group = self.router.route(&outstanding.command);
-            if group != outstanding.group {
-                if let Some(a) = self.adaptive.as_mut() {
-                    a.in_flight[outstanding.group.index()] -= 1;
-                    a.in_flight[group.index()] += 1;
-                }
-                // Partial optimistic weight from the donor group must not be
-                // mixed with the recipient's replies (epoch numbers are
-                // per-group), so the tracker restarts from scratch.
-                outstanding.group = group;
-                outstanding.quorum = QuorumTracker::new();
-            }
-            // Same group: the first-hand copy was door-dropped for the stale
-            // stamp alone, so re-send under the fresh one; members that
-            // accepted the pre-fence copy recognise the duplicate by its id.
-            outstanding.route_epoch = route_epoch;
-            let wire = CastWire {
-                id,
-                origin: self.id,
-                payload: Request {
-                    id,
-                    client: self.id,
-                    group,
-                    txn: None,
-                    reconfig: None,
-                    route_epoch,
-                    command: outstanding.command.clone(),
-                },
-            };
-            ctx.send_all(&self.groups[group.index()], OarWire::Request(wire));
-            ctx.annotate_with(|| format!("OAR-redirect({id}, {group})"));
-        }
-    }
-}
-
-impl<S: StateMachine> Process<OarWire<S::Command, S::Response>> for ShardedClient<S>
-where
-    S::Command: ShardKey,
-{
-    fn on_start(&mut self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>) {
-        if self.start_delay.is_zero() {
-            self.fill_pipeline(ctx);
-        } else {
-            ctx.set_timer(self.start_delay, NEXT_REQUEST);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>,
-        _from: ProcessId,
-        msg: OarWire<S::Command, S::Response>,
-    ) {
-        match msg {
-            OarWire::Replies(batch) => self.handle_reply_batch(ctx, batch),
-            OarWire::Redirect { records, dropped } => self.handle_redirect(ctx, records, dropped),
-            // Clients ignore every other message kind.
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Runtime<OarWire<S::Command, S::Response>>, timer: Timer) {
-        if timer.tag == NEXT_REQUEST
-            && (self.adaptive.is_some() || self.outstanding.len() < self.pipeline)
-        {
-            self.fill_pipeline(ctx);
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("sharded-client-{}", self.id.index())
     }
 }
 
@@ -535,20 +151,12 @@ where
         let first_client = config.num_groups * config.servers_per_group;
         let mut clients = Vec::with_capacity(config.num_clients);
         for c in 0..config.num_clients {
-            let mut builder = ClientConfig::builder()
-                .think_time(config.think_time)
-                .start_delay(SimDuration::from_micros(10 * c as u64));
-            builder = if config.adaptive_pipeline {
-                builder.adaptive_pipeline(config.client_pipeline)
-            } else {
-                builder.pipeline(config.client_pipeline)
-            };
             let client: ShardedClient<S> = ShardedClient::new(
                 ProcessId::new(first_client + c),
                 groups.clone(),
                 config.router.clone(),
                 workload_for(c),
-                builder.build(),
+                config.client_config(c),
             );
             clients.push(world.add_process(client));
         }
@@ -564,25 +172,12 @@ where
     /// Runs the simulation until every client finished its workload or the
     /// horizon is reached. Returns `true` if all clients finished.
     pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        let slice = SimDuration::from_millis(50);
-        let mut next = self.world.now() + slice;
-        loop {
-            self.world.run_until(next);
-            if self.all_clients_done() {
-                return true;
-            }
-            if self.world.now() >= horizon {
-                return self.all_clients_done();
-            }
-            next = self.world.now() + slice;
-        }
+        run_clients::<S, Sharded>(&mut self.world, &self.clients, horizon)
     }
 
     /// Whether every client finished its workload.
     pub fn all_clients_done(&self) -> bool {
-        self.clients
-            .iter()
-            .all(|&c| self.world.process_ref::<ShardedClient<S>>(c).is_done())
+        clients_done::<S, Sharded>(&self.world, &self.clients)
     }
 
     /// Read access to server `i` of group `g`.
@@ -596,7 +191,7 @@ where
     }
 
     /// All completed requests of all clients, with their owning group.
-    pub fn completed_requests(&self) -> Vec<&ShardCompleted<S::Response>> {
+    pub fn completed_requests(&self) -> Vec<&CompletedRequest<S::Response>> {
         self.clients
             .iter()
             .flat_map(|&c| {
@@ -612,7 +207,7 @@ where
     pub fn latencies(&self) -> Samples {
         let mut samples = Samples::new();
         for r in self.completed_requests() {
-            samples.record_duration(r.request.latency());
+            samples.record_duration(r.latency());
         }
         samples
     }
@@ -621,7 +216,7 @@ where
     pub fn last_completion(&self) -> SimTime {
         self.completed_requests()
             .iter()
-            .map(|r| r.request.completed_at)
+            .map(|r| r.completed_at)
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -808,7 +403,7 @@ where
             client
                 .completed()
                 .iter()
-                .map(|done| (done.group, done.request.id, done.request.position))
+                .map(|done| (done.group, done.id, done.position))
         });
         check_adopted_positions::<S>(&self.world, &self.groups, adopted)
     }
@@ -925,7 +520,12 @@ pub(crate) fn check_adopted_positions<S: StateMachine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, Flavour, OarClient, TxnClient};
+    use crate::message::{DeliveryKind, ReplyBatch, ReplyItem};
     use crate::state_machine::StateMachine;
+    use crate::txn::MultiOp;
+    use oar_simnet::{Process, Runtime};
+    use std::collections::BTreeMap;
 
     /// A minimal keyed service for the sharded tests: per-key counters.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -942,6 +542,12 @@ mod tests {
     impl ShardKey for AddTo {
         fn shard_key(&self) -> &str {
             &self.key
+        }
+    }
+
+    impl MultiOp for AddTo {
+        fn multi(_: Vec<Self>) -> Self {
+            unreachable!("the tests submit one-op transactions only")
         }
     }
 
@@ -1028,13 +634,9 @@ mod tests {
                     .world
                     .process_ref::<OarServer<KeyedCounters>>(s)
                     .committed_sequence()
-                    .contains(&done.request.id)
+                    .contains(&done.id)
             });
-            assert!(
-                settled_somewhere,
-                "{} not settled in its group",
-                done.request.id
-            );
+            assert!(settled_somewhere, "{} not settled in its group", done.id);
         }
     }
 
@@ -1081,9 +683,9 @@ mod tests {
 
     /// Runs `f` against the client with a throwaway runtime context and
     /// returns the actions it produced.
-    fn drive(
-        client: &mut ShardedClient<KeyedCounters>,
-        f: impl FnOnce(&mut ShardedClient<KeyedCounters>, &mut dyn Runtime<OarWire<AddTo, i64>>),
+    fn drive<F: Flavour<i64>>(
+        client: &mut Client<KeyedCounters, F>,
+        f: impl FnOnce(&mut Client<KeyedCounters, F>, &mut dyn Runtime<OarWire<AddTo, i64>>),
     ) -> Vec<oar_simnet::Action<OarWire<AddTo, i64>>> {
         let mut rng = oar_simnet::SimRng::new(1);
         let mut actions = Vec::new();
@@ -1202,5 +804,73 @@ mod tests {
             );
         });
         assert!(requests_sent(&actions).is_empty(), "duplicate absorbed");
+    }
+
+    /// A single-group client is the one-group routed client: the same
+    /// workload through an `OarClient`, a `ShardedClient` over one hash
+    /// group and a `TxnClient` of one-op transactions emits the same
+    /// `Request` wires in the same order — ids, targets, group stamp,
+    /// routing epoch and no transaction envelope — for the first window and
+    /// for the refill after an adoption.
+    #[test]
+    fn one_group_clients_send_identical_request_wires() {
+        fn wires<F: Flavour<i64>>(
+            client: &mut Client<KeyedCounters, F>,
+        ) -> Vec<(ProcessId, Request<AddTo>)> {
+            let first = RequestId::new(client.id(), 0);
+            let quorum = OarWire::Replies(ReplyBatch {
+                epoch: 0,
+                weight: [ProcessId::new(0), ProcessId::new(1)].into(),
+                from: ProcessId::new(0),
+                kind: DeliveryKind::Optimistic,
+                batch_hint: 1,
+                items: vec![ReplyItem {
+                    request: first,
+                    position: 1,
+                    response: 1,
+                }],
+            });
+            let actions = drive(client, |c, ctx| {
+                c.on_start(ctx);
+                c.on_message(ctx, ProcessId::new(0), quorum);
+            });
+            assert_eq!(client.completed().len(), 1, "the first request adopted");
+            requests_sent(&actions)
+                .into_iter()
+                .map(|(to, request)| (to, request.clone()))
+                .collect()
+        }
+        let servers: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
+        let id = ProcessId::new(3);
+        let ops = workload(0, 6);
+        let config = || ClientConfig::builder().pipeline(4).build();
+
+        let mut plain: OarClient<KeyedCounters> =
+            OarClient::new(id, servers.clone(), ops.clone(), config());
+        let expected = wires(&mut plain);
+        assert_eq!(expected.len(), 5 * 3, "a window of four plus one refill");
+        for (k, (to, request)) in expected.iter().enumerate() {
+            assert_eq!(*to, servers[k % 3]);
+            assert_eq!(request.id, RequestId::new(id, (k / 3) as u64));
+            assert_eq!(request.command, ops[k / 3]);
+            assert_eq!(
+                (request.group, request.route_epoch, &request.txn),
+                (GroupId::new(0), 0, &None)
+            );
+        }
+
+        let mut sharded: ShardedClient<KeyedCounters> = ShardedClient::new(
+            id,
+            vec![servers.clone()],
+            ShardRouter::hash(1),
+            ops.clone(),
+            config(),
+        );
+        assert_eq!(wires(&mut sharded), expected);
+
+        let txns = ops.iter().map(|op| vec![op.clone()]).collect();
+        let mut txn: TxnClient<KeyedCounters> =
+            TxnClient::new(id, vec![servers], ShardRouter::hash(1), txns, config());
+        assert_eq!(wires(&mut txn), expected);
     }
 }

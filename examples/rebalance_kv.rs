@@ -91,7 +91,7 @@ fn main() {
     let mut total = 0usize;
     for c in 0..CLIENTS {
         let completed = cluster.client(c).completed();
-        let mut ids: Vec<_> = completed.iter().map(|d| d.request.id).collect();
+        let mut ids: Vec<_> = completed.iter().map(|d| d.id).collect();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), completed.len(), "client {c} adopted a duplicate");

@@ -181,7 +181,7 @@ fn online_migration_loses_and_duplicates_nothing() {
         for c in 0..3 {
             let completed = cluster.client(c).completed();
             assert_eq!(completed.len(), per_client, "seed {seed}: client {c}");
-            let mut ids: Vec<_> = completed.iter().map(|d| d.request.id).collect();
+            let mut ids: Vec<_> = completed.iter().map(|d| d.id).collect();
             ids.sort();
             ids.dedup();
             assert_eq!(

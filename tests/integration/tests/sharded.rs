@@ -155,13 +155,9 @@ fn range_partitioned_deployment_is_consistent() {
                 .world
                 .process_ref::<OarServer<KvMachine>>(s)
                 .committed_sequence()
-                .contains(&done.request.id)
+                .contains(&done.id)
         });
-        assert!(
-            settled,
-            "{} not settled by its owning group",
-            done.request.id
-        );
+        assert!(settled, "{} not settled by its owning group", done.id);
     }
 }
 
@@ -182,13 +178,13 @@ fn per_key_reads_see_the_owning_groups_order() {
         let client = cluster.client(c);
         let mut last_pos: std::collections::HashMap<usize, u64> = Default::default();
         let mut by_index: Vec<_> = client.completed().to_vec();
-        by_index.sort_by_key(|d| d.request.index);
+        by_index.sort_by_key(|d| d.index);
         for done in by_index {
             let g = done.group.index();
-            let prev = last_pos.insert(g, done.request.position);
+            let prev = last_pos.insert(g, done.position);
             if let Some(prev) = prev {
                 assert!(
-                    done.request.position > prev,
+                    done.position > prev,
                     "client {c}: positions within group {g} must increase \
                      with submission order for a pipeline-1 client"
                 );
@@ -228,7 +224,7 @@ fn seen_sets_stay_window_bounded_under_epoch_cuts() {
     );
     // Responses still correct: a Get that completed adopted a real value.
     for done in cluster.completed_requests() {
-        match &done.request.response {
+        match &done.response {
             KvResponse::Value(_)
             | KvResponse::Previous(_)
             | KvResponse::Swapped(_)

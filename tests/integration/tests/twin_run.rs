@@ -16,11 +16,10 @@
 //! order, external consistency) on real threads via the runtime-agnostic
 //! checks of `oar::consistency`.
 
-use oar::openloop::OpenLoopClient;
 use oar::server::OarServer;
 use oar::{
     check_external_consistency, check_server_consistency, ClientConfig, OarConfig, OarWire,
-    StateMachine,
+    OpenLoopClient, StateMachine,
 };
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
 use oar_rtnet::{RtNet, RunOptions};

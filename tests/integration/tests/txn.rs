@@ -6,9 +6,9 @@
 //! single-key traffic.
 
 use oar::shard::ShardRouter;
-use oar::sharded::{ShardedClient, ShardedConfig};
+use oar::sharded::ShardedConfig;
 use oar::txn::TxnCluster;
-use oar::{OarConfig, OarServer};
+use oar::{OarConfig, OarServer, ShardedClient};
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
 use oar_simnet::{NetConfig, SimDuration, SimTime};
 
@@ -100,12 +100,12 @@ fn committed_multi_group_txns_settle_in_every_participating_group() {
                         .world
                         .process_ref::<OarServer<KvMachine>>(s)
                         .committed_sequence()
-                        .contains(&part.request)
+                        .contains(&part.id)
                 });
                 assert!(
                     settled,
                     "seed {seed}: {} of {} dropped by {}",
-                    part.request, txn.id, part.group
+                    part.id, txn.id, part.group
                 );
             }
         }
@@ -148,13 +148,11 @@ fn checks_are_compaction_aware_with_snapshots_on() {
         .process_ref::<OarServer<KvMachine>>(cluster.groups[0][0]);
     assert!(some_replica.a_base() > 0);
     assert!(
-        cluster
-            .completed_txns()
+        cluster.completed_txns().iter().any(|txn| txn
+            .parts
             .iter()
-            .any(|txn| txn.parts.iter().any(|part| !some_replica
-                .committed_sequence()
-                .contains(&part.request)
-                && some_replica.has_delivered(&part.request))),
+            .any(|part| !some_replica.committed_sequence().contains(&part.id)
+                && some_replica.has_delivered(&part.id))),
         "some committed prepare must be gone from the retained log"
     );
     run_checks(&cluster, "snapshots on");
@@ -309,13 +307,13 @@ fn txns_are_isolated_from_concurrent_single_key_traffic() {
             if let Some(pos) = server
                 .committed_sequence()
                 .iter()
-                .position(|id| *id == done.request.id)
+                .position(|id| *id == done.id)
             {
                 assert_eq!(
                     (pos + 1) as u64,
-                    done.request.position,
+                    done.position,
                     "plain request {} settled at a different position",
-                    done.request.id
+                    done.id
                 );
             }
         }
@@ -342,4 +340,55 @@ fn concurrent_overlapping_txns_stay_atomic_over_many_seeds() {
         assert_eq!(cluster.completed_txns().len(), 24);
         run_checks(&cluster, &format!("overlap seed {seed}"));
     }
+}
+
+/// Adaptive windows are kept per group, as for plain sharded clients: under
+/// skewed two-group load the heavy group's window opens further than the
+/// light group's, a transaction spanning both takes one slot in each, and
+/// every transaction still commits with all checks green.
+#[test]
+fn adaptive_windows_follow_each_groups_load() {
+    let clients = 8;
+    let per_client = 40;
+    let config = ShardedConfig {
+        num_clients: clients,
+        // `a*` keys belong to group 0 (heavy), `z*` keys to group 1 (light).
+        router: ShardRouter::range(vec!["m".to_string()]),
+        oar: OarConfig::adaptive(),
+        client_pipeline: 16,
+        adaptive_pipeline: true,
+        ..txn_config(2, 5)
+    };
+    // Seven of eight transactions stay in group 0; every eighth spans both.
+    let workload = |c: usize| -> Vec<Vec<KvCommand>> {
+        (0..per_client)
+            .map(|i| {
+                let heavy = put(&format!("a{:02}", (c * 7 + i) % 16), &format!("c{c}t{i}"));
+                if i % 8 == 7 {
+                    vec![heavy, put(&format!("z{:02}", i % 16), &format!("c{c}t{i}"))]
+                } else {
+                    vec![heavy]
+                }
+            })
+            .collect()
+    };
+    let mut cluster: TxnCluster<KvMachine> = TxnCluster::build(&config, KvMachine::new, workload);
+    assert!(cluster.run_to_completion(SimTime::from_secs(60)));
+    assert_eq!(cluster.completed_txns().len(), clients * per_client);
+    assert!(cluster.multi_group_commits() > 0);
+    cluster
+        .check_all()
+        .expect("check_all with adaptive windows");
+    let peak = |g: usize| {
+        (0..clients)
+            .map(|c| cluster.client(c).pipeline_stats()[g].window_peak)
+            .max()
+            .expect("clients")
+    };
+    assert!(
+        peak(0) > peak(1),
+        "heavy group's window peak {} must exceed the light group's {}",
+        peak(0),
+        peak(1)
+    );
 }
