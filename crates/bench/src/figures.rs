@@ -254,7 +254,8 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
 ///
 /// The paper sketches this with n = 4 and the relaxed estimate-collection rule
 /// of \[Fel98\]; with the default uniform-agreement consensus the same behaviour
-/// needs n = 5 (see `DESIGN.md` §2), which is what this scenario uses.
+/// needs n = 5 (see "Estimate collection" in `docs/ARCHITECTURE.md`), which is
+/// what this scenario uses.
 pub fn figure_4(seed: u64) -> FigureOutcome {
     use oar::state_machine::{CounterCommand, CounterMachine};
     let oar_config = OarConfig::with_fd_timeout(SimDuration::from_millis(25));

@@ -448,4 +448,74 @@ mod tests {
              \"Harness experiments and their gates\""
         );
     }
+
+    /// Every `` `path:line` `symbol` `` anchor in the docs (a bare `` `:line` ``
+    /// continues the last path) names a symbol that occurs within two lines
+    /// of the cited line, so code that moves cannot leave the docs pointing
+    /// at something else. Fenced blocks are not scanned.
+    #[test]
+    fn every_doc_anchor_names_what_it_points_at() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let is_symbol = |s: &str| {
+            s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && s.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        };
+        let (mut checked, mut stale) = (0, Vec::new());
+        for doc in [
+            "docs/ARCHITECTURE.md",
+            "docs/BENCHMARKS.md",
+            "README.md",
+            "crates/oar/README.md",
+        ] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).expect("doc is readable");
+            let mut fenced = false;
+            let mut prose = String::new();
+            for line in text.lines() {
+                if line.trim_start().starts_with("```") {
+                    fenced = !fenced;
+                } else if !fenced {
+                    prose.push_str(line);
+                    prose.push('\n');
+                }
+            }
+            // Code spans are the odd pieces between backticks.
+            let pieces: Vec<&str> = prose.split('`').collect();
+            let mut path = "";
+            for i in (1..pieces.len().saturating_sub(2)).step_by(2) {
+                let Some((file, line)) = pieces[i].rsplit_once(':') else {
+                    continue;
+                };
+                let Ok(line) = line.parse::<usize>() else {
+                    continue;
+                };
+                if !file.is_empty() && !file.contains('.') {
+                    continue; // not a path (`3:1`, a ratio)
+                }
+                if !file.is_empty() {
+                    path = file;
+                }
+                let symbol = pieces[i + 2];
+                if !pieces[i + 1].trim().is_empty() || !is_symbol(symbol) {
+                    continue; // an anchor without a symbol right after it
+                }
+                let name = symbol.rsplit("::").next().expect("split yields a piece");
+                let source = std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_default();
+                let lines: Vec<&str> = source.lines().collect();
+                let end = (line + 2).min(lines.len());
+                let near = &lines[line.saturating_sub(3).min(end)..end];
+                checked += 1;
+                if !near.iter().any(|l| l.contains(name)) {
+                    stale.push(format!("{doc}: `{path}:{line}` `{symbol}`"));
+                }
+            }
+        }
+        assert!(checked > 0, "no symbol-tagged anchor found");
+        assert!(
+            stale.is_empty(),
+            "doc anchors whose symbol is not within two lines of the cited line \
+             (missing file, or the code moved):\n{}",
+            stale.join("\n")
+        );
+    }
 }

@@ -17,7 +17,8 @@
 //!   not suspect **and** from at least a majority (the majority requirement can
 //!   be relaxed with [`ConsensusConfig::require_majority_estimates`] to mimic
 //!   the weaker collection rule described in the paper's footnote 5, at the
-//!   cost of uniform agreement — see `DESIGN.md`);
+//!   cost of uniform agreement — see "Estimate collection" in
+//!   `docs/ARCHITECTURE.md`);
 //! * if no collected estimate is locked, the coordinator's proposal is the
 //!   **aggregate** of the collected initial values (one `(ProcessId, V)` pair
 //!   per contributor) — this is what gives Maj-validity; otherwise it re-uses
@@ -183,7 +184,7 @@ pub struct ConsensusConfig {
     /// minority's values be excluded from the decision with any group size
     /// (reproducing Figure 4 of the paper at `n = 4`), but a very adversarial
     /// combination of wrong suspicions and crashes can then violate uniform
-    /// agreement; see `DESIGN.md` §2.
+    /// agreement; see "Estimate collection" in `docs/ARCHITECTURE.md`.
     pub require_majority_estimates: bool,
 }
 

@@ -28,31 +28,15 @@ pub struct OarConfig {
     /// Period of the servers' maintenance timer, which drives heartbeats,
     /// suspicion checks and sequencer batching.
     pub tick_interval: SimDuration,
-    /// When `true` (default) the sequencer orders new requests as soon as they
-    /// are R-delivered (subject to [`OarConfig::max_batch`]); when `false` it
-    /// only orders on its maintenance tick, which batches requests at the cost
-    /// of latency (throughput ablation).
-    pub eager_sequencing: bool,
     /// Sequencer batching knob (Task 1a). The sequencer accumulates unordered
     /// request ids and emits one `OrderMsg` carrying the whole batch as soon
     /// as the backlog reaches `max_batch`; a smaller backlog is flushed by the
-    /// flush deadline ([`OarConfig::flush_delay`]) or the next maintenance
-    /// tick. `1` (the default) reproduces the paper's unbatched behaviour —
+    /// next maintenance tick. `1` (the default) reproduces the paper's unbatched behaviour —
     /// one ordering broadcast per request — while larger values amortise the
     /// reliable-multicast cost across the batch. Ignored when
     /// [`OarConfig::adaptive`] is set: the controller then owns the
     /// threshold.
     pub max_batch: usize,
-    /// Explicit flush deadline for partial sequencer batches: a backlog
-    /// smaller than the batch threshold is ordered this long after its first
-    /// unflushed arrival, bounding the worst-case added ordering latency
-    /// independent of [`OarConfig::tick_interval`]. `None` (the default)
-    /// preserves the historical behaviour of flushing on the next maintenance
-    /// tick. Adaptive mode ignores this field and uses
-    /// [`AdaptiveConfig::max_delay`]. Requires [`OarConfig::eager_sequencing`]
-    /// (the builder rejects the combination with tick-only ordering, where
-    /// the deadline would never arm).
-    pub flush_delay: Option<SimDuration>,
     /// Adaptive batching mode: when set, a
     /// [`crate::adaptive::BatchController`] drives the sequencer's effective
     /// batch threshold from the observed arrival rate and backlog instead of
@@ -118,9 +102,7 @@ impl Default for OarConfig {
             fd: FdConfig::default(),
             consensus: ConsensusConfig::default(),
             tick_interval: SimDuration::from_millis(1),
-            eager_sequencing: true,
             max_batch: 1,
-            flush_delay: None,
             adaptive: None,
             epoch_cut_after: None,
             parallel_apply: None,
@@ -179,7 +161,6 @@ impl OarConfig {
 ///
 /// let config = OarConfig::builder()
 ///     .max_batch(8)
-///     .flush_delay(SimDuration::from_micros(300))
 ///     .fd_timeout(SimDuration::from_millis(25))
 ///     .build();
 /// assert_eq!(config.max_batch, 8);
@@ -190,9 +171,7 @@ pub struct OarConfigBuilder {
     fd: Option<FdConfig>,
     consensus: Option<ConsensusConfig>,
     tick_interval: Option<SimDuration>,
-    eager_sequencing: Option<bool>,
     max_batch: Option<usize>,
-    flush_delay: Option<SimDuration>,
     adaptive: Option<AdaptiveConfig>,
     epoch_cut_after: Option<u64>,
     parallel_apply: Option<usize>,
@@ -234,22 +213,10 @@ impl OarConfigBuilder {
         self
     }
 
-    /// Enables or disables eager sequencing.
-    pub fn eager_sequencing(mut self, eager: bool) -> Self {
-        self.eager_sequencing = Some(eager);
-        self
-    }
-
     /// Sets the static sequencer batch threshold. Conflicts with
     /// [`OarConfigBuilder::adaptive`]; zero is rejected at build time.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = Some(max_batch);
-        self
-    }
-
-    /// Sets the flush deadline for partial static batches.
-    pub fn flush_delay(mut self, delay: SimDuration) -> Self {
-        self.flush_delay = Some(delay);
         self
     }
 
@@ -320,9 +287,6 @@ impl OarConfigBuilder {
     /// * `adaptive` combined with an explicit `max_batch` — the controller
     ///   owns the threshold, a static value would be silently ignored;
     /// * `adaptive` with a zero batch cap or zero flush deadline;
-    /// * `eager_sequencing(false)` combined with `flush_delay` or
-    ///   `adaptive` — both flush paths hang off eager sequencing, so in
-    ///   tick-only mode they would be silently ignored;
     /// * `with_parallel_apply(0)` — a pool of zero workers can never apply;
     /// * a zero `tick_interval` — the maintenance timer would spin.
     pub fn try_build(self) -> Result<OarConfig, String> {
@@ -357,24 +321,6 @@ impl OarConfigBuilder {
                 return Err("adaptive max_delay must be non-zero".into());
             }
         }
-        if self.eager_sequencing == Some(false) {
-            // The tick-only ablation orders exclusively on the maintenance
-            // timer; a flush deadline or an adaptive controller would never
-            // arm, and accepting them would break their latency promises
-            // silently.
-            if self.flush_delay.is_some() {
-                return Err("flush_delay requires eager sequencing: in tick-only mode \
-                     partial batches flush on the tick, never on a deadline"
-                    .into());
-            }
-            if self.adaptive.is_some() {
-                return Err(
-                    "adaptive batching requires eager sequencing: the controller \
-                     drives the eager flush threshold"
-                        .into(),
-                );
-            }
-        }
         if let Some(tick) = self.tick_interval {
             if tick.is_zero() {
                 return Err("tick_interval must be non-zero".into());
@@ -386,9 +332,7 @@ impl OarConfigBuilder {
             fd: self.fd.unwrap_or(defaults.fd),
             consensus: self.consensus.unwrap_or(defaults.consensus),
             tick_interval: self.tick_interval.unwrap_or(defaults.tick_interval),
-            eager_sequencing: self.eager_sequencing.unwrap_or(defaults.eager_sequencing),
             max_batch: self.max_batch.unwrap_or(defaults.max_batch),
-            flush_delay: self.flush_delay,
             adaptive: self.adaptive,
             epoch_cut_after: self.epoch_cut_after,
             parallel_apply: self.parallel_apply,
@@ -604,9 +548,7 @@ mod tests {
     fn default_is_eager_unbatched_and_uncut() {
         let cfg = OarConfig::default();
         assert_eq!(cfg.group, GroupId::new(0));
-        assert!(cfg.eager_sequencing);
         assert_eq!(cfg.max_batch, 1);
-        assert_eq!(cfg.flush_delay, None);
         assert_eq!(cfg.adaptive, None);
         assert_eq!(cfg.epoch_cut_after, None);
         assert_eq!(cfg.parallel_apply, None);
@@ -631,18 +573,13 @@ mod tests {
         let cfg = OarConfig::builder()
             .group(GroupId::new(2))
             .max_batch(16)
-            .flush_delay(SimDuration::from_micros(250))
             .tick_interval(SimDuration::from_millis(2))
             .epoch_cut_after(100)
             .build();
         assert_eq!(cfg.group, GroupId::new(2));
         assert_eq!(cfg.max_batch, 16);
-        assert_eq!(cfg.flush_delay, Some(SimDuration::from_micros(250)));
         assert_eq!(cfg.tick_interval, SimDuration::from_millis(2));
-        assert!(cfg.eager_sequencing);
         assert_eq!(cfg.epoch_cut_after, Some(100));
-        let tick_only = OarConfig::builder().eager_sequencing(false).build();
-        assert!(!tick_only.eager_sequencing);
     }
 
     #[test]
@@ -711,30 +648,6 @@ mod tests {
             .tick_interval(SimDuration::ZERO)
             .try_build()
             .is_err());
-    }
-
-    #[test]
-    fn builder_rejects_flush_paths_in_tick_only_mode() {
-        // Both flush paths hang off eager sequencing; in the tick-only
-        // ablation they would be silently ignored, so the builder refuses.
-        let err = OarConfig::builder()
-            .eager_sequencing(false)
-            .flush_delay(SimDuration::from_micros(300))
-            .try_build()
-            .unwrap_err();
-        assert!(err.contains("eager"), "unexpected error: {err}");
-        let err = OarConfig::builder()
-            .eager_sequencing(false)
-            .adaptive(AdaptiveConfig::default())
-            .try_build()
-            .unwrap_err();
-        assert!(err.contains("eager"), "unexpected error: {err}");
-        // Tick-only mode by itself (the throughput ablation) stays legal.
-        assert!(OarConfig::builder()
-            .eager_sequencing(false)
-            .max_batch(8)
-            .try_build()
-            .is_ok());
     }
 
     #[test]

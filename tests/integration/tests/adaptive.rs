@@ -5,8 +5,8 @@
 
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::state_machine::{CounterCommand, CounterMachine};
-use oar::OarConfig;
-use oar_simnet::{NetConfig, SimDuration, SimTime};
+use oar::{AdaptiveConfig, OarConfig};
+use oar_simnet::{SimDuration, SimTime};
 
 fn workload(n: usize) -> Vec<CounterCommand> {
     (0..n)
@@ -108,89 +108,46 @@ fn load_step_converges_and_load_drop_decays() {
     );
 }
 
-/// The flush deadline bounds the ordering latency of a partial batch
-/// *independent of the maintenance tick*: with a 50ms tick and a 300µs
-/// deadline, a 3-request backlog (batch threshold 8) completes in well under
-/// a millisecond; without the deadline the same deployment waits for the
-/// tick.
+/// A partial batch is ordered by the flush deadline, not by the maintenance
+/// tick: in adaptive mode the deadline doubles as the controller's batching
+/// horizon, so a burst that does not reach the ramped target is still
+/// ordered within `max_delay`. Run at the default 1ms tick and at a 50ms one
+/// — there, waiting for the tick would cost 50ms — with the same bounds.
 #[test]
-fn flush_deadline_bounds_partial_batch_latency_independent_of_tick() {
-    let run = |flush_delay: Option<SimDuration>| {
-        let mut builder = OarConfig::builder()
-            .max_batch(8)
-            .tick_interval(SimDuration::from_millis(50))
-            // Keep the failure detector far away from the stretched tick.
-            .fd_timeout(SimDuration::from_millis(400));
-        if let Some(delay) = flush_delay {
-            builder = builder.flush_delay(delay);
-        }
+fn adaptive_mode_flushes_partial_batches_by_deadline() {
+    let stretched = OarConfig::builder()
+        .adaptive(AdaptiveConfig::default())
+        .tick_interval(SimDuration::from_millis(50))
+        // Keep the failure detector far away from the stretched tick.
+        .fd_timeout(SimDuration::from_millis(400))
+        .build();
+    for oar in [OarConfig::adaptive(), stretched] {
         let config = ClusterConfig {
             num_servers: 3,
-            num_clients: 1,
-            net: NetConfig::constant(SimDuration::from_micros(100)),
-            oar: builder.build(),
-            seed: 5,
-            client_pipeline: 3,
+            num_clients: 4,
+            oar,
+            seed: 31,
+            client_pipeline: 8,
+            adaptive_pipeline: true,
             ..ClusterConfig::default()
         };
         let mut cluster: Cluster<CounterMachine> =
-            Cluster::build(&config, CounterMachine::default, |_| workload(3));
-        assert!(cluster.run_to_completion(SimTime::from_secs(10)));
+            Cluster::build(&config, CounterMachine::default, |_| workload(40));
+        assert!(cluster.run_to_completion(SimTime::from_secs(30)));
         cluster.check_replica_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
-        cluster
-    };
-
-    // With the deadline: the partial batch of 3 flushes ~300µs after it
-    // formed, so every request completes in well under a millisecond.
-    let bounded = run(Some(SimDuration::from_micros(300)));
-    let worst = bounded.latencies().max().unwrap();
-    assert!(
-        worst < 1.0,
-        "deadline-flushed latency should be sub-millisecond, got {worst:.3}ms"
-    );
-    assert!(
-        bounded.sum_stats(|s| s.deadline_flushes) >= 1,
-        "the deadline timer must have fired"
-    );
-
-    // Without it: the same partial batch sits until the 50ms maintenance
-    // tick — the regression this satellite fixes.
-    let tick_bound = run(None);
-    assert!(
-        tick_bound.latencies().max().unwrap() > 10.0,
-        "without a deadline the batch waits for the tick, got {:.3}ms",
-        tick_bound.latencies().max().unwrap()
-    );
-    assert_eq!(tick_bound.sum_stats(|s| s.deadline_flushes), 0);
-}
-
-/// The deadline also holds in adaptive mode, where it doubles as the
-/// controller's batching horizon: a burst that does not reach the ramped
-/// target is still ordered within `max_delay`.
-#[test]
-fn adaptive_mode_flushes_partial_batches_by_deadline() {
-    let config = ClusterConfig {
-        num_servers: 3,
-        num_clients: 4,
-        oar: OarConfig::adaptive(),
-        seed: 31,
-        client_pipeline: 8,
-        adaptive_pipeline: true,
-        ..ClusterConfig::default()
-    };
-    let mut cluster: Cluster<CounterMachine> =
-        Cluster::build(&config, CounterMachine::default, |_| workload(40));
-    assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-    cluster.check_replica_consistency().unwrap();
-    cluster.check_external_consistency().unwrap();
-    // Once the target ramps past 1, stragglers are flushed by the deadline
-    // rather than a full batch or the 1ms tick; the p99 latency stays well
-    // below one tick plus a round trip.
-    assert!(cluster.sum_stats(|s| s.deadline_flushes) > 0);
-    let p99 = cluster.latencies().quantile(0.99).unwrap();
-    assert!(
-        p99 < 1.2,
-        "p99 {p99:.3}ms should stay below a tick + round trip"
-    );
+        // Once the target ramps past 1, stragglers are flushed by the
+        // deadline rather than a full batch or the tick; the p99 latency
+        // stays well below one default tick plus a round trip.
+        let tick = oar.tick_interval;
+        assert!(
+            cluster.sum_stats(|s| s.deadline_flushes) > 0,
+            "no deadline flush at tick {tick:?}"
+        );
+        let p99 = cluster.latencies().quantile(0.99).unwrap();
+        assert!(
+            p99 < 1.2,
+            "p99 {p99:.3}ms should stay below a 1ms tick + round trip (tick {tick:?})"
+        );
+    }
 }
