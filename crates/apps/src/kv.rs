@@ -675,32 +675,6 @@ impl StateMachine for KvMachine {
             self.map.iter().filter(|(k, _)| range.contains(k)).collect();
         Some(oar::state_machine::entries_digest(&entries))
     }
-
-    fn anti_entropy_leaves(&self) -> Option<Vec<(String, u64)>> {
-        Some(
-            self.map
-                .sorted()
-                .into_iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        oar::state_machine::entries_digest(&[("", v.as_str())]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    fn anti_entropy_value(&self, key: &str) -> Option<String> {
-        self.map.get(key).cloned()
-    }
-
-    fn anti_entropy_repair(&mut self, key: &str, value: Option<&str>) -> bool {
-        match value {
-            Some(v) => self.put_entry(key.to_string(), v.to_string()).as_deref() != Some(v),
-            None => self.remove_entry(key).is_some(),
-        }
-    }
 }
 
 /// A snapshot is a copy of the store that shares every chunk with it: taking
@@ -950,27 +924,6 @@ mod tests {
         assert_eq!(recipient, before);
     }
 
-    /// Anti-entropy hooks: leaves cover the whole map, repair overwrites or
-    /// removes, and a repaired value restores leaf equality.
-    #[test]
-    fn anti_entropy_hooks_roundtrip() {
-        let mut a = KvMachine::new();
-        let mut b = KvMachine::new();
-        for (k, v) in [("x", "1"), ("y", "2")] {
-            a.apply(&put(k, v));
-            b.apply(&put(k, v));
-        }
-        assert_eq!(a.anti_entropy_leaves(), b.anti_entropy_leaves());
-        assert!(b.anti_entropy_repair("y", Some("corrupted")));
-        assert_ne!(a.anti_entropy_leaves(), b.anti_entropy_leaves());
-        assert_eq!(b.anti_entropy_value("y"), Some("corrupted".to_string()));
-        assert!(b.anti_entropy_repair("y", a.anti_entropy_value("y").as_deref()));
-        assert!(!b.anti_entropy_repair("y", a.anti_entropy_value("y").as_deref()));
-        assert_eq!(a.anti_entropy_leaves(), b.anti_entropy_leaves());
-        assert!(b.anti_entropy_repair("y", None));
-        assert!(b.anti_entropy_value("y").is_none());
-    }
-
     #[test]
     fn undo_restores_previous_values() {
         let mut kv = KvMachine::new();
@@ -1216,8 +1169,6 @@ mod proptests {
         Undo,
         /// `extract_range` of the keys in `lo..hi`.
         Extract(&'static str, &'static str),
-        /// `anti_entropy_repair` of one key.
-        Repair(String, Option<String>),
         /// snapshot, then `install` into a fresh machine that carries on.
         Reinstall,
     }
@@ -1225,8 +1176,8 @@ mod proptests {
     fn arb_step() -> impl Strategy<Value = Step> {
         let key = prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(String::from);
         let value = "[a-z]{1,4}".prop_map(String::from);
-        let install = proptest::collection::vec((key.clone(), value.clone()), 1..4)
-            .prop_map(KvCommand::InstallRange);
+        let install =
+            proptest::collection::vec((key, value), 1..4).prop_map(KvCommand::InstallRange);
         // Applies and undos listed twice: they are the common case.
         prop_oneof![
             arb_command().prop_map(Step::Apply),
@@ -1238,7 +1189,6 @@ mod proptests {
             Just(Step::Undo),
             prop_oneof![Just(("a", "b")), Just(("b", "d")), Just(("a", "z"))]
                 .prop_map(|(lo, hi)| Step::Extract(lo, hi)),
-            (key, proptest::option::of(value)).prop_map(|(key, value)| Step::Repair(key, value)),
             Just(Step::Reinstall),
         ]
     }
@@ -1259,9 +1209,6 @@ mod proptests {
             }
             Step::Extract(lo, hi) => {
                 kv.extract_range(&oar::KeyRange::new(*lo, *hi));
-            }
-            Step::Repair(key, value) => {
-                kv.anti_entropy_repair(key, value.as_deref());
             }
             Step::Reinstall => {
                 let image = kv.snapshot().expect("kv supports snapshots");
@@ -1317,14 +1264,6 @@ mod proptests {
         for i in 0..MODEL_KEYS {
             assert_eq!(kv.get(&model_key(i)), model.get(&model_key(i)));
         }
-        let leaves: Vec<(String, u64)> = model
-            .iter()
-            .map(|(k, v)| {
-                let digest = oar::state_machine::entries_digest(&[("", v.as_str())]);
-                (k.clone(), digest)
-            })
-            .collect();
-        assert_eq!(kv.anti_entropy_leaves(), Some(leaves));
         for (lo, hi) in [(0, 1), (0, 50), (120, 360), (0, 999)] {
             let range = oar::KeyRange::new(model_key(lo), model_key(hi));
             let entries: Vec<(&Key, &Value)> =
@@ -1390,9 +1329,9 @@ mod proptests {
         }
 
         /// Differential against a plain `BTreeMap`: responses, sizes, reads,
-        /// extraction (entries and their key order), range digests and
-        /// anti-entropy leaves agree while the chunk count grows and
-        /// shrinks, and the count stays within a factor of the size.
+        /// extraction (entries and their key order), range digests and the
+        /// sorted content agree while the chunk count grows and shrinks, and
+        /// the count stays within a factor of the size.
         #[test]
         fn the_chunked_store_matches_a_btreemap(
             steps in proptest::collection::vec(arb_model_step(), 100..600),

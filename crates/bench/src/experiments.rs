@@ -21,7 +21,7 @@ use oar::OarConfig;
 use oar_apps::cost::CostlyMachine;
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
 use oar_baselines::{BaselineConfig, CtCluster, SequencerCluster};
-use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime};
+use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, World};
 
 use crate::gate::Limit::{Const, Of, Text, Times};
 use crate::gate::Select::{Each, Key, Where};
@@ -145,12 +145,11 @@ pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
         "catch_up_requests" => sum(|s| s.catch_up_requests),
         "catch_up_replies" => sum(|s| s.catch_up_replies),
         "payload_fetches" => sum(|s| s.payload_fetches),
-        // Reconfiguration: settled fences applied, anti-entropy root probes,
-        // Merkle descent wires (requests + replies) and healed keys.
+        // Reconfiguration: settled fences applied.
         "reconfigs_applied" => sum(|s| s.reconfigs_applied),
-        "sync_probes" => sum(|s| s.sync_probes),
-        "sync_node_wires" => sum(|s| s.sync_node_wires),
-        "sync_repairs" => sum(|s| s.sync_repairs),
+        // Replicas out-voted on their own settled digest: 0 unless a replica
+        // left the deterministic order.
+        "divergences" => sum(|s| s.divergences),
         unknown => panic!("no cluster metric is called `{unknown}`"),
     }
 }
@@ -585,8 +584,7 @@ pub fn soak_experiment(clients: usize, requests_per_client: usize, seed: u64) ->
     cluster.run_to_completion(SimTime::from_secs(600));
     // Let the final watermark announcements propagate so end-of-run payload
     // levels reflect the GC, not message latency.
-    let settle_until = cluster.world.now() + SimDuration::from_millis(50);
-    cluster.world.run_until(settle_until);
+    run_for(&mut cluster.world, 50);
     let cells = [
         "servers",
         "clients",
@@ -603,6 +601,7 @@ pub fn soak_experiment(clients: usize, requests_per_client: usize, seed: u64) ->
         "consensus_allocations",
         "consensus_messages",
         "consistent",
+        "divergences",
     ];
     with_metrics(Row::new("soak", "soak"), &cluster, &cells)
 }
@@ -663,6 +662,7 @@ pub const SOAK_BOUNDS: &[Bound] = bounds! {
             }
         }),
         "shared consensus wires fan out: the pre-clone count is strictly larger";
+    Each("soak") => "divergences" == ZERO, "equal settled watermarks hold equal digests";
 };
 
 /// Epochs between snapshots in the recovery soak: small enough that the
@@ -697,15 +697,13 @@ pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64
     let snapshot_deadline = SimTime::from_secs(300);
     while cluster.server(0).stats().snapshots_taken == 0 && cluster.world.now() < snapshot_deadline
     {
-        let step = cluster.world.now() + SimDuration::from_millis(5);
-        cluster.world.run_until(step);
+        run_for(&mut cluster.world, 5);
     }
     let restart_at = cluster.world.now() + SimDuration::from_millis(1);
     cluster.schedule_server_restart(restart_at, restarted, KvMachine::new);
     cluster.run_to_completion(SimTime::from_secs(600));
     // Let catch-up retries, watermarks and heartbeats settle.
-    let settle_until = cluster.world.now() + SimDuration::from_millis(120);
-    cluster.world.run_until(settle_until);
+    run_for(&mut cluster.world, 120);
     let rejoined = cluster.server(restarted);
     // `consistent` covers the rejoined replica too: the checks compare it
     // with the survivors through the compaction-aware digests and order
@@ -730,6 +728,7 @@ pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64
         "catch_up_requests",
         "catch_up_replies",
         "payload_fetches",
+        "divergences",
     ];
     with_metrics(row, &cluster, &cells)
 }
@@ -761,6 +760,7 @@ pub const RECOVERY_BOUNDS: &[Bound] = bounds! {
     Each("recovery") => "catch_up_replies" <= Const(8.0), "transfers served for one restart";
     Each("recovery") => "payload_fetches" <= Const(64.0),
         "payload repair stays bounded, never O(workload)";
+    Each("recovery") => "divergences" == ZERO, "a blank restart and its catch-up trip no detector";
 };
 
 /// Replicas per group used by the sharded experiment.
@@ -1759,9 +1759,16 @@ fn reconfig_row(scenario: &'static str) -> Row {
         .with("migrate_state_wires", 0u64)
         // Replies a client adopted twice for one request id (migrate).
         .with("duplicates", 0u64)
-        .with("sync_probes", 0u64)
-        .with("sync_node_wires", 0u64)
-        .with("sync_repairs", 0u64)
+        // Replicas out-voted on their settled digest, summed over the group.
+        .with("divergences", 0u64)
+        // Whether every replica ends with one state digest (divergence).
+        .with("digests_match", true)
+}
+
+/// Runs `world` for `ms` more milliseconds of simulated time.
+fn run_for<M: Clone + 'static>(world: &mut World<M>, ms: u64) {
+    let until = world.now() + SimDuration::from_millis(ms);
+    world.run_until(until);
 }
 
 /// The scenario's host wall-clock, the last cell of its row.
@@ -1802,8 +1809,7 @@ fn reconfig_replace_scenario(per_client: usize, seed: u64) -> Row {
     // spend the restored fault budget on a second crash.
     let fence_deadline = SimTime::from_secs(5);
     loop {
-        let step = cluster.world.now() + SimDuration::from_millis(5);
-        cluster.world.run_until(step);
+        run_for(&mut cluster.world, 5);
         let fenced = cluster.server(0).members() == [cluster.servers[0], cluster.servers[1], new];
         if (fenced && !cluster.server(2).is_recovering()) || cluster.world.now() >= fence_deadline {
             break;
@@ -1820,6 +1826,7 @@ fn reconfig_replace_scenario(per_client: usize, seed: u64) -> Row {
         "consistent",
         "reconfigs_applied",
         "catch_up_replies",
+        "divergences",
     ] {
         row.set(name, metric(&cluster, name));
     }
@@ -1869,8 +1876,7 @@ fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> Row {
     let range = KeyRange::new("a00", "a12");
     cluster.inject_migrate(range, 0, 1, KvCommand::Get { key: "zz".into() });
     let done = cluster.run_to_completion(SimTime::from_secs(60));
-    let settle = cluster.world.now() + SimDuration::from_millis(50);
-    cluster.world.run_until(settle);
+    run_for(&mut cluster.world, 50);
     // Lost or duplicated replies: a client that adopted two replies under
     // one request id duplicates; one that adopted fewer than its workload
     // lost (the latter also fails `completed_run`).
@@ -1902,22 +1908,22 @@ fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> Row {
         cluster.sum_stats(|s| s.migrate_state_wires),
     );
     row.set("duplicates", duplicates);
+    row.set("divergences", cluster.sum_stats(|s| s.divergences));
     row.with("wall_ms", wall_ms_since(start))
 }
 
-/// T-RECONFIG, part 3: inject a divergent settled value into one replica and
-/// let the Merkle anti-entropy loop localise and heal it — the descent cost
-/// must stay O(log n) in the key count.
-fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> Row {
+/// T-RECONFIG, part 3: apply a command outside the order at one replica
+/// of a quiescent group (delete a settled key), then close the open epoch. The divergence shows in
+/// that close's settled digest: the corrupted replica, out-voted by both
+/// peers, counts it, rejoins blank through catch-up and ends bit-identical
+/// to them; the healthy replicas count nothing.
+fn reconfig_divergence_scenario(per_client: usize, seed: u64) -> Row {
     let start = std::time::Instant::now();
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig {
-            anti_entropy: true,
-            ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
-        },
+        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
         seed,
         ..ClusterConfig::default()
     };
@@ -1930,19 +1936,20 @@ fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> Row {
             .collect()
     });
     cluster.run_to_completion(SimTime::from_secs(30));
-    let settle = cluster.world.now() + SimDuration::from_millis(100);
-    cluster.world.run_until(settle);
-    cluster.inject_divergence(1, "k05", Some("corrupted"));
-    let heal = cluster.world.now() + SimDuration::from_millis(200);
-    cluster.world.run_until(heal);
-    let mut row = reconfig_row("anti-entropy");
+    run_for(&mut cluster.world, 100);
+    cluster.inject_divergence(1, &KvCommand::Delete { key: "k05".into() });
+    cluster.close_epoch();
+    run_for(&mut cluster.world, 200);
+    let d = |i| cluster.server(i).state_machine().digest();
+    let mut row = reconfig_row("divergence");
+    row.set("rejoined", !cluster.server(1).is_recovering());
+    row.set("digests_match", d(0) == d(1) && d(1) == d(2));
     for name in [
         "requests",
         "completed_run",
         "consistent",
-        "sync_probes",
-        "sync_node_wires",
-        "sync_repairs",
+        "catch_up_replies",
+        "divergences",
     ] {
         row.set(name, metric(&cluster, name));
     }
@@ -1950,20 +1957,16 @@ fn reconfig_anti_entropy_scenario(per_client: usize, seed: u64) -> Row {
 }
 
 /// T-RECONFIG: membership reconfiguration, online shard rebalancing and
-/// Merkle anti-entropy (§ "Reconfiguration & anti-entropy" in
+/// divergence detection (§ "Reconfiguration & divergence detection" in
 /// `docs/ARCHITECTURE.md`). Three rows, one per scenario;
 /// [`RECONFIG_BOUNDS`] turns them into the CI verdict.
 pub fn reconfig_experiment(per_client: usize, seed: u64) -> Vec<Row> {
     vec![
         reconfig_replace_scenario(per_client, seed),
         reconfig_migrate_scenario(per_client, seed),
-        reconfig_anti_entropy_scenario(per_client / 3, seed),
+        reconfig_divergence_scenario(per_client / 3, seed),
     ]
 }
-
-/// Leaves of the Merkle tree over the anti-entropy scenario's 24 distinct
-/// keys pad to 32: a descent is 5 levels deep.
-const ANTI_ENTROPY_DEPTH: f64 = 5.0;
 
 /// The gates of the reconfiguration rows.
 pub const RECONFIG_BOUNDS: &[Bound] = bounds! {
@@ -1975,6 +1978,7 @@ pub const RECONFIG_BOUNDS: &[Bound] = bounds! {
     Key("replace") => "reconfigs_applied" >= Const(2.0), "both survivors apply the fence";
     Key("replace") => "catch_up_replies" <= Const(8.0),
         "one replacement takes a handful of transfers — no retry storm";
+    Key("replace") => "divergences" == ZERO, "a catch-up and a further crash trip no detector";
     Key("migrate") => "requests" == Of("3 × per_client", |c| 3.0 * param(c, "per_client") as f64),
         "no reply is lost across the migration";
     Key("migrate") => "duplicates" == ZERO,
@@ -1983,13 +1987,11 @@ pub const RECONFIG_BOUNDS: &[Bound] = bounds! {
     Key("migrate") => "migrate_state_wires" <= Const(9.0),
         "each donor replica ships the settled range to each recipient member at most once: \
          s² wires for s = 3";
-    Key("anti-entropy") => "sync_probes" > ZERO, "the anti-entropy probes ran";
-    Key("anti-entropy") => "sync_repairs" > ZERO, "the injected divergence healed";
-    Key("anti-entropy") => "sync_node_wires" <= Const(12.0 * (2.0 * ANTI_ENTROPY_DEPTH + 2.0)),
-        "the descent is O(log n): one root node plus at most 2 wires per level for each \
-         divergent probe, and a handful of probes race before the heal lands";
-    Key("anti-entropy") => "sync_node_wires" >= Const(ANTI_ENTROPY_DEPTH),
-        "the heal walked the tree";
+    Key("migrate") => "divergences" == ZERO, "a range moved at an epoch close keeps every digest";
+    Key("divergence") => "divergences" == Const(1.0), "the corrupted replica alone counts it";
+    Key("divergence") => "catch_up_replies" >= Const(1.0), "it rejoined through catch-up";
+    Key("divergence") => "rejoined" == TRUE, "and finished its catch-up";
+    Key("divergence") => "digests_match" == TRUE, "after the heal every replica holds one digest";
 };
 
 #[cfg(test)]
@@ -2360,12 +2362,13 @@ mod tests {
             "soak" => {
                 "servers clients requests epochs_per_server peak_payloads final_payloads \
                  peak_seen final_seen payloads_pruned reply_messages_sent replies_sent \
-                 order_messages_sent consensus_allocations consensus_messages consistent"
+                 order_messages_sent consensus_allocations consensus_messages consistent \
+                 divergences"
             }
             "recovery" => {
                 "servers clients requests consistent rejoined catch_up_snapshot_position \
                  catch_up_delta rejoined_settled peak_a_delivered peak_undo_depth snapshots \
-                 compacted catch_up_requests catch_up_replies payload_fetches"
+                 compacted catch_up_requests catch_up_replies payload_fetches divergences"
             }
             "sharded" => {
                 "groups servers_per_group clients_per_group requests requests_per_second \
@@ -2402,8 +2405,8 @@ mod tests {
             }
             "reconfig" => {
                 "scenario requests completed_run consistent reconfigs_applied rejoined \
-                 catch_up_replies redirected migrate_state_wires duplicates sync_probes \
-                 sync_node_wires sync_repairs wall_ms"
+                 catch_up_replies redirected migrate_state_wires duplicates divergences \
+                 digests_match wall_ms"
             }
             other => panic!("no golden keys for family `{other}`"),
         }

@@ -247,7 +247,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "reconfig",
-        title: "T-RECONFIG: replica replacement, key-range migration, Merkle anti-entropy",
+        title: "T-RECONFIG: replica replacement, key-range migration, divergence detection",
         full: Params(&[("per_client", 120), ("budget_s", 240)]),
         smoke: Some(Params(&[("per_client", 60), ("budget_s", 240)])),
         run: |p| x::reconfig_experiment(size(p, "per_client"), SEED),

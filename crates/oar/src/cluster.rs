@@ -174,14 +174,28 @@ impl<S: StateMachine> Cluster<S> {
         new
     }
 
-    /// Injects a divergent value for `key` into server `i`'s settled state
-    /// (`None` removes the key) — the fault the Merkle anti-entropy loop
-    /// exists to heal. Returns whether the state actually changed.
-    pub fn inject_divergence(&mut self, i: usize, key: &str, value: Option<&str>) -> bool {
+    /// Applies `command` at server `i` outside the order
+    /// ([`OarServer::inject_divergence`]): the fault the divergence detector
+    /// reports at the next epoch close.
+    pub fn inject_divergence(&mut self, i: usize, command: &S::Command) {
         let id = self.servers[i];
         self.world
             .process_mut::<OarServer<S>>(id)
-            .inject_divergence(key, value)
+            .inject_divergence(command);
+    }
+
+    /// Closes the open epoch conservatively: every live server that is not
+    /// recovering wrongly suspects the current sequencer
+    /// ([`OarServer::force_suspect_sequencer`]; the sequencer itself ignores
+    /// the call), so the group runs phase 2.
+    pub fn close_epoch(&mut self) {
+        for s in self.checkable() {
+            self.world.invoke_now(s, |process, ctx| {
+                if let Some(server) = process.as_any_mut().downcast_mut::<OarServer<S>>() {
+                    server.force_suspect_sequencer(ctx);
+                }
+            });
+        }
     }
 
     /// The alive servers that finished any catch-up they were doing — the

@@ -71,13 +71,6 @@ pub struct OarConfig {
     /// rejoiner rotates to the next donor with exponential backoff (capped at
     /// 8× base). Also paces `PayloadFetch` retries after rejoin.
     pub catch_up_retry: SimDuration,
-    /// Enables Merkle anti-entropy: each replica maintains a Merkle tree
-    /// over its settled state ([`crate::merkle`]), tick-paces a root probe
-    /// to a rotating peer, and repairs divergent keys by group-majority
-    /// vote. Off by default — it requires a state machine exposing
-    /// `anti_entropy_leaves`, and quiescent groups pay one probe wire per
-    /// tick for it.
-    pub anti_entropy: bool,
     /// **Test-only fault toggle** for the model checker: when `true`, servers
     /// skip the Task 1c re-check that runs when an epoch decision hands the
     /// new epoch to an already-suspected sequencer (and the matching
@@ -108,7 +101,6 @@ impl Default for OarConfig {
             parallel_apply: None,
             snapshot_every: None,
             catch_up_retry: SimDuration::from_millis(10),
-            anti_entropy: false,
             bug_skip_handoff_recheck: false,
             bug_skip_opt_freeze: false,
         }
@@ -177,7 +169,6 @@ pub struct OarConfigBuilder {
     parallel_apply: Option<usize>,
     snapshot_every: Option<u64>,
     catch_up_retry: Option<SimDuration>,
-    anti_entropy: bool,
     bug_skip_handoff_recheck: bool,
     bug_skip_opt_freeze: bool,
 }
@@ -244,12 +235,6 @@ impl OarConfigBuilder {
     /// rejoining replicas. Zero is rejected at build time.
     pub fn catch_up_retry(mut self, delay: SimDuration) -> Self {
         self.catch_up_retry = Some(delay);
-        self
-    }
-
-    /// Enables Merkle anti-entropy ([`OarConfig::anti_entropy`]).
-    pub fn anti_entropy(mut self) -> Self {
-        self.anti_entropy = true;
         self
     }
 
@@ -338,7 +323,6 @@ impl OarConfigBuilder {
             parallel_apply: self.parallel_apply,
             snapshot_every: self.snapshot_every,
             catch_up_retry: self.catch_up_retry.unwrap_or(defaults.catch_up_retry),
-            anti_entropy: self.anti_entropy,
             bug_skip_handoff_recheck: self.bug_skip_handoff_recheck,
             bug_skip_opt_freeze: self.bug_skip_opt_freeze,
         })

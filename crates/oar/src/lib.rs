@@ -29,7 +29,9 @@
 //! * [`message`] — requests, weighted replies, ordering messages, wire enum;
 //! * [`cnsv_order`] — the pure `Cnsv-order` procedure (Fig. 7) and its
 //!   property-tested specification (§5.4);
-//! * [`server`] — the replica, as a process of either runtime;
+//! * [`server`] — the replica, as a process of either runtime, with its
+//!   snapshot/catch-up recovery and the divergence detector that sends a
+//!   replica out-voted on its settled digest through that catch-up;
 //! * [`client`] — the one client: it routes each submission (a command or a
 //!   transaction), keeps a Fig. 5 quorum per part and paces by window or
 //!   schedule; [`OarClient`], [`OpenLoopClient`], [`ShardedClient`] and
@@ -78,7 +80,6 @@ pub mod cluster;
 pub mod cnsv_order;
 pub mod config;
 pub mod consistency;
-pub mod merkle;
 pub mod message;
 pub mod parallel;
 pub mod server;
@@ -96,11 +97,9 @@ pub use cluster::{spawn_replacement, Cluster, ClusterConfig};
 pub use cnsv_order::{cnsv_order_outcome, CnsvOutcome};
 pub use config::{ClientConfig, ClientConfigBuilder, OarConfig, OarConfigBuilder, PipelineMode};
 pub use consistency::{check_external_consistency, check_server_consistency};
-
-pub use merkle::{MerkleTree, SyncNode};
 pub use message::{
     majority, CatchUpReply, CnsvValue, DeliveryKind, OarWire, OrderMsg, PhaseIIMsg, ReconfigCmd,
-    Reply, Request, RequestId, TxnEnvelope, TxnId, Weight,
+    Reply, Request, RequestId, Settled, TxnEnvelope, TxnId, Weight,
 };
 pub use parallel::{plan_waves, wave_apply, ParallelStateMachine};
 pub use server::{OarServer, Phase, ServerStats};

@@ -208,6 +208,20 @@ impl<R: Clone> ReplyBatch<R> {
     }
 }
 
+/// A replica's settled-epoch watermark and its state digest there, carried
+/// by every wire that announces the watermark. Epochs close in order with
+/// identical decisions group-wide, so two replicas at one watermark hold the
+/// same settled state: the payload collector reads `epoch`, and the
+/// divergence detector compares `digest` at equal watermarks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Settled {
+    /// Every epoch `< epoch` is closed at the sender.
+    pub epoch: u64,
+    /// The sender's settled-state digest at `epoch`: the state machine's
+    /// digest over exactly the requests settled in those epochs.
+    pub digest: u64,
+}
+
 /// The sequencer's ordering message (Task 1a, Fig. 6 line 10): the epoch and
 /// the sequence of not-yet-delivered requests, identified by id.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -216,9 +230,9 @@ pub struct OrderMsg {
     pub epoch: u64,
     /// Request identifiers in delivery order.
     pub order: Seq<RequestId>,
-    /// The sender's settled-epoch watermark (every epoch `< settled` is closed
-    /// at the sender), piggybacked for the payload garbage collector.
-    pub settled: u64,
+    /// The sender's settled watermark, piggybacked for the payload garbage
+    /// collector and the divergence detector.
+    pub settled: Settled,
 }
 
 /// The `(k, PhaseII)` notification R-broadcast by Task 1c.
@@ -226,10 +240,10 @@ pub struct OrderMsg {
 pub struct PhaseIIMsg {
     /// The epoch that must move to the conservative phase.
     pub epoch: u64,
-    /// The *origin's* settled-epoch watermark, piggybacked for the payload
-    /// garbage collector (relays forward it unchanged; it describes the
-    /// process that R-broadcast the notification).
-    pub settled: u64,
+    /// The *origin's* settled watermark, piggybacked for the payload garbage
+    /// collector and the divergence detector (relays forward it unchanged;
+    /// it describes the process that R-broadcast the notification).
+    pub settled: Settled,
 }
 
 /// The value proposed to the `Cnsv-order` consensus by each server: its
@@ -263,24 +277,25 @@ pub enum OarWire<C, R> {
     /// A `(k, PhaseII)` notification travelling through the reliable broadcast
     /// layer.
     PhaseII(CastWire<PhaseIIMsg>),
-    /// Failure-detector heartbeat, piggybacking the sender's settled-epoch
-    /// watermark so the payload garbage collector converges even when no
-    /// protocol traffic flows (e.g. after a partition heals).
+    /// Failure-detector heartbeat, piggybacking the sender's settled
+    /// watermark so the payload garbage collector and the divergence
+    /// detector converge even when no protocol traffic flows (e.g. after a
+    /// partition heals).
     Fd {
         /// The failure-detector wire message.
         wire: FdWire,
-        /// The sender's settled-epoch watermark.
-        settled: u64,
+        /// The sender's settled watermark.
+        settled: Settled,
     },
     /// A message of the `Cnsv-order` consensus (instance = epoch).
     Consensus(ConsensusWire<CnsvValue>),
     /// A standalone settled-epoch announcement, broadcast when a server closes
-    /// an epoch so peers can promptly garbage-collect payloads decided at or
-    /// before the acknowledged watermark.
+    /// an epoch (or installs a catch-up) so peers can promptly
+    /// garbage-collect payloads decided before the acknowledged watermark and
+    /// compare settled digests at it.
     Watermark {
-        /// The sender's settled-epoch watermark (every epoch `< settled` is
-        /// closed at the sender).
-        settled: u64,
+        /// The sender's settled watermark.
+        settled: Settled,
     },
     /// A restarted replica asking a peer for the state needed to rejoin:
     /// the donor's latest snapshot plus the delta of settled commands since
@@ -350,75 +365,6 @@ pub enum OarWire<C, R> {
         /// ([`crate::state_machine::StateMachine::range_digest`]), letting
         /// the recipient verify the hand-off end to end.
         digest: u64,
-    },
-    /// Tick-paced anti-entropy probe: the sender's Merkle root over its
-    /// settled state at `settled` A-deliveries. A receiver at the same
-    /// position with a different root answers with its root node
-    /// ([`OarWire::SyncNodeReply`] for index 1), starting the O(log n)
-    /// divergence descent.
-    SyncProbe {
-        /// Number of settled (A-delivered) commands the tree covers; trees
-        /// at different positions are incomparable and the probe is ignored.
-        settled: u64,
-        /// The sender's Merkle root hash.
-        root: u64,
-        /// The sender's real (non-padding) leaf count. Heap indices are only
-        /// comparable between trees whose leaf rows pad to the same width;
-        /// when the padded widths differ the receiver skips the descent and
-        /// falls back to a full key-set exchange ([`OarWire::SyncKeys`]).
-        leaves: u64,
-    },
-    /// Request one Merkle node during the divergence descent.
-    SyncNodeRequest {
-        /// The tree position this descent is pinned to.
-        settled: u64,
-        /// Heap index of the requested node (1 = root).
-        index: u64,
-        /// The requester's leaf count (shape check, as in `SyncProbe`).
-        leaves: u64,
-    },
-    /// One Merkle node of the responder's tree.
-    SyncNodeReply {
-        /// The tree position this descent is pinned to.
-        settled: u64,
-        /// Heap index of the node.
-        index: u64,
-        /// The node: child hashes, or the leaf's key and hash.
-        node: crate::merkle::SyncNode,
-        /// The responder's leaf count (shape check, as in `SyncProbe`).
-        leaves: u64,
-    },
-    /// Fallback when two same-settled trees have **differently padded** leaf
-    /// rows (a divergence added or removed a key across a power-of-two
-    /// boundary): heap indices are incomparable, so instead of descending the
-    /// sender ships its full key set. The receiver starts a leaf vote for
-    /// every key of the union of the two sets — O(n) votes instead of
-    /// O(log n), but only in this (rare) shape-divergent case, and each vote
-    /// still settles by group majority.
-    SyncKeys {
-        /// The tree position this exchange is pinned to.
-        settled: u64,
-        /// The sender's full settled key set, in key order.
-        keys: Vec<String>,
-        /// `true` on the initiating half: the receiver answers with its own
-        /// key set (with `reply_requested = false`, so the exchange is one
-        /// bounded round trip, never a loop).
-        reply_requested: bool,
-    },
-    /// A divergent leaf was localised: ask a peer for its value of `key` so
-    /// the group can vote (the majority value among the members is
-    /// authoritative — a corrupted minority heals, a healthy majority is
-    /// never polluted by a corrupted prober).
-    SyncLeafRequest {
-        /// The key whose leaf hash diverged.
-        key: String,
-    },
-    /// A peer's vote in a leaf repair election.
-    SyncLeafReply {
-        /// The key being voted on.
-        key: String,
-        /// The peer's settled value (`None` = absent).
-        value: Option<String>,
     },
 }
 

@@ -1,4 +1,5 @@
-//! Payload garbage collection (epoch watermark).
+//! The settled watermark: payload garbage collection and divergence
+//! detection.
 //!
 //! Fig. 7 only needs a request's payload until the decision covering it is
 //! settled, so `payloads` need not grow with the lifetime of the server.
@@ -12,6 +13,13 @@
 //! deliveries and fail-overs keep working from local state;
 //! `ServerStats::payloads` exposes the current and peak map size so the
 //! bound is observable.
+//!
+//! The watermark travels with the sender's settled-state digest
+//! ([`Settled`]). Active replication needs deterministic replicas: every
+//! replica that closed epochs `< w` applied the same settled prefix, so
+//! replicas at one watermark hold one digest. A replica that a majority of
+//! its group out-votes at its own watermark has left the order — a bug, not
+//! a race — and [`OarServer::out_voted`] is how it finds out.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -19,15 +27,16 @@ use std::hash::{Hash, Hasher};
 use oar_simnet::ProcessId;
 
 use super::{sorted, OarServer};
-use crate::message::RequestId;
+use crate::message::{majority, RequestId, Settled};
 use crate::state_machine::StateMachine;
 
 /// What the collector has heard and what it still holds back.
 #[derive(Clone, Debug, Default)]
 pub(super) struct Gc {
-    /// Highest settled-epoch watermark heard from each peer (this server's
-    /// own watermark is `epoch`, always current).
-    pub(super) peer_settled: HashMap<ProcessId, u64>,
+    /// Highest settled watermark heard from each peer, with the digest the
+    /// latest report at that watermark carried (this server's own is
+    /// [`OarServer::settled`], always current).
+    pub(super) peer_settled: HashMap<ProcessId, Settled>,
     /// Epochs `< floor` have had their payloads pruned already.
     pub(super) floor: u64,
     /// Requests settled per closed epoch, awaiting acknowledgement by every
@@ -49,18 +58,47 @@ impl Gc {
 }
 
 impl<S: StateMachine> OarServer<S> {
-    /// Records a peer's settled-epoch watermark (piggybacked on ordering,
-    /// PhaseII and heartbeat traffic, or announced explicitly at epoch close)
-    /// and prunes whatever became acknowledged.
-    pub(super) fn note_settled(&mut self, from: ProcessId, settled: u64) {
+    /// This server's settled watermark and the digest of its state there:
+    /// what every wire announcing the watermark carries.
+    pub(super) fn settled(&self) -> Settled {
+        Settled {
+            epoch: self.settled_watermark(),
+            digest: self.recovery.settled_digest,
+        }
+    }
+
+    /// Records a peer's settled watermark (piggybacked on ordering, PhaseII
+    /// and heartbeat traffic, or announced explicitly at epoch close) and
+    /// prunes whatever became acknowledged. A report at the highest
+    /// watermark heard replaces the digest too: a peer that rejoined through
+    /// catch-up reports its repaired digest at the same watermark.
+    pub(super) fn note_settled(&mut self, from: ProcessId, settled: Settled) {
         if from == self.core.id || !self.core.group.contains(&from) {
             return;
         }
-        let known = self.gc.peer_settled.entry(from).or_insert(0);
-        if settled > *known {
+        let known = self.gc.peer_settled.entry(from).or_default();
+        if settled.epoch >= known.epoch {
+            let advanced = settled.epoch > known.epoch;
             *known = settled;
-            self.maybe_gc();
+            if advanced {
+                self.maybe_gc();
+            }
         }
+    }
+
+    /// The digest that out-votes this replica's own, if any: reported at
+    /// this replica's watermark by a majority of the group's members — so
+    /// by peers only — and different from its own digest there. A lone
+    /// dissenting peer, peers that disagree among themselves, and peers at
+    /// other watermarks change nothing, so only a replica in the minority
+    /// ever acts; in a group of two nobody can be out-voted. O(n).
+    pub(super) fn out_voted(&self) -> Option<u64> {
+        let own = self.settled();
+        let needed = majority(self.core.group.len());
+        let peers = self.gc.peer_settled.values();
+        let reports = || peers.clone().filter(|p| p.epoch == own.epoch);
+        (reports().map(|p| p.digest).filter(|&d| d != own.digest))
+            .find(|&d| reports().filter(|p| p.digest == d).count() >= needed)
     }
 
     /// Tracks the multicast id of a delivered `PhaseII` broadcast of `epoch`

@@ -30,11 +30,12 @@
 //! * `order` — Tasks 0, 1a and 1b, sequencer batching and batch replies;
 //! * `phase2` — Tasks 1c and 2: suspicion, `PhaseII`, consensus, epoch
 //!   close;
-//! * `gc` — the epoch-watermark payload garbage collector;
-//! * `recovery` — snapshots, log compaction and catch-up after a restart;
+//! * `gc` — the settled watermark: the payload garbage collector and the
+//!   divergence detector's record of what each peer settled;
+//! * `recovery` — snapshots, log compaction, catch-up after a restart, and
+//!   the rejoin of a replica its group out-votes on its settled digest;
 //! * `repair` — payload pull, push on stall, consensus retransmit;
 //! * `reconfig` — the routing door, `Replace` and `Migrate` fences;
-//! * `antientropy` — the Merkle settled-state repair loop;
 //! * `stats` — [`ServerStats`].
 //!
 //! Every sub-struct is `Clone` and `Debug` and is generic over the command,
@@ -55,7 +56,6 @@ use crate::message::{OarWire, Request, RequestId};
 use crate::shard::{KeyRange, MigrationRecord};
 use crate::state_machine::StateMachine;
 
-mod antientropy;
 mod gc;
 mod order;
 mod phase2;
@@ -156,7 +156,6 @@ pub struct OarServer<S: StateMachine> {
     recovery: recovery::Recovery<S::Command, S::Response>,
     repair: repair::Repair,
     reconfig: reconfig::Reconfig,
-    sync: antientropy::AntiEntropy,
     sm: S,
     stats: ServerStats,
 }
@@ -177,7 +176,6 @@ impl<S: StateMachine> OarServer<S> {
             recovery: recovery::Recovery::new(&sm),
             repair: repair::Repair::default(),
             reconfig: reconfig::Reconfig::default(),
-            sync: antientropy::AntiEntropy::default(),
             stats: ServerStats::new(&config),
             core: Core::new(id, group, config),
             sm,
@@ -297,7 +295,7 @@ impl<S: StateMachine> OarServer<S> {
                     // only ever need their *own* payload map to catch up.
                     u64::MAX
                 } else {
-                    self.gc.peer_settled.get(&p).copied().unwrap_or(0)
+                    self.gc.peer_settled.get(&p).map_or(0, |s| s.epoch)
                 }
             })
             .min()
@@ -384,13 +382,12 @@ impl<S: StateMachine> OarServer<S> {
         self.sm.range_digest(range)
     }
 
-    /// Fault injection for the anti-entropy experiments and tests: silently
-    /// corrupts one settled key of the local state machine (`None` deletes
-    /// it), exactly the class of divergence the Merkle repair loop heals.
-    /// Returns whether the machine changed (false when it does not support
-    /// anti-entropy).
-    pub fn inject_divergence(&mut self, key: &str, value: Option<&str>) -> bool {
-        self.sm.anti_entropy_repair(key, value)
+    /// Test hook: applies `command` to the local state machine outside the
+    /// order, as a replica that broke determinism would. Nothing else moves,
+    /// so the divergence shows where a real one would: at the next epoch
+    /// close, whose settled digest stops matching the peers'.
+    pub fn inject_divergence(&mut self, command: &S::Command) {
+        let _ = self.sm.apply(command);
     }
 
     /// Whether the maintenance tick has request repair to do here: an
@@ -476,9 +473,10 @@ impl<S: StateMachine> OarServer<S> {
     /// The maintenance tick: heartbeats, the tick-driven halves of ordering
     /// and Task 1c, and every repair loop.
     fn on_tick(&mut self, ctx: &mut dyn Runtime<Wire<S>>) {
-        // Heartbeats + suspicion checks; heartbeats carry the settled-epoch
-        // watermark so the payload GC converges even on idle protocol paths.
-        let settled = self.settled_watermark();
+        // Heartbeats + suspicion checks; heartbeats carry the settled
+        // watermark so the payload GC and the divergence detector converge
+        // even on idle protocol paths.
+        let settled = self.settled();
         let (heartbeats, events) = self.core.fd.on_tick(ctx.now());
         for hb in heartbeats {
             let wire = hb.wire;
@@ -511,8 +509,12 @@ impl<S: StateMachine> OarServer<S> {
         // Consensus repair: estimates/proposals unicast to a peer that was
         // down are lost for good; re-send them once the instance is stuck.
         self.maybe_retransmit_consensus(ctx);
-        // Anti-entropy: probe one peer's Merkle root per tick.
-        self.maybe_sync(ctx);
+        // Divergence detection: a replica its group out-votes on its own
+        // settled digest rejoins through catch-up, whose install re-arms
+        // the tick.
+        if self.rejoin_if_out_voted(ctx) {
+            return;
+        }
         ctx.set_timer(self.core.config.tick_interval, TimerTag::Tick);
     }
 
@@ -529,7 +531,6 @@ impl<S: StateMachine> OarServer<S> {
             recovery: self.recovery.clone(),
             repair: self.repair.clone(),
             reconfig: self.reconfig.clone(),
-            sync: self.sync.clone(),
             stats: self.stats,
         })
     }
@@ -548,7 +549,6 @@ impl<S: StateMachine> OarServer<S> {
         self.recovery.digest(&mut h);
         self.repair.digest(&mut h);
         self.reconfig.digest(&mut h);
-        self.sync.digest(&mut h);
         self.sm.digest().hash(&mut h);
         h.finish()
     }
@@ -607,15 +607,6 @@ impl<S: StateMachine> Process<Wire<S>> for OarServer<S> {
                 entries,
                 digest,
             } => self.handle_migrate_state(ctx, record, entries, digest),
-            OarWire::SyncLeafRequest { key } => {
-                let value = self.sm.anti_entropy_value(&key);
-                ctx.send(from, OarWire::SyncLeafReply { key, value });
-            }
-            OarWire::SyncLeafReply { key, value } => self.record_leaf_vote(key, from, value),
-            wire @ (OarWire::SyncProbe { .. }
-            | OarWire::SyncNodeRequest { .. }
-            | OarWire::SyncNodeReply { .. }
-            | OarWire::SyncKeys { .. }) => self.on_sync_wire(ctx, from, wire),
         }
     }
 
@@ -648,12 +639,15 @@ mod tests {
     use oar_consensus::ConsensusWire;
     use oar_simnet::{Action, Context, Payload, SimRng, SimTime};
 
-    use super::antientropy::SYNC_VOTE_EXPIRY_TICKS;
     use super::*;
-    use crate::message::{CatchUpReply, CnsvValue, OrderMsg, PhaseIIMsg, ReconfigCmd};
+    use crate::message::{CatchUpReply, CnsvValue, OrderMsg, PhaseIIMsg, ReconfigCmd, Settled};
     use crate::state_machine::{CounterCommand, CounterMachine};
 
     type Wire = OarWire<CounterCommand, i64>;
+
+    /// A replicated machine speaking [`Wire`].
+    trait Machine: StateMachine<Command = CounterCommand, Response = i64> {}
+    impl<S: StateMachine<Command = CounterCommand, Response = i64>> Machine for S {}
 
     /// Views a `Send` action as `(destination, wire)`, unwrapping the
     /// owned/shared payload distinction.
@@ -672,9 +666,9 @@ mod tests {
 
     /// Runs `f` against the server with a throwaway runtime context, the
     /// way a callback sees one, and returns the actions it produced.
-    fn drive(
-        server: &mut OarServer<CounterMachine>,
-        f: impl FnOnce(&mut OarServer<CounterMachine>, &mut dyn oar_simnet::Runtime<Wire>),
+    fn drive<S: Machine>(
+        server: &mut OarServer<S>,
+        f: impl FnOnce(&mut OarServer<S>, &mut dyn oar_simnet::Runtime<Wire>),
     ) -> Vec<Action<Wire>> {
         let mut rng = SimRng::new(1);
         let mut actions = Vec::new();
@@ -692,8 +686,8 @@ mod tests {
 
     /// Feeds one wire message to the server and returns the actions it
     /// produced.
-    fn deliver(
-        server: &mut OarServer<CounterMachine>,
+    fn deliver<S: Machine>(
+        server: &mut OarServer<S>,
         from: ProcessId,
         msg: Wire,
     ) -> Vec<Action<Wire>> {
@@ -759,7 +753,7 @@ mod tests {
             origin: ProcessId::new(0),
             payload: PhaseIIMsg {
                 epoch: 0,
-                settled: 0,
+                settled: Settled::default(),
             },
         });
         deliver(&mut server, ProcessId::new(0), phase2);
@@ -875,13 +869,23 @@ mod tests {
         deliver(
             &mut server,
             ProcessId::new(1),
-            OarWire::Watermark { settled: 4 },
+            OarWire::Watermark {
+                settled: Settled {
+                    epoch: 4,
+                    digest: 0,
+                },
+            },
         );
         assert_eq!(server.acked_watermark(), 0, "p2 still unheard");
         deliver(
             &mut server,
             ProcessId::new(2),
-            OarWire::Watermark { settled: 2 },
+            OarWire::Watermark {
+                settled: Settled {
+                    epoch: 2,
+                    digest: 0,
+                },
+            },
         );
         // min(self = 0, p1 = 4, p2 = 2): the server's own epoch bounds it.
         assert_eq!(server.acked_watermark(), 0);
@@ -1063,7 +1067,7 @@ mod tests {
         let order = OarWire::Order(OrderMsg {
             epoch: 2,
             order: [rid].into_iter().collect(),
-            settled: 2,
+            settled: donor.settled(),
         });
         deliver(&mut rejoiner, ProcessId::new(0), order);
         assert_eq!(rejoiner.stats().opt_delivered, 0, "freeze must hold");
@@ -1076,7 +1080,7 @@ mod tests {
             origin: ProcessId::new(0),
             payload: PhaseIIMsg {
                 epoch: 2,
-                settled: 2,
+                settled: donor.settled(),
             },
         });
         deliver(&mut rejoiner, ProcessId::new(0), phase2);
@@ -1184,15 +1188,22 @@ mod tests {
         assert_eq!(server.stats().payload_fills, 1);
     }
 
+    /// The maintenance-tick timer, as the runtime fires it.
+    const TICK: Timer = Timer {
+        id: oar_simnet::TimerId(0),
+        tag: TimerTag::Tick,
+    };
+
     /// Three servers wired to each other through a FIFO queue, without a
     /// simulator: wires to processes outside the group (clients) are
     /// dropped, as are wires to the server marked `down`, and every other
-    /// server-to-server wire is logged.
+    /// server-to-server wire is logged, as is every timer a server arms.
     struct Trio {
         servers: Vec<OarServer<CounterMachine>>,
         down: Option<usize>,
         queue: VecDeque<(ProcessId, ProcessId, Wire)>,
         log: Vec<(ProcessId, ProcessId, Wire)>,
+        timers: Vec<(ProcessId, TimerTag)>,
     }
 
     impl Trio {
@@ -1207,11 +1218,15 @@ mod tests {
                 down: None,
                 queue: VecDeque::new(),
                 log: Vec::new(),
+                timers: Vec::new(),
             }
         }
 
         fn collect(&mut self, from: ProcessId, actions: Vec<Action<Wire>>) {
             for action in &actions {
+                if let Action::SetTimer { tag, .. } = action {
+                    self.timers.push((from, *tag));
+                }
                 if let Some((to, wire)) = sent(action) {
                     if to.index() < self.servers.len() && Some(to.index()) != self.down {
                         self.queue.push_back((from, to, wire.clone()));
@@ -1229,19 +1244,31 @@ mod tests {
             }
         }
 
+        /// Client 9's request `seq` (adding `seq + 1`) reaches the servers
+        /// `to`, then delivery runs to quiescence.
+        fn submit(&mut self, seq: u64, to: &[usize]) {
+            let client = ProcessId::new(9);
+            for &i in to {
+                let (_, request) = request_wire(client, seq, seq as i64 + 1);
+                let actions = deliver(&mut self.servers[i], client, request);
+                self.collect(ProcessId::new(i), actions);
+            }
+            self.pump();
+        }
+
+        /// One maintenance tick at server `i`, its wires queued.
+        fn tick(&mut self, i: usize) {
+            let actions = drive(&mut self.servers[i], |s, ctx| s.on_timer(ctx, TICK));
+            self.collect(ProcessId::new(i), actions);
+        }
+
         /// One maintenance tick at every live server, then delivery to
         /// quiescence.
         fn tick_all(&mut self) {
             for i in 0..self.servers.len() {
-                if Some(i) == self.down {
-                    continue;
+                if Some(i) != self.down {
+                    self.tick(i);
                 }
-                let timer = Timer {
-                    id: oar_simnet::TimerId(0),
-                    tag: TimerTag::Tick,
-                };
-                let actions = drive(&mut self.servers[i], |s, ctx| s.on_timer(ctx, timer));
-                self.collect(ProcessId::new(i), actions);
             }
             self.pump();
         }
@@ -1328,23 +1355,15 @@ mod tests {
             ..OarConfig::default()
         });
         let client = ProcessId::new(9);
-        let submit = |trio: &mut Trio, seq: u64, to: &[usize]| {
-            for &i in to {
-                let (_, request) = request_wire(client, seq, seq as i64 + 1);
-                let actions = deliver(&mut trio.servers[i], client, request);
-                trio.collect(ProcessId::new(i), actions);
-            }
-            trio.pump();
-        };
         // Epoch 0 (sequencer 0) closes at the cut of three and snapshots.
         for seq in 0..3 {
-            submit(&mut trio, seq, &[0, 1, 2]);
+            trio.submit(seq, &[0, 1, 2]);
         }
         // Epoch 1 (sequencer 1): request 3 is opt-delivered everywhere, and
         // request 4 reaches the sequencer only, so server 2 holds its order but
         // not its payload.
-        submit(&mut trio, 3, &[0, 1, 2]);
-        submit(&mut trio, 4, &[1]);
+        trio.submit(3, &[0, 1, 2]);
+        trio.submit(4, &[1]);
         let original = &mut trio.servers[2];
         assert_eq!(original.epoch(), 1);
         assert_eq!(original.stats().snapshots_taken, 1);
@@ -1359,14 +1378,10 @@ mod tests {
             ..s.stats()
         };
         assert_eq!(digest(&fork), digest(original));
-        let tick = Timer {
-            id: oar_simnet::TimerId(0),
-            tag: TimerTag::Tick,
-        };
         for server in [&mut *original, &mut fork] {
             let (_, payload) = request_wire(client, 4, 5);
             deliver(server, client, payload);
-            drive(server, |s, ctx| s.on_timer(ctx, tick));
+            drive(server, |s, ctx| s.on_timer(ctx, TICK));
         }
         assert_eq!(original.core.undo_stack.len(), 2, "request 4 delivered");
         assert_eq!(digest(&fork), digest(original));
@@ -1549,48 +1564,209 @@ mod tests {
         );
     }
 
-    /// A leaf-repair vote that cannot resolve — a member crashed before
-    /// casting its ballot and the rest split — must expire after
-    /// [`SYNC_VOTE_EXPIRY_TICKS`] instead of wedging `start_leaf_vote`'s
-    /// idempotence guard forever.
-    #[test]
-    fn unresolved_leaf_votes_expire_and_unblock_retry() {
+    /// A fresh member of a group of three and its own settled watermark.
+    fn member_of_three<S: Machine>(sm: S) -> (OarServer<S>, Settled) {
         let group: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
-        let config = OarConfig {
-            anti_entropy: true,
-            ..OarConfig::default()
-        };
-        let mut server =
-            OarServer::new(ProcessId::new(0), group, config, CounterMachine::default());
-        // Our ballot (an unkeyed machine votes `None`) plus one conflicting
-        // peer ballot: 2 of 3 split, no strict majority; the third member
-        // never answers. The vote is wedged.
-        drive(&mut server, |s, ctx| s.start_leaf_vote(ctx, "k".into()));
-        assert!(server.sync.votes.contains_key("k"));
-        deliver(
-            &mut server,
-            ProcessId::new(1),
-            OarWire::SyncLeafReply {
-                key: "k".into(),
-                value: Some("conflicting".into()),
-            },
-        );
-        assert!(
-            server.sync.votes.contains_key("k"),
-            "a 2-of-3 split cannot resolve"
-        );
-        // Anti-entropy ticks up to the deadline keep the vote in flight...
-        for _ in 0..SYNC_VOTE_EXPIRY_TICKS {
-            drive(&mut server, |s, ctx| s.maybe_sync(ctx));
+        let server = OarServer::new(ProcessId::new(0), group, OarConfig::default(), sm);
+        let own = server.settled();
+        (server, own)
+    }
+
+    /// Peers 1 and 2 report `reports` as their settled watermarks, then the
+    /// server ticks; returns the tick's actions.
+    fn hear_and_tick<S: Machine>(
+        server: &mut OarServer<S>,
+        reports: [Settled; 2],
+    ) -> Vec<Action<Wire>> {
+        for (peer, settled) in [1, 2].into_iter().zip(reports) {
+            deliver(server, ProcessId::new(peer), OarWire::Watermark { settled });
         }
-        assert!(server.sync.votes.contains_key("k"), "deadline not hit yet");
-        // ...and the next tick expires it, so a later probe can retry.
-        drive(&mut server, |s, ctx| s.maybe_sync(ctx));
-        assert!(server.sync.votes.is_empty(), "wedged vote expired");
-        drive(&mut server, |s, ctx| s.start_leaf_vote(ctx, "k".into()));
-        assert!(
-            server.sync.votes.contains_key("k"),
-            "repair for the key is unblocked"
+        drive(server, |s, ctx| s.on_timer(ctx, TICK))
+    }
+
+    /// Whether `actions` arm the next maintenance tick.
+    fn arms_tick(actions: &[Action<Wire>]) -> bool {
+        (actions.iter()).any(|a| {
+            matches!(
+                a,
+                Action::SetTimer {
+                    tag: TimerTag::Tick,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// The detector: both peers report this replica's own watermark with
+    /// one digest that is not its own. A majority out-votes it, so it counts
+    /// the divergence, drops its state and asks a peer for a catch-up — and
+    /// the tick chain ends with this tick (the install re-arms it).
+    #[test]
+    fn a_replica_out_voted_on_its_settled_digest_rejoins_through_catch_up() {
+        let (mut server, own) = member_of_three(CounterMachine::default());
+        let other = Settled {
+            digest: own.digest ^ 1,
+            ..own
+        };
+        let actions = hear_and_tick(&mut server, [other, other]);
+        assert_eq!(
+            server.stats().divergences,
+            1,
+            "counted, and kept by the rebuild"
         );
+        assert!(server.is_recovering(), "the out-voted replica rejoins");
+        assert!(
+            actions.iter().any(|a| matches!(
+                sent(a),
+                Some((to, OarWire::CatchUpRequest { attempt: 0, .. })) if to == ProcessId::new(1)
+            )),
+            "the rejoin starts with a catch-up request to the first peer"
+        );
+        assert!(
+            !arms_tick(&actions),
+            "the tick is not re-armed while recovering"
+        );
+    }
+
+    /// Nothing happens without a majority against the replica: one peer
+    /// disagreeing, two peers disagreeing with each other, or a dissenting
+    /// peer whose partner reports another watermark.
+    #[test]
+    fn no_majority_against_the_replica_changes_nothing() {
+        let (_, own) = member_of_three(CounterMachine::default());
+        let other = Settled {
+            digest: own.digest ^ 1,
+            ..own
+        };
+        let third = Settled {
+            digest: own.digest ^ 2,
+            ..own
+        };
+        let later = Settled {
+            epoch: own.epoch + 1,
+            ..other
+        };
+        for reports in [[other, own], [other, third], [other, later]] {
+            let (mut server, _) = member_of_three(CounterMachine::default());
+            let actions = hear_and_tick(&mut server, reports);
+            assert_eq!(server.stats().divergences, 0, "{reports:?}");
+            assert!(!server.is_recovering(), "{reports:?}");
+            assert!(arms_tick(&actions), "{reports:?}: the tick chain goes on");
+        }
+    }
+
+    /// End to end on three servers: a command applied outside the order at
+    /// server 1 shows at the next epoch close. Server 1's next tick finds
+    /// itself out-voted, rejoins blank, installs server 0's state — digest
+    /// verified — and ends with exactly one tick chain armed, like a
+    /// restarted replica; the healthy replicas count nothing.
+    #[test]
+    fn a_divergent_replica_is_caught_at_the_next_close_and_rejoins_with_one_tick_chain() {
+        let mut trio = Trio::new(OarConfig {
+            epoch_cut_after: Some(1),
+            snapshot_every: Some(2),
+            ..OarConfig::default()
+        });
+        trio.submit(0, &[0, 1, 2]);
+        trio.servers[1].inject_divergence(&CounterCommand::Add(100));
+        trio.submit(1, &[0, 1, 2]);
+        let settled: Vec<Settled> = trio.servers.iter().map(|s| s.settled()).collect();
+        assert!(settled.iter().all(|s| s.epoch == 2), "{settled:?}");
+        assert_ne!(settled[1].digest, settled[0].digest, "shows at the close");
+
+        trio.timers.clear();
+        trio.tick_all();
+        let divergences: Vec<u64> = trio.servers.iter().map(|s| s.stats().divergences).collect();
+        assert_eq!(divergences, [0, 1, 0]);
+        let rejoiner = &trio.servers[1];
+        assert!(!rejoiner.is_recovering(), "the catch-up installed");
+        assert_eq!(rejoiner.stats().catch_up_requests, 1);
+        assert_eq!(rejoiner.settled(), trio.servers[0].settled());
+        for server in &trio.servers {
+            assert_eq!(server.state_machine().value(), 3);
+            assert_eq!(
+                server.state_machine().digest(),
+                trio.servers[0].state_machine().digest()
+            );
+        }
+        let ticks = |p: usize| {
+            let p = ProcessId::new(p);
+            (trio.timers.iter())
+                .filter(|&&(at, tag)| at == p && tag == TimerTag::Tick)
+                .count()
+        };
+        assert_eq!(ticks(1), 1, "one tick chain after the rejoin");
+        assert_eq!((ticks(0), ticks(2)), (1, 1));
+
+        // The group carries on: the next request settles at all three.
+        trio.submit(2, &[0, 1, 2]);
+        for server in &trio.servers {
+            assert_eq!(server.state_machine().value(), 6);
+        }
+    }
+
+    /// A healthy replica that hears one corrupt peer never acts, however
+    /// many ticks pass: the other healthy peer keeps it in the majority.
+    #[test]
+    fn a_healthy_replica_hearing_one_corrupt_peer_never_rejoins() {
+        let mut trio = Trio::new(OarConfig {
+            epoch_cut_after: Some(1),
+            ..OarConfig::default()
+        });
+        trio.servers[1].inject_divergence(&CounterCommand::Add(100));
+        trio.submit(0, &[0, 1, 2]);
+        let corrupt = trio.servers[1].settled();
+        assert_ne!(corrupt, trio.servers[0].settled());
+        // Servers 0 and 2 tick; server 1, which would heal itself, does not.
+        for _ in 0..8 {
+            trio.tick(0);
+            trio.tick(2);
+            trio.pump();
+        }
+        for i in [0, 2] {
+            let server = &trio.servers[i];
+            assert_eq!(server.stats().divergences, 0);
+            assert!(!server.is_recovering());
+            assert_eq!(server.gc.peer_settled[&ProcessId::new(1)], corrupt);
+        }
+    }
+
+    /// A counter without snapshots: no catch-up install could reset it.
+    #[derive(Debug, Default)]
+    struct Unresettable(CounterMachine);
+
+    impl StateMachine for Unresettable {
+        type Command = CounterCommand;
+        type Response = i64;
+        type Undo = crate::state_machine::CounterUndo;
+
+        fn apply(&mut self, command: &CounterCommand) -> (i64, Self::Undo) {
+            self.0.apply(command)
+        }
+
+        fn undo(&mut self, token: Self::Undo) {
+            self.0.undo(token);
+        }
+
+        fn digest(&self) -> u64 {
+            self.0.digest()
+        }
+    }
+
+    /// An out-voted replica whose machine cannot be reset counts the
+    /// divergence once per watermark, not once per tick, and runs on.
+    #[test]
+    fn an_unresettable_replica_counts_the_divergence_once_and_runs_on() {
+        let (mut server, own) = member_of_three(Unresettable::default());
+        let other = Settled {
+            digest: own.digest ^ 1,
+            ..own
+        };
+        for _ in 0..3 {
+            let actions = hear_and_tick(&mut server, [other, other]);
+            assert!(arms_tick(&actions), "the tick chain goes on");
+        }
+        assert_eq!(server.stats().divergences, 1);
+        assert!(!server.is_recovering());
     }
 }

@@ -324,7 +324,7 @@ impl<S: StateMachine> OarServer<S> {
         let msg = OrderMsg {
             epoch: self.core.epoch,
             order: batch.clone(),
-            settled: self.settled_watermark(),
+            settled: self.settled(),
         };
         // One allocation of the wire message shared across all recipients.
         ctx.send_all(&self.peers(), OarWire::Order(msg));

@@ -88,7 +88,7 @@ impl<S: StateMachine> OarServer<S> {
         self.phase2.started = true;
         let (wire, targets, local) = self.phase2.cast.broadcast_shared(PhaseIIMsg {
             epoch: self.core.epoch,
-            settled: self.settled_watermark(),
+            settled: self.settled(),
         });
         self.note_phase2_id(local.payload.epoch, local.id);
         ctx.send_all(&targets, OarWire::PhaseII(wire));
@@ -381,7 +381,7 @@ impl<S: StateMachine> OarServer<S> {
 
         // Announce the advanced watermark so peers can prune, and prune
         // whatever the group has already acknowledged.
-        let settled = self.settled_watermark();
+        let settled = self.settled();
         ctx.send_all(&self.peers(), OarWire::Watermark { settled });
         self.maybe_gc();
 

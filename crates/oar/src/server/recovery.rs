@@ -1,6 +1,7 @@
 //! Durable snapshots, log compaction and catch-up: how a server bounds its
-//! settled log and how a restarted one rejoins from a peer's snapshot plus
-//! the settled delta since it.
+//! settled log, and how a restarted one — or one its group out-votes on its
+//! settled digest — rejoins from a peer's snapshot plus the settled delta
+//! since it.
 
 use std::collections::VecDeque;
 use std::fmt::Debug;
@@ -100,6 +101,10 @@ pub(super) struct Recovery<C, R> {
     /// and the conservative close delivers everything. Expires when the
     /// epoch advances.
     pub(super) opt_freeze_epoch: Option<u64>,
+    /// The watermark at which this replica last counted a divergence it
+    /// could not heal (its machine cannot be reset), so a standing
+    /// divergence is counted once per watermark, not once per tick.
+    diverged_at: Option<u64>,
 }
 
 impl<C: Debug, R: Debug> Recovery<C, R> {
@@ -122,6 +127,7 @@ impl<C: Debug, R: Debug> Recovery<C, R> {
             buffer: Vec::new(),
             held_catch_ups: Vec::new(),
             opt_freeze_epoch: None,
+            diverged_at: None,
         }
     }
 
@@ -141,6 +147,7 @@ impl<C: Debug, R: Debug> Recovery<C, R> {
         format!("{:?}", self.buffer).hash(h);
         self.held_catch_ups.hash(h);
         self.opt_freeze_epoch.hash(h);
+        self.diverged_at.hash(h);
     }
 }
 
@@ -171,6 +178,44 @@ impl<S: StateMachine> OarServer<S> {
         self.core.a_delivered = Seq::new();
         self.recovery.settled_log.clear();
         self.stats.a_delivered_len.record(0);
+    }
+
+    /// The divergence detector's verdict, taken on the maintenance tick. A
+    /// replica whose settled digest a majority of its group out-votes
+    /// ([`Self::out_voted`]) counts the divergence and annotates it, then
+    /// rejoins blank: every concern is rebuilt as [`OarServer::recovering`]
+    /// builds it, over the current roster and with the counters carried
+    /// over, and a peer is asked for a catch-up, whose install verifies the
+    /// donor's digest and re-arms the tick. Returns whether it rejoined; the
+    /// caller must then not re-arm the tick. A machine without snapshots has
+    /// nothing an install could reset it to (catch-up would replay the
+    /// history onto the divergent state), and one that cannot fork leaves
+    /// the rebuilt server no machine to hold until then: those only count.
+    pub(super) fn rejoin_if_out_voted(&mut self, ctx: &mut dyn Runtime<Wire<S>>) -> bool {
+        let own = self.settled();
+        let Some(theirs) = self.out_voted() else {
+            return false;
+        };
+        if self.recovery.diverged_at == Some(own.epoch) {
+            return false;
+        }
+        self.stats.divergences += 1;
+        ctx.annotate_with(|| {
+            let (epoch, digest) = (own.epoch, own.digest);
+            format!("divergence @{epoch}: settled digest {digest:x}, majority {theirs:x}")
+        });
+        let resettable = self.recovery.snapshot.image.is_some();
+        let Some(sm) = resettable.then(|| self.sm.fork()).flatten() else {
+            self.recovery.diverged_at = Some(own.epoch);
+            return false;
+        };
+        let core = &self.core;
+        *self = OarServer {
+            stats: self.stats,
+            ..Self::recovering(core.id, core.group.clone(), core.config, sm)
+        };
+        self.send_catch_up_request(ctx);
+        true
     }
 
     /// Sends the current catch-up attempt's `CatchUpRequest` to a donor and
@@ -435,7 +480,7 @@ impl<S: StateMachine> OarServer<S> {
         // watermark announcement so the peers' payload GC stops waiting on
         // the pre-crash watermark.
         ctx.set_timer(self.core.config.tick_interval, TimerTag::Tick);
-        let settled = self.settled_watermark();
+        let settled = self.settled();
         ctx.send_all(&self.peers(), OarWire::Watermark { settled });
         // Adopt the donor's unsettled payloads: their clients sent them while
         // this replica was down and will never re-send, yet sequencer

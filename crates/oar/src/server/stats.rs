@@ -94,6 +94,12 @@ pub struct ServerStats {
     pub catch_up_requests: u64,
     /// `CatchUpReply` wires served to rejoining peers (donor side).
     pub catch_up_replies: u64,
+    /// Times a majority of the group reported this replica's own settled
+    /// watermark with one digest that differs from its own — a replica that
+    /// left the deterministic order. Each one sends the replica back through
+    /// catch-up (if its machine snapshots and forks). 0 in every run of a
+    /// correct protocol.
+    pub divergences: u64,
     /// Length of the settled-command delta replayed by the last successful
     /// catch-up install (0 until a catch-up completed). Together with the
     /// snapshot position this shows the rejoin was snapshot + delta, not a
@@ -132,14 +138,6 @@ pub struct ServerStats {
     /// Digest of the last verified incoming `MigrateState` (must match the
     /// donor's `migrate_out_digest`; 0 until a hand-off arrived).
     pub migrate_in_digest: u64,
-    /// Anti-entropy root probes sent on the maintenance tick.
-    pub sync_probes: u64,
-    /// Merkle node wires exchanged during divergence descent (requests and
-    /// replies) — the O(log n) localisation cost the anti-entropy gate
-    /// measures.
-    pub sync_node_wires: u64,
-    /// Divergent leaves repaired by the anti-entropy majority vote.
-    pub sync_repairs: u64,
 }
 
 impl ServerStats {

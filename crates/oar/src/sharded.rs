@@ -351,22 +351,6 @@ where
         new
     }
 
-    /// Injects a divergent value for `key` into server `i` of group `g`
-    /// (`None` removes the key) — the fault the Merkle anti-entropy loop
-    /// heals. Returns whether the state actually changed.
-    pub fn inject_divergence(
-        &mut self,
-        g: usize,
-        i: usize,
-        key: &str,
-        value: Option<&str>,
-    ) -> bool {
-        let id = self.groups[g][i];
-        self.world
-            .process_mut::<OarServer<S>>(id)
-            .inject_divergence(key, value)
-    }
-
     /// The settled-state digest of `range` at every server of group `g`
     /// (`None` for servers whose machine does not expose range digests or
     /// are crashed).

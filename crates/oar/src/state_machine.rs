@@ -211,31 +211,6 @@ pub trait StateMachine: fmt::Debug + 'static {
         let _ = range;
         None
     }
-
-    // -- Merkle anti-entropy hooks (all optional) ---------------------------
-
-    /// The `(key, value_hash)` leaves a Merkle tree over the settled state
-    /// is built from ([`crate::merkle::MerkleTree::build`]). `None` = the
-    /// machine exposes no keyed view and anti-entropy is unavailable.
-    fn anti_entropy_leaves(&self) -> Option<Vec<(String, u64)>> {
-        None
-    }
-
-    /// Overwrites `key` with the group-majority `value` (`None` = remove)
-    /// decided by an anti-entropy leaf vote. Returns whether the state
-    /// changed. Out-of-band by design: it repairs *corruption*, i.e. state
-    /// that already departed from the replayed order.
-    fn anti_entropy_repair(&mut self, key: &str, value: Option<&str>) -> bool {
-        let _ = (key, value);
-        false
-    }
-
-    /// The settled value of `key`, as cast in an anti-entropy leaf vote.
-    /// `None` when the key is absent *or* the machine is unkeyed.
-    fn anti_entropy_value(&self, key: &str) -> Option<String> {
-        let _ = key;
-        None
-    }
 }
 
 /// The canonical digest over a migrated range's `(key, value)` entries: the

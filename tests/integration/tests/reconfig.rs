@@ -1,5 +1,5 @@
-//! Membership reconfiguration, online shard rebalancing and Merkle
-//! anti-entropy, end to end:
+//! Membership reconfiguration, online shard rebalancing and divergence
+//! detection, end to end:
 //!
 //! * a crashed replica is **replaced** through a `Reconfig::Replace` fence
 //!   settled in the conservative order; the replacement joins over the
@@ -10,14 +10,15 @@
 //!   donors ship the settled range over bounded `MigrateState` wires, stale
 //!   traffic is door-redirected and clients re-route under the original
 //!   request ids;
-//! * injected settled-state divergence is **localised and healed** by the
-//!   Merkle anti-entropy loop in O(log n) digest wires.
+//! * a command applied outside the order at one replica is **caught** at
+//!   the next epoch close, where that replica's settled digest is out-voted
+//!   by its peers', and **healed** by its rejoin through catch-up.
 
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::shard::{KeyRange, ShardRouter};
 use oar::sharded::{ShardedCluster, ShardedConfig};
 use oar::state_machine::{CounterCommand, CounterMachine};
-use oar::OarConfig;
+use oar::{OarConfig, StateMachine};
 use oar_apps::kv::{KvCommand, KvMachine};
 use oar_simnet::{NetConfig, SimDuration, SimTime};
 
@@ -27,7 +28,7 @@ fn counter_workload(client: usize, n: usize) -> Vec<CounterCommand> {
         .collect()
 }
 
-fn run_cluster_checks<S: oar::StateMachine>(cluster: &Cluster<S>, label: &str) {
+fn run_cluster_checks<S: StateMachine>(cluster: &Cluster<S>, label: &str) {
     cluster
         .check_replica_consistency()
         .unwrap_or_else(|e| panic!("[{label}] replica consistency: {e}"));
@@ -172,7 +173,7 @@ fn online_migration_loses_and_duplicates_nothing() {
             cluster.run_to_completion(SimTime::from_secs(60)),
             "seed {seed}: workload did not finish across the migration"
         );
-        // Settle in-flight anti-entropy/redirect traffic before checking.
+        // Settle in-flight redirect traffic before checking.
         let settle = cluster.world.now() + SimDuration::from_millis(50);
         cluster.world.run_until(settle);
 
@@ -248,86 +249,88 @@ fn kv_keys_workload(client: usize, n: usize) -> Vec<KvCommand> {
         .collect()
 }
 
-/// The tentpole, part 3: a divergent settled value injected into one replica
-/// is localised through the Merkle descent in O(log n) digest wires and
-/// healed by majority vote.
+/// Lets the quiescent `cluster` settle, applies `corruption` at replica 1
+/// outside the order and closes the open epoch. The detector must catch it
+/// there: replica 1 alone counts the divergence, it rejoins through catch-up,
+/// and all three replicas end with one state digest.
+fn corrupt_and_heal(cluster: &mut Cluster<KvMachine>, corruption: KvCommand, label: &str) {
+    let settle = cluster.world.now() + SimDuration::from_millis(100);
+    cluster.world.run_until(settle);
+    let divergences = |cluster: &Cluster<KvMachine>| -> Vec<u64> {
+        (0..3)
+            .map(|i| cluster.server(i).stats().divergences)
+            .collect()
+    };
+    assert_eq!(divergences(cluster), [0, 0, 0], "[{label}] equal replicas");
+
+    let before = cluster.server(1).state_machine().digest();
+    cluster.inject_divergence(1, &corruption);
+    assert_ne!(
+        cluster.server(1).state_machine().digest(),
+        before,
+        "[{label}] injection must change the state"
+    );
+    cluster.close_epoch();
+    let heal = cluster.world.now() + SimDuration::from_millis(200);
+    cluster.world.run_until(heal);
+
+    assert_eq!(
+        divergences(cluster),
+        [0, 1, 0],
+        "[{label}] the corrupted replica, and only it, counts the divergence"
+    );
+    let rejoiner = cluster.server(1);
+    assert!(
+        !rejoiner.is_recovering() && rejoiner.stats().catch_up_requests >= 1,
+        "[{label}] the corrupted replica rejoined through catch-up"
+    );
+    let digests: Vec<u64> = (0..3)
+        .map(|i| cluster.server(i).state_machine().digest())
+        .collect();
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "[{label}] digests after the heal: {digests:x?}"
+    );
+    run_cluster_checks(cluster, label);
+}
+
+/// The tentpole, part 3: a divergent value written into one replica
+/// outside the order is caught at the next epoch close and healed by that
+/// replica's rejoin.
 #[test]
-fn merkle_anti_entropy_heals_injected_divergence() {
+fn detector_catches_and_heals_a_corrupted_value() {
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig {
-            anti_entropy: true,
-            ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
-        },
+        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
         seed: 9,
         ..ClusterConfig::default()
     };
     let mut cluster: Cluster<KvMachine> =
         Cluster::build(&config, KvMachine::new, |c| kv_keys_workload(c, 40));
     assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-    // Let the group quiesce at a common settled position, with probes
-    // running but finding nothing.
-    let settle = cluster.world.now() + SimDuration::from_millis(100);
-    cluster.world.run_until(settle);
-    assert!(
-        cluster.sum_stats(|s| s.sync_probes) > 0,
-        "probes must be running"
-    );
-    assert_eq!(
-        cluster.sum_stats(|s| s.sync_node_wires),
-        0,
-        "equal replicas must exchange no descent wires"
-    );
-
-    assert!(
-        cluster.inject_divergence(1, "k05", Some("corrupted")),
-        "injection must change the state"
-    );
-    let heal = cluster.world.now() + SimDuration::from_millis(200);
-    cluster.world.run_until(heal);
-
-    assert!(
-        cluster.sum_stats(|s| s.sync_repairs) >= 1,
-        "the corrupted replica must repair itself"
-    );
-    run_cluster_checks(&cluster, "anti-entropy heal");
-    // O(log n) localisation: the 24 distinct keys pad to 32 leaves, depth 5.
-    // Each divergent probe costs one root node plus at most 2 wires per
-    // level; a handful of probes race before the heal lands.
-    let depth = 24u64.next_power_of_two().trailing_zeros() as u64;
-    let bound = 12 * (2 * depth + 2);
-    assert!(
-        cluster.sum_stats(|s| s.sync_node_wires) <= bound,
-        "descent cost {} exceeds the O(log n) bound {bound}",
-        cluster.sum_stats(|s| s.sync_node_wires)
-    );
-    assert!(
-        cluster.sum_stats(|s| s.sync_node_wires) >= depth,
-        "the descent must actually walk the tree"
-    );
+    let corruption = KvCommand::Put {
+        key: "k05".into(),
+        value: "corrupted".into(),
+    };
+    corrupt_and_heal(&mut cluster, corruption, "corrupted value");
 }
 
-/// Shape-divergent anti-entropy (REVIEW regression): deleting a key on one
-/// replica across a power-of-two boundary (9 settled keys pad to 16 leaves,
-/// 8 pad to 8) makes the heap-index descent incomparable. The replicas must
-/// detect the width mismatch, fall back to the full key-set exchange
-/// (`SyncKeys`), and heal by majority vote — not descend forever.
+/// A divergence that changes the key count — deleting one of 9 keys at one
+/// replica — is caught and healed the same way: the settled digest covers
+/// the whole state, whatever its shape.
 #[test]
-fn merkle_anti_entropy_heals_shape_divergence() {
+fn detector_catches_and_heals_a_deleted_key() {
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig {
-            anti_entropy: true,
-            ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
-        },
+        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
         seed: 11,
         ..ClusterConfig::default()
     };
-    // Exactly 9 distinct keys: one past the 8-leaf power of two.
+    // Exactly 9 distinct keys.
     let mut cluster: Cluster<KvMachine> = Cluster::build(&config, KvMachine::new, |c| {
         (0..27)
             .map(|i| KvCommand::Put {
@@ -337,38 +340,12 @@ fn merkle_anti_entropy_heals_shape_divergence() {
             .collect()
     });
     assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-    let settle = cluster.world.now() + SimDuration::from_millis(100);
-    cluster.world.run_until(settle);
-    assert!(
-        cluster.sum_stats(|s| s.sync_probes) > 0,
-        "probes must be running"
-    );
-
-    // Delete a key on replica 1: its tree narrows to 8 leaves while the
-    // others keep 16 — no aligned descent exists.
-    assert!(
-        cluster.inject_divergence(1, "k4", None),
-        "injection must change the state"
-    );
-    let wires_before = cluster.sum_stats(|s| s.sync_node_wires);
-    let heal = cluster.world.now() + SimDuration::from_millis(200);
-    cluster.world.run_until(heal);
-
-    assert!(
-        cluster.sum_stats(|s| s.sync_repairs) >= 1,
-        "the narrowed replica must re-install the deleted key"
-    );
-    run_cluster_checks(&cluster, "anti-entropy shape heal");
-    assert!(
-        cluster.sum_stats(|s| s.sync_node_wires) > wires_before,
-        "the key-set fallback must have travelled"
-    );
-    // The fallback is bounded: one `SyncKeys` round trip per divergent
-    // probe, never an unbounded descent. A handful of probes race before
-    // the heal lands; each costs at most 2 key-set wires.
-    assert!(
-        cluster.sum_stats(|s| s.sync_node_wires) - wires_before <= 24,
-        "shape fallback cost {} wires — the mismatch must not loop",
-        cluster.sum_stats(|s| s.sync_node_wires) - wires_before
+    assert_eq!(cluster.server(1).state_machine().len(), 9);
+    let corruption = KvCommand::Delete { key: "k4".into() };
+    corrupt_and_heal(&mut cluster, corruption, "deleted key");
+    assert_eq!(
+        cluster.server(1).state_machine().len(),
+        9,
+        "the key is back"
     );
 }

@@ -14,11 +14,16 @@
 //!   heartbeats arrive (satellite a);
 //! * never replays a settled request and never re-relays one — the seen-set
 //!   aging and door-drop filters stay correct across the restart
-//!   (satellite b, the relay ping-pong regression class).
+//!   (satellite b, the relay ping-pong regression class);
+//! * never trips the divergence detector: replicas at one settled watermark
+//!   hold one settled digest, restarts and catch-ups included.
+
+use std::collections::HashMap;
 
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::state_machine::{CounterCommand, CounterMachine};
-use oar::OarConfig;
+use oar::{AdaptiveConfig, OarConfig};
+use oar_apps::kv::{KvCommand, KvMachine};
 use oar_simnet::{NetConfig, ProcessId, SimDuration, SimTime};
 
 fn counter_workload(client: usize, n: usize) -> Vec<CounterCommand> {
@@ -34,6 +39,11 @@ fn run_checks<S: oar::StateMachine>(cluster: &Cluster<S>, label: &str) {
     cluster
         .check_external_consistency()
         .unwrap_or_else(|e| panic!("[{label}] external consistency: {e}"));
+    assert_eq!(
+        cluster.sum_stats(|s| s.divergences),
+        0,
+        "[{label}] a restart tripped the divergence detector"
+    );
 }
 
 /// Recovery-flavoured config: proactive epoch cuts feed the snapshot
@@ -356,4 +366,92 @@ fn catch_up_rotates_donors_past_a_dead_peer() {
         "rejoiner must find a live donor despite the dead peer"
     );
     run_checks(&cluster, "dead-donor rotation");
+}
+
+/// The detector's premise under churn: replicas at one settled watermark
+/// hold one settled digest. A group under load, in the production
+/// configuration (adaptive batching, an epoch cut every 8 requests, a
+/// snapshot every 4 epochs), loses its first sequencer or a follower once
+/// 400 requests are done; the victim restarts blank 20–60 ms later and
+/// rejoins through catch-up. Until the workload is done and the victim has
+/// rejoined, every 25 µs of simulated time each live, non-recovering
+/// replica's (watermark, settled digest) is sampled, and no
+/// watermark may ever show two digests — across replicas and across time,
+/// through epoch cuts, snapshots, the crash and the catch-up. The detector,
+/// which compares exactly these pairs, never fires.
+#[test]
+fn equal_settled_watermarks_hold_equal_settled_digests() {
+    for victim in [0usize, 1] {
+        for seed in 0..16u64 {
+            let label = format!("victim p{victim}, seed {seed}");
+            let config = ClusterConfig {
+                num_servers: 3,
+                num_clients: 8,
+                net: NetConfig::lan(),
+                oar: OarConfig::builder()
+                    .adaptive(AdaptiveConfig::default())
+                    .epoch_cut_after(8)
+                    .snapshot_every(4)
+                    .build(),
+                client_pipeline: 4,
+                seed,
+                ..ClusterConfig::default()
+            };
+            let mut cluster: Cluster<KvMachine> = Cluster::build(&config, KvMachine::new, |c| {
+                (0..150)
+                    .map(|i| KvCommand::Put {
+                        key: format!("k{:03}", (c * 397 + i * 13) % 1000),
+                        value: format!("c{c}i{i}"),
+                    })
+                    .collect()
+            });
+            let mut digest_at: HashMap<u64, u64> = HashMap::new();
+            let (mut samples, mut shared, mut crashed) = (0u64, 0u64, false);
+            while cluster.world.now() < SimTime::from_secs(3) {
+                let next = cluster.world.now() + SimDuration::from_micros(25);
+                cluster.world.run_until(next);
+                let mut watermarks = Vec::new();
+                for i in 0..3 {
+                    let server = cluster.server(i);
+                    if cluster.world.is_crashed(server.id()) || server.is_recovering() {
+                        continue;
+                    }
+                    let (watermark, digest) = (server.settled_watermark(), server.settled_digest());
+                    let first = *digest_at.entry(watermark).or_insert(digest);
+                    assert_eq!(
+                        digest, first,
+                        "[{label}] watermark {watermark} holds two settled digests"
+                    );
+                    watermarks.push(watermark);
+                }
+                samples += 1;
+                watermarks.sort_unstable();
+                shared += u64::from(watermarks.windows(2).any(|w| w[0] == w[1]));
+                if samples % 40 == 0 {
+                    if !crashed && cluster.completed_requests().len() >= 400 {
+                        cluster.world.crash_now(cluster.servers[victim]);
+                        let restart =
+                            cluster.world.now() + SimDuration::from_millis(20 + seed * 13 % 41);
+                        cluster.schedule_server_restart(restart, victim, KvMachine::new);
+                        crashed = true;
+                    }
+                    let victim = cluster.server(victim);
+                    let rejoined = victim.stats().catch_up_requests > 0 && !victim.is_recovering();
+                    if rejoined && cluster.all_clients_done() {
+                        break;
+                    }
+                }
+            }
+            assert!(crashed, "[{label}] the victim never crashed");
+            assert!(
+                2 * shared >= samples,
+                "[{label}] only {shared} of {samples} samples compared two replicas"
+            );
+            assert_eq!(
+                cluster.sum_stats(|s| s.divergences),
+                0,
+                "[{label}] the detector fired"
+            );
+        }
+    }
 }

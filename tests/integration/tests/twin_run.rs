@@ -151,6 +151,18 @@ fn rtnet_twin_converges_to_the_simnet_digest() {
     check_server_consistency(&servers).expect("rtnet server propositions");
     check_external_consistency(&servers, &per_client).expect("rtnet external consistency");
 
+    // The divergence detector runs on real threads too, and a correct run
+    // never trips it (checked at every replica, recovering or not).
+    for &id in &server_ids {
+        let server = report.process_ref::<OarServer<KvMachine>>(id);
+        assert_eq!(
+            server.stats().divergences,
+            0,
+            "server {} was out-voted on its settled digest",
+            server.id()
+        );
+    }
+
     // The tentpole claim: bit-identical convergence across backends.
     for server in &servers {
         assert_eq!(
