@@ -3,7 +3,7 @@
 //! workloads against OAR and against the baselines.
 
 use oar::state_machine::StateMachine;
-use oar::RequestId;
+use oar::{run_until_done, RequestId};
 use oar_fd::FdConfig;
 use oar_simnet::{NetConfig, ProcessId, Samples, SimDuration, SimTime, World};
 
@@ -112,21 +112,12 @@ impl<S: StateMachine> SequencerCluster<S> {
     /// Runs until all clients are done or `horizon` is reached; returns whether
     /// all clients finished.
     pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        let slice = SimDuration::from_millis(50);
-        loop {
-            let next = self.world.now() + slice;
-            self.world.run_until(next);
-            let done = self
-                .clients
+        let clients = &self.clients;
+        run_until_done(&mut self.world, horizon, |world| {
+            clients
                 .iter()
-                .all(|&c| self.world.process_ref::<SequencerClient<S>>(c).is_done());
-            if done {
-                return true;
-            }
-            if self.world.now() >= horizon {
-                return false;
-            }
-        }
+                .all(|&c| world.process_ref::<SequencerClient<S>>(c).is_done())
+        })
     }
 
     /// Client-observed latencies (ms) of the completed requests.
@@ -229,21 +220,12 @@ impl<S: StateMachine> CtCluster<S> {
     /// Runs until all clients are done or `horizon` is reached; returns whether
     /// all clients finished.
     pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        let slice = SimDuration::from_millis(50);
-        loop {
-            let next = self.world.now() + slice;
-            self.world.run_until(next);
-            let done = self
-                .clients
+        let clients = &self.clients;
+        run_until_done(&mut self.world, horizon, |world| {
+            clients
                 .iter()
-                .all(|&c| self.world.process_ref::<CtClient<S>>(c).is_done());
-            if done {
-                return true;
-            }
-            if self.world.now() >= horizon {
-                return false;
-            }
-        }
+                .all(|&c| world.process_ref::<CtClient<S>>(c).is_done())
+        })
     }
 
     /// Client-observed latencies (ms) of the completed requests.

@@ -20,7 +20,9 @@ fn bench_failover(c: &mut Criterion) {
                         num_servers: 3,
                         num_clients: 1,
                         net: NetConfig::lan(),
-                        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(timeout_ms)),
+                        oar: OarConfig::builder()
+                            .fd_timeout(SimDuration::from_millis(timeout_ms))
+                            .build(),
                         seed: 5,
                         ..ClusterConfig::default()
                     };
@@ -32,7 +34,7 @@ fn bench_failover(c: &mut Criterion) {
                         .world
                         .schedule_crash(ProcessId::new(0), SimTime::from_millis(5));
                     assert!(cluster.run_to_completion(SimTime::from_secs(300)));
-                    cluster.check_replica_consistency().unwrap();
+                    cluster.check_per_group_consistency().unwrap();
                     cluster.sum_stats(|s| s.phase2_entered)
                 })
             },

@@ -8,7 +8,7 @@
 //! produced by `harness -- throughput`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oar::OarConfig;
+use oar::{AdaptiveConfig, OarConfig};
 use oar_bench::experiments::{
     build_sharded_cluster, build_throughput_cluster, build_txn_cluster, sharded_experiment,
     txn_experiment, with_metrics, BATCHED_MAX_BATCH, PIPELINE_DEPTH,
@@ -29,7 +29,7 @@ fn run_cluster(
     let mut cluster =
         build_throughput_cluster(oar, 3, clients, requests_per_client, pipeline, SEED);
     assert!(cluster.run_to_completion(SimTime::from_secs(600)));
-    cluster.completed_requests().len()
+    cluster.completed().len()
 }
 
 /// One un-timed instrumentation run of the same deployment, returning the
@@ -73,7 +73,7 @@ fn traffic_counters(
 fn run_sharded(groups: usize, clients_per_group: usize, requests_per_client: usize) -> usize {
     let mut cluster = build_sharded_cluster(groups, clients_per_group, requests_per_client, SEED);
     assert!(cluster.run_to_completion(SimTime::from_secs(600)));
-    cluster.completed_requests().len()
+    cluster.completed().len()
 }
 
 /// Times one transactional run to completion (atomicity and consistency
@@ -82,7 +82,7 @@ fn run_sharded(groups: usize, clients_per_group: usize, requests_per_client: usi
 fn run_txn(groups: usize, clients: usize, txns_per_client: usize, multi_group: bool) -> usize {
     let mut cluster = build_txn_cluster(groups, clients, txns_per_client, multi_group, SEED);
     assert!(cluster.run_to_completion(SimTime::from_secs(600)));
-    cluster.completed_txns().len()
+    cluster.completed().len()
 }
 
 fn bench_throughput(c: &mut Criterion) {
@@ -92,19 +92,27 @@ fn bench_throughput(c: &mut Criterion) {
     for &clients in &[1usize, 2, 4, 8] {
         let variants: [(&str, OarConfig, usize); 4] = [
             ("unbatched", OarConfig::default(), 1),
-            ("batched8", OarConfig::with_batching(BATCHED_MAX_BATCH), 1),
+            (
+                "batched8",
+                OarConfig::builder().max_batch(BATCHED_MAX_BATCH).build(),
+                1,
+            ),
             (
                 // Pipelined clients + window-sized sequencer batches: the
                 // configuration whose replies coalesce into ReplyBatch wires.
                 "replybatch8",
-                OarConfig::with_batching(PIPELINE_DEPTH * clients),
+                OarConfig::builder()
+                    .max_batch(PIPELINE_DEPTH * clients)
+                    .build(),
                 PIPELINE_DEPTH,
             ),
             (
                 // The load-driven controller: batch threshold and client
                 // windows adapt per run instead of being configured.
                 "adaptive",
-                OarConfig::adaptive(),
+                OarConfig::builder()
+                    .adaptive(AdaptiveConfig::default())
+                    .build(),
                 PIPELINE_DEPTH,
             ),
         ];

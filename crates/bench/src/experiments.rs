@@ -12,12 +12,12 @@
 
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::parallel::plan_waves;
-use oar::server::{OarServer, ServerStats};
+use oar::server::ServerStats;
 use oar::shard::ShardRouter;
-use oar::sharded::{ShardedCluster, ShardedConfig};
+use oar::sharded::ShardedCluster;
 use oar::state_machine::{CounterCommand, CounterMachine, StateMachine};
 use oar::txn::TxnCluster;
-use oar::OarConfig;
+use oar::{AdaptiveConfig, OarConfig};
 use oar_apps::cost::CostlyMachine;
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
 use oar_baselines::{BaselineConfig, CtCluster, SequencerCluster};
@@ -66,7 +66,7 @@ fn counter_workload(requests: usize) -> Vec<CounterCommand> {
 /// servers' positions.
 fn consistent<S: StateMachine>(c: &Cluster<S>) -> bool {
     c.all_clients_done()
-        && c.check_replica_consistency().is_ok()
+        && c.check_per_group_consistency().is_ok()
         && c.check_external_consistency().is_ok()
 }
 
@@ -79,14 +79,10 @@ pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
     let max = |f: fn(&ServerStats) -> u64| Cell::from(c.max_stats(f));
     let latency = |of: fn(&Samples) -> Option<f64>| Cell::from(of(&c.latencies()).unwrap_or(0.0));
     match name {
-        "servers" => c.servers.len().into(),
+        "servers" => c.groups[0].len().into(),
         "clients" => c.clients.len().into(),
-        "requests" => c.completed_requests().len().into(),
-        "requests_per_second" => {
-            let done = c.completed_requests();
-            let end = done.iter().map(|r| r.completed_at).max();
-            sim_rate(done.len(), end.unwrap_or(SimTime::ZERO)).into()
-        }
+        "requests" => c.completed().len().into(),
+        "requests_per_second" => sim_rate(c.completed().len(), c.last_completion()).into(),
         "latency_ms" => c.latencies().summary().into(),
         "mean_latency_ms" => latency(|l| l.mean()),
         "p50_latency_ms" => latency(|l| l.quantile(0.5)),
@@ -103,7 +99,7 @@ pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
         },
         "phase2_entries" => sum(|s| s.phase2_entered),
         "epochs_per_server" => {
-            (c.sum_stats(|s| s.epochs_completed) as f64 / c.servers.len() as f64).into()
+            (c.sum_stats(|s| s.epochs_completed) as f64 / c.groups[0].len() as f64).into()
         }
         // Wires: `OrderMsg` broadcasts, `ReplyBatch` wires and the replies
         // they carry, consensus wire allocations (shared relays) and the
@@ -201,7 +197,7 @@ pub fn latency_experiment(
             oar.run_to_completion(SimTime::from_secs(600)),
             "OAR run did not finish (n={n})"
         );
-        oar.check_replica_consistency()
+        oar.check_per_group_consistency()
             .expect("OAR replica consistency");
         oar.check_external_consistency()
             .expect("OAR external consistency");
@@ -253,7 +249,9 @@ pub fn failover_experiment(group_sizes: &[usize], fd_timeouts_ms: &[u64], seed: 
                 num_servers: n,
                 num_clients: 1,
                 net: NetConfig::lan(),
-                oar: OarConfig::with_fd_timeout(SimDuration::from_millis(timeout_ms)),
+                oar: OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(timeout_ms))
+                    .build(),
                 seed,
                 ..ClusterConfig::default()
             };
@@ -265,7 +263,7 @@ pub fn failover_experiment(group_sizes: &[usize], fd_timeouts_ms: &[u64], seed: 
                     cluster.world.schedule_crash(ProcessId::new(0), at);
                 }
                 cluster.run_to_completion(SimTime::from_secs(600));
-                let done = cluster.completed_requests();
+                let done = cluster.completed();
                 let last = done.iter().map(|r| r.completed_at).max();
                 (last.unwrap_or(SimTime::ZERO).as_millis_f64(), cluster)
             };
@@ -305,7 +303,7 @@ pub fn undo_experiment(seed: u64) -> Vec<Row> {
         // Scenario C: sequencer crash + minority partition containing the
         // only server that saw the last ordering (the Figure-4 conditions).
         run_undo_scenario("crash+minority-partition", 5, seed, |cluster| {
-            let s = cluster.servers.clone();
+            let s = cluster.groups[0].clone();
             let c = cluster.clients.clone();
             let mut minority = vec![s[0], s[1]];
             minority.extend(c.iter().copied());
@@ -329,7 +327,7 @@ fn run_undo_scenario(
         num_servers: servers,
         num_clients: 2,
         net: NetConfig::constant(SimDuration::from_micros(100)),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed,
         ..ClusterConfig::default()
     };
@@ -438,7 +436,7 @@ pub fn run_oar_throughput(
         "{protocol} run did not finish"
     );
     cluster
-        .check_replica_consistency()
+        .check_per_group_consistency()
         .expect("replica consistency");
     cluster
         .check_external_consistency()
@@ -501,14 +499,16 @@ pub fn throughput_experiment(
         rows.push(oar("oar", OarConfig::default(), 1));
         // OAR with sequencer batching: up to BATCHED_MAX_BATCH requests per
         // ordering broadcast, amortising the reliable-multicast cost.
-        let batched = OarConfig::with_batching(BATCHED_MAX_BATCH);
+        let batched = OarConfig::builder().max_batch(BATCHED_MAX_BATCH).build();
         rows.push(oar("oar-batched", batched, 1));
         // OAR with pipelined clients and window-sized sequencer batches: one
         // OrderMsg swallows the whole in-flight window (PIPELINE_DEPTH
         // requests per client), so each server coalesces its replies into
         // one ReplyBatch per client per window — reply_messages_sent drops
         // towards servers × clients × ceil(requests / PIPELINE_DEPTH).
-        let windowed = OarConfig::with_batching(PIPELINE_DEPTH * clients);
+        let windowed = OarConfig::builder()
+            .max_batch(PIPELINE_DEPTH * clients)
+            .build();
         rows.push(oar("oar-pipelined", windowed, PIPELINE_DEPTH));
 
         let base = BaselineConfig {
@@ -577,7 +577,9 @@ pub const SOAK_EPOCH_CUT: u64 = 64;
 pub fn soak_experiment(clients: usize, requests_per_client: usize, seed: u64) -> Row {
     let oar = OarConfig {
         epoch_cut_after: Some(SOAK_EPOCH_CUT),
-        ..OarConfig::with_batching(PIPELINE_DEPTH * clients)
+        ..OarConfig::builder()
+            .max_batch(PIPELINE_DEPTH * clients)
+            .build()
     };
     let mut cluster =
         build_throughput_cluster(oar, 3, clients, requests_per_client, PIPELINE_DEPTH, seed);
@@ -682,7 +684,9 @@ pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64
     let oar = OarConfig {
         epoch_cut_after: Some(SOAK_EPOCH_CUT),
         snapshot_every: Some(RECOVERY_SNAPSHOT_EVERY),
-        ..OarConfig::with_batching(PIPELINE_DEPTH * clients)
+        ..OarConfig::builder()
+            .max_batch(PIPELINE_DEPTH * clients)
+            .build()
     };
     let mut cluster =
         build_throughput_cluster(oar, 3, clients, requests_per_client, PIPELINE_DEPTH, seed);
@@ -693,18 +697,19 @@ pub fn recovery_experiment(clients: usize, requests_per_client: usize, seed: u64
     // new requests after resuming.
     cluster
         .world
-        .schedule_crash(cluster.servers[restarted], SimTime::from_millis(2));
+        .schedule_crash(cluster.groups[0][restarted], SimTime::from_millis(2));
     let snapshot_deadline = SimTime::from_secs(300);
-    while cluster.server(0).stats().snapshots_taken == 0 && cluster.world.now() < snapshot_deadline
+    while cluster.server(0, 0).stats().snapshots_taken == 0
+        && cluster.world.now() < snapshot_deadline
     {
         run_for(&mut cluster.world, 5);
     }
     let restart_at = cluster.world.now() + SimDuration::from_millis(1);
-    cluster.schedule_server_restart(restart_at, restarted, KvMachine::new);
+    cluster.schedule_server_restart(restart_at, 0, restarted, KvMachine::new);
     cluster.run_to_completion(SimTime::from_secs(600));
     // Let catch-up retries, watermarks and heartbeats settle.
     run_for(&mut cluster.world, 120);
-    let rejoined = cluster.server(restarted);
+    let rejoined = cluster.server(0, restarted);
     // `consistent` covers the rejoined replica too: the checks compare it
     // with the survivors through the compaction-aware digests and order
     // hashes. A snapshot position > 0 means the rejoin was snapshot + delta.
@@ -797,17 +802,15 @@ pub fn build_sharded_cluster(
     requests_per_client: usize,
     seed: u64,
 ) -> ShardedCluster<KvMachine> {
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: groups,
-        servers_per_group: SHARDED_SERVERS_PER_GROUP,
+        num_servers: SHARDED_SERVERS_PER_GROUP,
         num_clients: groups * clients_per_group,
         router: ShardRouter::hash(groups),
-        net: NetConfig::lan(),
-        oar: OarConfig::with_batching(PIPELINE_DEPTH),
+        oar: OarConfig::builder().max_batch(PIPELINE_DEPTH).build(),
         seed,
-        think_time: SimDuration::ZERO,
         client_pipeline: PIPELINE_DEPTH,
-        adaptive_pipeline: false,
+        ..ClusterConfig::default()
     };
     ShardedCluster::build(&config, KvMachine::new, |c| {
         sharded_workload(c, requests_per_client)
@@ -838,7 +841,7 @@ pub fn sharded_experiment(
         let consistent = done
             && cluster.check_per_group_consistency().is_ok()
             && cluster.check_external_consistency().is_ok();
-        let requests = cluster.completed_requests().len();
+        let requests = cluster.completed().len();
         let row = Row::new("sharded", format!("{groups}-groups"))
             .with("groups", groups)
             .with("servers_per_group", SHARDED_SERVERS_PER_GROUP)
@@ -951,18 +954,15 @@ fn txn_multi_workload(client: usize, txns: usize) -> Vec<Vec<KvCommand>> {
 /// transactional cluster *and* the plain baseline it is compared against:
 /// the fast-path wire-identity gate is only meaningful when the two runs
 /// are configured byte-identically, so there is exactly one place to tune.
-fn txn_shard_config(groups: usize, clients: usize, seed: u64) -> ShardedConfig {
-    ShardedConfig {
+fn txn_shard_config(groups: usize, clients: usize, seed: u64) -> ClusterConfig {
+    ClusterConfig {
         num_groups: groups,
-        servers_per_group: SHARDED_SERVERS_PER_GROUP,
+        num_servers: SHARDED_SERVERS_PER_GROUP,
         num_clients: clients,
         router: ShardRouter::hash(groups),
-        net: NetConfig::lan(),
         oar: OarConfig::default(),
         seed,
-        think_time: SimDuration::ZERO,
-        client_pipeline: 1,
-        adaptive_pipeline: false,
+        ..ClusterConfig::default()
     }
 }
 
@@ -1039,7 +1039,7 @@ pub fn txn_experiment(
         let multi_done = multi.run_to_completion(SimTime::from_secs(600));
         let multi_ok = multi_done && multi.check_all().is_ok();
 
-        let txns = multi.completed_txns().len();
+        let txns = multi.completed().len();
         let misrouted = |s: &ServerStats| s.misrouted;
         let row = Row::new("txn", format!("{groups}-groups"))
             .with("groups", groups)
@@ -1150,13 +1150,25 @@ pub const ADAPTIVE_CLIENT_CAP: usize = PIPELINE_DEPTH;
 fn adaptive_variants(clients: usize) -> Vec<(&'static str, OarConfig, usize)> {
     vec![
         ("unbatched", OarConfig::default(), 1),
-        ("batched8", OarConfig::with_batching(BATCHED_MAX_BATCH), 1),
+        (
+            "batched8",
+            OarConfig::builder().max_batch(BATCHED_MAX_BATCH).build(),
+            1,
+        ),
         (
             "replybatch",
-            OarConfig::with_batching(PIPELINE_DEPTH * clients),
+            OarConfig::builder()
+                .max_batch(PIPELINE_DEPTH * clients)
+                .build(),
             PIPELINE_DEPTH,
         ),
-        ("adaptive", OarConfig::adaptive(), ADAPTIVE_CLIENT_CAP),
+        (
+            "adaptive",
+            OarConfig::builder()
+                .adaptive(AdaptiveConfig::default())
+                .build(),
+            ADAPTIVE_CLIENT_CAP,
+        ),
     ]
 }
 
@@ -1233,17 +1245,18 @@ pub fn adaptive_skew_experiment(clients: usize, requests_per_client: usize, seed
     // boundary near k32, so keys k00..k31 belong to group 0.
     let sample: Vec<String> = (0..SHARDED_KEY_SPACE).map(|i| format!("k{i:02}")).collect();
     let router = ShardRouter::range_from_keys(sample, groups);
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: groups,
-        servers_per_group: SHARDED_SERVERS_PER_GROUP,
+        num_servers: SHARDED_SERVERS_PER_GROUP,
         num_clients: clients,
         router,
-        net: NetConfig::lan(),
-        oar: OarConfig::adaptive(),
+        oar: OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build(),
         seed,
-        think_time: SimDuration::ZERO,
         client_pipeline: ADAPTIVE_CLIENT_CAP,
         adaptive_pipeline: true,
+        ..ClusterConfig::default()
     };
     let mut cluster: ShardedCluster<KvMachine> =
         ShardedCluster::build(&config, KvMachine::new, |c| {
@@ -1270,7 +1283,7 @@ pub fn adaptive_skew_experiment(clients: usize, requests_per_client: usize, seed
     let consistent = done
         && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok();
-    let completed = cluster.completed_requests();
+    let completed = cluster.completed();
     Row::new("adaptive_skew", "skew")
         .with("groups", groups)
         .with("clients", clients)
@@ -1517,21 +1530,13 @@ pub fn parallel_cluster_experiment(clients: usize, requests_per_client: usize, s
     let parallel = run(Some(PARALLEL_WORKERS));
     let serial = run(None);
     let digests = |cluster: &Cluster<KvMachine>| -> Vec<u64> {
-        cluster
-            .servers
-            .iter()
-            .map(|&s| {
-                cluster
-                    .world
-                    .process_ref::<OarServer<KvMachine>>(s)
-                    .state_machine()
-                    .digest()
-            })
+        (0..cluster.groups[0].len())
+            .map(|i| cluster.server(0, i).state_machine().digest())
             .collect()
     };
     let responses = |cluster: &Cluster<KvMachine>| {
         let mut completed: Vec<_> = cluster
-            .completed_requests()
+            .completed()
             .iter()
             .map(|r| (r.id, r.response.clone(), r.position, r.epoch))
             .collect();
@@ -1789,7 +1794,9 @@ fn reconfig_replace_scenario(per_client: usize, seed: u64) -> Row {
         oar: OarConfig {
             epoch_cut_after: Some(4),
             snapshot_every: Some(2),
-            ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+            ..OarConfig::builder()
+                .fd_timeout(SimDuration::from_millis(20))
+                .build()
         },
         client_pipeline: 4,
         seed,
@@ -1801,22 +1808,25 @@ fn reconfig_replace_scenario(per_client: usize, seed: u64) -> Row {
                 .map(|i| CounterCommand::Add((c * 31 + i) as i64 % 11 + 1))
                 .collect()
         });
-    let old = cluster.servers[2];
+    let old = cluster.groups[0][2];
     cluster.world.schedule_crash(old, SimTime::from_millis(2));
     cluster.world.run_until(SimTime::from_millis(4));
-    let new = cluster.inject_replace(2, CounterCommand::Add(0), CounterMachine::default);
+    let new = cluster.inject_replace(0, 2, CounterCommand::Add(0), CounterMachine::default);
     // Wait for the fence to settle and the replacement to catch up, then
     // spend the restored fault budget on a second crash.
     let fence_deadline = SimTime::from_secs(5);
     loop {
         run_for(&mut cluster.world, 5);
-        let fenced = cluster.server(0).members() == [cluster.servers[0], cluster.servers[1], new];
-        if (fenced && !cluster.server(2).is_recovering()) || cluster.world.now() >= fence_deadline {
+        let fenced =
+            cluster.server(0, 0).members() == [cluster.groups[0][0], cluster.groups[0][1], new];
+        if (fenced && !cluster.server(0, 2).is_recovering())
+            || cluster.world.now() >= fence_deadline
+        {
             break;
         }
     }
-    let rejoined = !cluster.server(2).is_recovering();
-    cluster.world.crash_now(cluster.servers[1]);
+    let rejoined = !cluster.server(0, 2).is_recovering();
+    cluster.world.crash_now(cluster.groups[0][1]);
     cluster.run_to_completion(SimTime::from_secs(120));
     let mut row = reconfig_row("replace");
     row.set("rejoined", rejoined);
@@ -1840,17 +1850,15 @@ fn reconfig_migrate_scenario(per_client: usize, seed: u64) -> Row {
     use oar::shard::KeyRange;
     let start = std::time::Instant::now();
     let clients = 3usize;
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: 2,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: clients,
         router: ShardRouter::range(vec!["m".into()]),
-        net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed,
-        think_time: SimDuration::ZERO,
         client_pipeline: 2,
-        adaptive_pipeline: false,
+        ..ClusterConfig::default()
     };
     let mut cluster: ShardedCluster<KvMachine> =
         ShardedCluster::build(&config, KvMachine::new, |c| {
@@ -1923,7 +1931,7 @@ fn reconfig_divergence_scenario(per_client: usize, seed: u64) -> Row {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed,
         ..ClusterConfig::default()
     };
@@ -1937,12 +1945,12 @@ fn reconfig_divergence_scenario(per_client: usize, seed: u64) -> Row {
     });
     cluster.run_to_completion(SimTime::from_secs(30));
     run_for(&mut cluster.world, 100);
-    cluster.inject_divergence(1, &KvCommand::Delete { key: "k05".into() });
+    cluster.inject_divergence(0, 1, &KvCommand::Delete { key: "k05".into() });
     cluster.close_epoch();
     run_for(&mut cluster.world, 200);
-    let d = |i| cluster.server(i).state_machine().digest();
+    let d = |i| cluster.server(0, i).state_machine().digest();
     let mut row = reconfig_row("divergence");
-    row.set("rejoined", !cluster.server(1).is_recovering());
+    row.set("rejoined", !cluster.server(0, 1).is_recovering());
     row.set("digests_match", d(0) == d(1) && d(1) == d(2));
     for name in [
         "requests",

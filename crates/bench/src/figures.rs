@@ -168,14 +168,14 @@ pub fn figure_2(seed: u64) -> FigureOutcome {
     cluster.world.record_annotations(true);
     let done = cluster.run_to_completion(SimTime::from_secs(5));
     let consistent = done
-        && cluster.check_replica_consistency().is_ok()
+        && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
         && cluster.sum_stats(|s| s.phase2_entered) == 0
         && cluster.sum_stats(|s| s.opt_undelivered) == 0;
     FigureOutcome {
         id: "fig2".into(),
         servers: 3,
-        completed_requests: cluster.completed_requests().len(),
+        completed_requests: cluster.completed().len(),
         undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
         phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
@@ -189,7 +189,7 @@ pub fn figure_2(seed: u64) -> FigureOutcome {
 /// optimistic order and **no Opt-undelivery** happens.
 pub fn figure_3(seed: u64) -> FigureOutcome {
     use oar::state_machine::{CounterCommand, CounterMachine};
-    let oar_config = OarConfig::with_fd_timeout(SimDuration::from_millis(25));
+    let oar_config = OarConfig::default();
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 3,
@@ -212,7 +212,11 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
             _ => vec![CounterCommand::Add(4)],                         // m4
         });
     cluster.world.record_annotations(true);
-    let [p0, p1, p2] = [cluster.servers[0], cluster.servers[1], cluster.servers[2]];
+    let [p0, p1, p2] = [
+        cluster.groups[0][0],
+        cluster.groups[0][1],
+        cluster.groups[0][2],
+    ];
     let clients = cluster.clients.clone();
     // m3/m4 are issued while p2 is partitioned away; the sequencer p0 and p1
     // Opt-deliver them (a majority), then p0 crashes.
@@ -230,14 +234,14 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
     let settle = cluster.world.now() + SimDuration::from_millis(300);
     cluster.world.run_until(settle);
     let consistent = done
-        && cluster.check_replica_consistency().is_ok()
+        && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
         && cluster.sum_stats(|s| s.opt_undelivered) == 0
         && cluster.sum_stats(|s| s.phase2_entered) > 0;
     FigureOutcome {
         id: "fig3".into(),
         servers: 3,
-        completed_requests: cluster.completed_requests().len(),
+        completed_requests: cluster.completed().len(),
         undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
         phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
@@ -258,7 +262,7 @@ pub fn figure_3(seed: u64) -> FigureOutcome {
 /// what this scenario uses.
 pub fn figure_4(seed: u64) -> FigureOutcome {
     use oar::state_machine::{CounterCommand, CounterMachine};
-    let oar_config = OarConfig::with_fd_timeout(SimDuration::from_millis(25));
+    let oar_config = OarConfig::default();
     let config = ClusterConfig {
         num_servers: 5,
         num_clients: 3,
@@ -282,7 +286,7 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
             _ => vec![CounterCommand::Add(4)],                         // m4
         });
     cluster.world.record_annotations(true);
-    let servers = cluster.servers.clone();
+    let servers = cluster.groups[0].clone();
     let clients = cluster.clients.clone();
     let minority = vec![servers[0], servers[1], clients[1], clients[2]];
     let majority = vec![servers[2], servers[3], servers[4], clients[0]];
@@ -300,13 +304,13 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
     cluster.world.run_until(settle);
     let undeliveries = cluster.sum_stats(|s| s.opt_undelivered);
     let consistent = done
-        && cluster.check_replica_consistency().is_ok()
+        && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok()
         && undeliveries > 0;
     FigureOutcome {
         id: "fig4".into(),
         servers: 5,
-        completed_requests: cluster.completed_requests().len(),
+        completed_requests: cluster.completed().len(),
         undeliveries,
         phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,
@@ -320,7 +324,7 @@ pub fn figure_4(seed: u64) -> FigureOutcome {
 /// sequencer-only reply (its weight is below the majority threshold), so
 /// external consistency is preserved.
 pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
-    let oar_config = OarConfig::with_fd_timeout(SimDuration::from_millis(25));
+    let oar_config = OarConfig::default();
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 3,
@@ -336,7 +340,11 @@ pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
             _ => vec![StackCommand::Pop],
         });
     cluster.world.record_annotations(true);
-    let [p0, p1, p2] = [cluster.servers[0], cluster.servers[1], cluster.servers[2]];
+    let [p0, p1, p2] = [
+        cluster.groups[0][0],
+        cluster.groups[0][1],
+        cluster.groups[0][2],
+    ];
     let clients = cluster.clients.clone();
     let mut group_a = vec![p0];
     group_a.extend(clients.iter().copied());
@@ -347,7 +355,7 @@ pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
     // The pop client must have adopted a response consistent with the final
     // replicated state.
     let pop_ok = cluster
-        .completed_requests()
+        .completed()
         .iter()
         .filter_map(|r| match &r.response {
             StackResponse::Popped(v) => Some(*v),
@@ -361,12 +369,12 @@ pub fn figure_1b_oar(seed: u64) -> FigureOutcome {
         });
     let consistent = done
         && pop_ok
-        && cluster.check_replica_consistency().is_ok()
+        && cluster.check_per_group_consistency().is_ok()
         && cluster.check_external_consistency().is_ok();
     FigureOutcome {
         id: "fig1b-oar".into(),
         servers: 3,
-        completed_requests: cluster.completed_requests().len(),
+        completed_requests: cluster.completed().len(),
         undeliveries: cluster.sum_stats(|s| s.opt_undelivered),
         phase2_entries: cluster.sum_stats(|s| s.phase2_entered),
         client_inconsistencies: 0,

@@ -449,10 +449,11 @@ mod tests {
         );
     }
 
-    /// Every `` `path:line` `symbol` `` anchor in the docs (a bare `` `:line` ``
-    /// continues the last path) names a symbol that occurs within two lines
-    /// of the cited line, so code that moves cannot leave the docs pointing
-    /// at something else. Fenced blocks are not scanned.
+    /// Every `` `path:line` `symbol` `` and `` `symbol` (`path:line` ``
+    /// anchor in the docs (a bare `` `:line` `` continues the last path)
+    /// names a symbol that occurs within two lines of the cited line, so
+    /// code that moves cannot leave the docs pointing at something else.
+    /// Fenced blocks are not scanned.
     #[test]
     fn every_doc_anchor_names_what_it_points_at() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -495,18 +496,25 @@ mod tests {
                 if !file.is_empty() {
                     path = file;
                 }
-                let symbol = pieces[i + 2];
-                if !pieces[i + 1].trim().is_empty() || !is_symbol(symbol) {
-                    continue; // an anchor without a symbol right after it
-                }
-                let name = symbol.rsplit("::").next().expect("split yields a piece");
-                let source = std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_default();
-                let lines: Vec<&str> = source.lines().collect();
-                let end = (line + 2).min(lines.len());
-                let near = &lines[line.saturating_sub(3).min(end)..end];
-                checked += 1;
-                if !near.iter().any(|l| l.contains(name)) {
-                    stale.push(format!("{doc}: `{path}:{line}` `{symbol}`"));
+                // The symbol right after the anchor, or right before its
+                // opening parenthesis.
+                let after = pieces[i + 1].trim().is_empty().then(|| pieces[i + 2]);
+                let before = (i >= 2 && pieces[i - 1].trim() == "(").then(|| pieces[i - 2]);
+                for symbol in [after, before]
+                    .into_iter()
+                    .flatten()
+                    .filter(|s| is_symbol(s))
+                {
+                    let name = symbol.rsplit("::").next().expect("split yields a piece");
+                    let source =
+                        std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_default();
+                    let lines: Vec<&str> = source.lines().collect();
+                    let end = (line + 2).min(lines.len());
+                    let near = &lines[line.saturating_sub(3).min(end)..end];
+                    checked += 1;
+                    if !near.iter().any(|l| l.contains(name)) {
+                        stale.push(format!("{doc}: `{path}:{line}` `{symbol}`"));
+                    }
                 }
             }
         }

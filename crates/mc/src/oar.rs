@@ -114,11 +114,8 @@ pub fn mc_cluster_config(num_servers: usize, num_clients: usize, oar: OarConfig)
         num_clients,
         net: NetConfig::constant(SimDuration::from_micros(100)),
         oar,
-        seed: 1,
-        think_time: SimDuration::ZERO,
-        client_pipeline: 1,
-        adaptive_pipeline: false,
         client_start_delays: vec![SimDuration::ZERO; num_clients],
+        ..ClusterConfig::default()
     }
 }
 
@@ -334,7 +331,7 @@ impl Process<Wire> for DyingClient {
 /// The safety invariant of every OAR scenario: the paper's propositions over
 /// the alive, fully-caught-up replicas (a crashed replica holds no state; a
 /// replica mid-catch-up deliberately holds blank state — same population
-/// rule as [`Cluster::check_replica_consistency`]). `servers` may list
+/// rule as [`Cluster::check_per_group_consistency`]). `servers` may list
 /// replicas that do not exist yet — a [`replace_choice`] spare is only
 /// spawned when the choice fires, so ids at or beyond the world's process
 /// count are skipped.

@@ -1,6 +1,5 @@
 //! Configuration of the OAR servers and clients.
 
-use oar_consensus::ConsensusConfig;
 use oar_fd::FdConfig;
 use oar_simnet::{GroupId, SimDuration};
 
@@ -10,9 +9,7 @@ use crate::adaptive::AdaptiveConfig;
 ///
 /// Construct one with [`OarConfig::builder`] — the builder is the single
 /// place that validates field combinations (batch sizes, adaptive-mode
-/// conflicts). The historical constructors ([`OarConfig::with_batching`],
-/// [`OarConfig::with_fd_timeout`], [`OarConfig::adaptive`]) are thin wrappers
-/// over it.
+/// conflicts).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OarConfig {
     /// Identity of the replication group these servers form. Single-group
@@ -23,8 +20,6 @@ pub struct OarConfig {
     /// Failure-detector parameters (heartbeat interval, suspicion timeout).
     /// The timeout is the main knob of the fail-over experiments.
     pub fd: FdConfig,
-    /// Parameters of the `Cnsv-order` consensus.
-    pub consensus: ConsensusConfig,
     /// Period of the servers' maintenance timer, which drives heartbeats,
     /// suspicion checks and sequencer batching.
     pub tick_interval: SimDuration,
@@ -93,7 +88,6 @@ impl Default for OarConfig {
         OarConfig {
             group: GroupId::default(),
             fd: FdConfig::default(),
-            consensus: ConsensusConfig::default(),
             tick_interval: SimDuration::from_millis(1),
             max_batch: 1,
             adaptive: None,
@@ -111,29 +105,6 @@ impl OarConfig {
     /// Starts the fluent [`OarConfigBuilder`] at the defaults.
     pub fn builder() -> OarConfigBuilder {
         OarConfigBuilder::default()
-    }
-
-    /// A configuration with the given failure-detector timeout (heartbeats at
-    /// one fifth of it), everything else at defaults.
-    pub fn with_fd_timeout(timeout: SimDuration) -> Self {
-        OarConfig::builder().fd_timeout(timeout).build()
-    }
-
-    /// A configuration whose sequencer batches up to `max_batch` requests per
-    /// `OrderMsg` (flushed early by the maintenance tick), everything else at
-    /// defaults. `0` is clamped to `1` for backwards compatibility; the
-    /// [`OarConfigBuilder`] proper rejects it.
-    pub fn with_batching(max_batch: usize) -> Self {
-        OarConfig::builder().max_batch(max_batch.max(1)).build()
-    }
-
-    /// A configuration whose sequencer batch size and flush deadline are
-    /// driven by the default [`AdaptiveConfig`] controller instead of a
-    /// static `max_batch`.
-    pub fn adaptive() -> Self {
-        OarConfig::builder()
-            .adaptive(AdaptiveConfig::default())
-            .build()
     }
 
     /// The same configuration for replication group `group` (used by the
@@ -161,7 +132,6 @@ impl OarConfig {
 pub struct OarConfigBuilder {
     group: Option<GroupId>,
     fd: Option<FdConfig>,
-    consensus: Option<ConsensusConfig>,
     tick_interval: Option<SimDuration>,
     max_batch: Option<usize>,
     adaptive: Option<AdaptiveConfig>,
@@ -189,12 +159,6 @@ impl OarConfigBuilder {
     /// Sets the failure-detector timeout (heartbeats at one fifth of it).
     pub fn fd_timeout(mut self, timeout: SimDuration) -> Self {
         self.fd = Some(FdConfig::with_timeout(timeout));
-        self
-    }
-
-    /// Sets the `Cnsv-order` consensus parameters.
-    pub fn consensus(mut self, consensus: ConsensusConfig) -> Self {
-        self.consensus = Some(consensus);
         self
     }
 
@@ -315,7 +279,6 @@ impl OarConfigBuilder {
         Ok(OarConfig {
             group: self.group.unwrap_or(defaults.group),
             fd: self.fd.unwrap_or(defaults.fd),
-            consensus: self.consensus.unwrap_or(defaults.consensus),
             tick_interval: self.tick_interval.unwrap_or(defaults.tick_interval),
             max_batch: self.max_batch.unwrap_or(defaults.max_batch),
             adaptive: self.adaptive,
@@ -523,7 +486,10 @@ mod tests {
 
     #[test]
     fn for_group_overrides_only_the_group() {
-        let cfg = OarConfig::with_batching(4).for_group(GroupId::new(3));
+        let cfg = OarConfig::builder()
+            .max_batch(4)
+            .build()
+            .for_group(GroupId::new(3));
         assert_eq!(cfg.group, GroupId::new(3));
         assert_eq!(cfg.max_batch, 4);
     }
@@ -536,20 +502,6 @@ mod tests {
         assert_eq!(cfg.adaptive, None);
         assert_eq!(cfg.epoch_cut_after, None);
         assert_eq!(cfg.parallel_apply, None);
-        assert!(cfg.consensus.require_majority_estimates);
-    }
-
-    #[test]
-    fn with_batching_clamps_to_at_least_one() {
-        assert_eq!(OarConfig::with_batching(8).max_batch, 8);
-        assert_eq!(OarConfig::with_batching(0).max_batch, 1);
-    }
-
-    #[test]
-    fn with_fd_timeout_sets_timeout() {
-        let cfg = OarConfig::with_fd_timeout(SimDuration::from_millis(40));
-        assert_eq!(cfg.fd.timeout, SimDuration::from_millis(40));
-        assert_eq!(cfg.fd.heartbeat_interval, SimDuration::from_millis(8));
     }
 
     #[test]
@@ -559,9 +511,12 @@ mod tests {
             .max_batch(16)
             .tick_interval(SimDuration::from_millis(2))
             .epoch_cut_after(100)
+            .fd_timeout(SimDuration::from_millis(40))
             .build();
         assert_eq!(cfg.group, GroupId::new(2));
         assert_eq!(cfg.max_batch, 16);
+        assert_eq!(cfg.fd.timeout, SimDuration::from_millis(40));
+        assert_eq!(cfg.fd.heartbeat_interval, SimDuration::from_millis(8));
         assert_eq!(cfg.tick_interval, SimDuration::from_millis(2));
         assert_eq!(cfg.epoch_cut_after, Some(100));
     }
@@ -710,25 +665,13 @@ mod tests {
 
     #[test]
     fn adaptive_mode_keeps_unbatched_static_fields() {
-        let cfg = OarConfig::adaptive();
+        let cfg = OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build();
         assert!(cfg.adaptive.is_some());
         assert_eq!(cfg.max_batch, 1);
         let a = cfg.adaptive.unwrap();
         assert_eq!(a.max_batch_cap, 64);
         assert!(!a.max_delay.is_zero());
-    }
-
-    #[test]
-    fn legacy_constructors_agree_with_the_builder() {
-        assert_eq!(
-            OarConfig::with_batching(8),
-            OarConfig::builder().max_batch(8).build()
-        );
-        assert_eq!(
-            OarConfig::with_fd_timeout(SimDuration::from_millis(40)),
-            OarConfig::builder()
-                .fd_timeout(SimDuration::from_millis(40))
-                .build()
-        );
     }
 }

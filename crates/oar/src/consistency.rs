@@ -3,8 +3,9 @@
 //! The propositions of the paper are statements about *server state*, not
 //! about the machinery that drove the servers — so the checks live here as
 //! free functions over `&[&OarServer]`, usable identically after a simulated
-//! run ([`crate::Cluster`] delegates to them) and after a real-clock run on
-//! the `oar-rtnet` backend, where there is no `World` to ask.
+//! run ([`crate::cluster::Deployment`] delegates to them) and after a
+//! real-clock run on the `oar-rtnet` backend, where there is no `World` to
+//! ask.
 //!
 //! Callers pass only *alive* servers: a replica still mid-catch-up
 //! deliberately holds blank state until the transfer installs, so including
@@ -12,6 +13,8 @@
 //! ([`OarServer::is_recovering`] is the filter).
 
 use std::collections::{HashMap, HashSet};
+
+use oar_simnet::ProcessId;
 
 use crate::client::CompletedRequest;
 use crate::message::RequestId;
@@ -81,7 +84,7 @@ pub fn check_server_consistency<S: StateMachine>(servers: &[&OarServer<S>]) -> R
     }
     // Digest equality for equal *total* delivery counts (compacted prefix +
     // retained log + current optimistic deliveries).
-    let mut by_len: HashMap<u64, (oar_simnet::ProcessId, u64)> = HashMap::new();
+    let mut by_len: HashMap<u64, (ProcessId, u64)> = HashMap::new();
     for server in servers {
         let s = server.id();
         let len = server.a_base() + server.committed_sequence().len() as u64;
@@ -99,26 +102,11 @@ pub fn check_server_consistency<S: StateMachine>(servers: &[&OarServer<S>]) -> R
     Ok(())
 }
 
-/// The global delivery position of every request `server` still retains
-/// (settled log after the compaction base, plus the current optimistic
-/// deliveries). Positions count from 1 across the compacted prefix: the
-/// retained sequence starts at `a_base + 1`.
-pub(crate) fn retained_positions<S: StateMachine>(
-    server: &OarServer<S>,
-) -> HashMap<RequestId, u64> {
-    let base = server.a_base();
-    server
-        .committed_sequence()
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, base + (i + 1) as u64))
-        .collect()
-}
-
 /// Checks external consistency (Proposition 7) over the given (alive)
-/// servers and the per-client completed-request logs: every response adopted
-/// by a client matches, at every server that delivered the request without
-/// undoing it, the position at which that server processed the request.
+/// servers of one group and the per-client completed-request logs: every
+/// response adopted by a client matches, at every server that delivered the
+/// request without undoing it, the position at which that server processed
+/// the request.
 ///
 /// # Errors
 ///
@@ -127,21 +115,50 @@ pub fn check_external_consistency<S: StateMachine>(
     servers: &[&OarServer<S>],
     clients: &[&[CompletedRequest<S::Response>]],
 ) -> Result<(), String> {
-    let per_server: Vec<(oar_simnet::ProcessId, HashMap<RequestId, u64>)> = servers
+    let adopted = clients
         .iter()
-        .map(|server| (server.id(), retained_positions(server)))
+        .flat_map(|completed| completed.iter())
+        .map(|done| (0, done.id, done.position));
+    check_adopted_positions(&[servers.to_vec()], adopted)
+}
+
+/// External consistency per group: every `(group index, request, position)`
+/// a client adopted matches, at every server of `groups[group index]` that
+/// still retains the request, the position at which that server processed
+/// it. Positions are global (they count from 1 across the compacted
+/// prefix), so a request one replica compacted into its snapshot is still
+/// compared at the others.
+pub(crate) fn check_adopted_positions<S: StateMachine>(
+    groups: &[Vec<&OarServer<S>>],
+    adopted: impl IntoIterator<Item = (usize, RequestId, u64)>,
+) -> Result<(), String> {
+    let positions: Vec<Vec<(ProcessId, HashMap<RequestId, u64>)>> = groups
+        .iter()
+        .map(|servers| {
+            servers
+                .iter()
+                .map(|server| {
+                    let base = server.a_base();
+                    let retained = server.committed_sequence();
+                    let at = retained
+                        .iter()
+                        .enumerate()
+                        .map(|(i, id)| (*id, base + i as u64 + 1));
+                    (server.id(), at.collect())
+                })
+                .collect()
+        })
         .collect();
-    for (c_idx, completed) in clients.iter().enumerate() {
-        for done in *completed {
-            for (s, positions) in &per_server {
-                if let Some(&pos) = positions.get(&done.id) {
-                    if pos != done.position {
-                        return Err(format!(
-                            "client {c_idx} adopted position {} for {} but server {s} settled it at {pos}",
-                            done.position, done.id
-                        ));
-                    }
+    for (group, request, position) in adopted {
+        for (s, settled) in &positions[group] {
+            match settled.get(&request) {
+                Some(&pos) if pos != position => {
+                    return Err(format!(
+                        "a client adopted position {position} for {request} but server {s} \
+                         settled it at {pos}"
+                    ));
                 }
+                _ => {}
             }
         }
     }

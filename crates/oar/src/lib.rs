@@ -36,15 +36,18 @@
 //!   transaction), keeps a Fig. 5 quorum per part and paces by window or
 //!   schedule; [`OarClient`], [`OpenLoopClient`], [`ShardedClient`] and
 //!   [`TxnClient`] are its flavours;
-//! * [`cluster`] — a harness assembling whole deployments for tests, examples
-//!   and experiments;
+//! * [`cluster`] — the one deployment harness, [`Deployment`]: server groups
+//!   plus clients in a simulated world, its run loop, statistics readers
+//!   and safety checks, for tests, examples and experiments; [`Cluster`],
+//!   [`ShardedCluster`] and [`TxnCluster`] are its three flavours;
 //! * [`shard`] / [`sharded`] — key-space partitioning over several
-//!   independent OAR groups (router and deployments), the scale-out layer
-//!   beyond one sequencer;
+//!   independent OAR groups (the router, and the sharded deployment's
+//!   constructor and online migration), the scale-out layer beyond one
+//!   sequencer;
 //! * [`txn`] — client-side multi-key transactions over the sharded
 //!   deployment: single-group fast path (zero extra wires), per-group
 //!   `TxnPrepare` commit for multi-group key sets ([`MultiOp`] and the
-//!   transactional deployment);
+//!   transactional deployment's checks);
 //! * [`adaptive`] — load-driven controllers for the sequencer's batch
 //!   threshold and the clients' pipeline windows, converging to the paper's
 //!   unbatched behaviour under light load and amortised batches under
@@ -66,8 +69,8 @@
 //!     |_client| vec![CounterCommand::Add(1), CounterCommand::Add(2)],
 //! );
 //! assert!(cluster.run_to_completion(SimTime::from_secs(5)));
-//! assert_eq!(cluster.completed_requests().len(), 2);
-//! cluster.check_replica_consistency().unwrap();
+//! assert_eq!(cluster.completed().len(), 2);
+//! cluster.check_per_group_consistency().unwrap();
 //! cluster.check_external_consistency().unwrap();
 //! ```
 
@@ -93,7 +96,9 @@ pub use client::{
     Client, ClosedLoop, CompletedRequest, Flavour, OarClient, OpenLoop, OpenLoopClient,
     QuorumTracker, Sharded, ShardedClient, Transactional, TxnClient, TxnCompleted,
 };
-pub use cluster::{spawn_replacement, Cluster, ClusterConfig};
+pub use cluster::{
+    run_until_done, spawn_replacement, Cluster, ClusterConfig, DeployedClient, Deployment,
+};
 pub use cnsv_order::{cnsv_order_outcome, CnsvOutcome};
 pub use config::{ClientConfig, ClientConfigBuilder, OarConfig, OarConfigBuilder, PipelineMode};
 pub use consistency::{check_external_consistency, check_server_consistency};
@@ -104,7 +109,7 @@ pub use message::{
 pub use parallel::{plan_waves, wave_apply, ParallelStateMachine};
 pub use server::{OarServer, Phase, ServerStats};
 pub use shard::{KeyRange, MigrationRecord, Partitioner, ShardKey, ShardRouter};
-pub use sharded::{ShardedCluster, ShardedConfig};
+pub use sharded::ShardedCluster;
 pub use state_machine::{
     AppliedBatch, ConflictKeys, KeySet, Snapshottable, StateImage, StateMachine,
 };

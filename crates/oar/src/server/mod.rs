@@ -49,7 +49,7 @@ use std::hash::{Hash, Hasher};
 
 use oar_fd::{FdEvent, HeartbeatFd};
 use oar_sequence::Seq;
-use oar_simnet::{GroupId, Process, ProcessId, Runtime, Timer, TimerTag};
+use oar_simnet::{Process, ProcessId, Runtime, Timer, TimerTag};
 
 use crate::config::OarConfig;
 use crate::message::{OarWire, Request, RequestId};
@@ -214,9 +214,10 @@ impl<S: StateMachine> OarServer<S> {
         self.core.id
     }
 
-    /// The replication group this server belongs to (from its config).
-    pub fn group_id(&self) -> GroupId {
-        self.core.config.group
+    /// The configuration this server was built with (fixed for its
+    /// lifetime; a restarted or replacement replica is built with the same).
+    pub fn config(&self) -> &OarConfig {
+        &self.core.config
     }
 
     /// Size of the `PhaseII` caster's duplicate-suppression set — the
@@ -838,7 +839,7 @@ mod tests {
             config,
             CounterMachine::default(),
         );
-        assert_eq!(server.group_id(), oar_simnet::GroupId::new(1));
+        assert_eq!(server.config().group, oar_simnet::GroupId::new(1));
         let client = ProcessId::new(9);
         // request_wire stamps g0; this server is g1.
         let (rid, request) = request_wire(client, 0, 7);

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
 use oar_channels::{CastWire, ReliableCaster};
-use oar_consensus::{ConsensusSend, ConsensusWire, Decision, MajConsensus};
+use oar_consensus::{ConsensusConfig, ConsensusSend, ConsensusWire, Decision, MajConsensus};
 use oar_sequence::Seq;
 use oar_simnet::{ProcessId, Runtime};
 
@@ -162,7 +162,7 @@ impl<S: StateMachine> OarServer<S> {
             self.core.id,
             group.clone(),
             first_coordinator,
-            self.core.config.consensus,
+            ConsensusConfig::default(),
         );
         let value = CnsvValue {
             o_delivered: self.order.o_delivered.clone(),

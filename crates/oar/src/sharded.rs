@@ -23,105 +23,28 @@
 //!
 //! Misrouting is a safety hazard (a request ordered against the wrong key
 //! space), so every request carries its intended [`GroupId`] and servers
-//! drop + count mismatches ([`ServerStats::misrouted`]); the experiment
-//! harness gates on the count staying zero.
-
-use std::collections::HashMap;
+//! drop + count mismatches ([`crate::ServerStats::misrouted`]); the
+//! experiment harness gates on the count staying zero.
+//!
+//! The deployment is [`ShardedCluster`]: the one [`Deployment`] harness
+//! running [`ShardedClient`]s, with the run loop, statistics readers and
+//! per-group checks every deployment shares. What is particular to sharding
+//! lives here: its constructor, online key-range migration
+//! ([`ShardedCluster::inject_migrate`]) and per-range digests.
 
 use oar_channels::CastWire;
-use oar_simnet::{GroupId, NetConfig, NetStats, ProcessId, Samples, SimDuration, SimTime, World};
+use oar_simnet::GroupId;
 
-use crate::client::{CompletedRequest, Sharded, ShardedClient};
-use crate::cluster::{clients_done, run_clients};
-use crate::config::{ClientConfig, OarConfig};
-use crate::consistency::{check_server_consistency, retained_positions};
+use crate::client::ShardedClient;
+use crate::cluster::{ClusterConfig, Deployment};
 use crate::message::{OarWire, ReconfigCmd, Request, RequestId};
-use crate::server::{OarServer, ServerStats};
-use crate::shard::{KeyRange, MigrationRecord, ShardKey, ShardRouter};
+use crate::server::OarServer;
+use crate::shard::{KeyRange, MigrationRecord, ShardKey};
 use crate::state_machine::StateMachine;
 
-/// Parameters of a sharded deployment.
-#[derive(Clone, Debug)]
-pub struct ShardedConfig {
-    /// Number of OAR groups the key space is partitioned over.
-    pub num_groups: usize,
-    /// Replicas per group (`|Π|` of each group).
-    pub servers_per_group: usize,
-    /// Number of client processes; every client may talk to every group.
-    pub num_clients: usize,
-    /// The key → group router, replicated at every client.
-    /// Must agree with `num_groups`.
-    pub router: ShardRouter,
-    /// Network configuration (shared by all groups: sharding splits the key
-    /// space, not the network).
-    pub net: NetConfig,
-    /// Protocol configuration template; each group's servers get it stamped
-    /// with their [`GroupId`] via [`OarConfig::for_group`].
-    pub oar: OarConfig,
-    /// Seed of the deterministic simulation.
-    pub seed: u64,
-    /// Client think time between requests.
-    pub think_time: SimDuration,
-    /// Static pipelines: the maximum outstanding requests per client,
-    /// across all groups. With `adaptive_pipeline` set it is instead the cap
-    /// of each **per-group** window, so a client may hold up to
-    /// `num_groups × client_pipeline` requests once every group's window has
-    /// opened fully.
-    pub client_pipeline: usize,
-    /// When `true`, each client keeps one
-    /// [`crate::adaptive::PipelineController`] per group and adapts that group's window to its reported delivery-batch sizes —
-    /// groups under different load converge to different windows.
-    pub adaptive_pipeline: bool,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            num_groups: 2,
-            servers_per_group: 3,
-            num_clients: 2,
-            router: ShardRouter::hash(2),
-            net: NetConfig::lan(),
-            oar: OarConfig::default(),
-            seed: 1,
-            think_time: SimDuration::ZERO,
-            client_pipeline: 1,
-            adaptive_pipeline: false,
-        }
-    }
-}
-
-impl ShardedConfig {
-    /// The configuration of client `c`: the deployment's think time and
-    /// pipeline policy, with starts staggered by 10 µs per client.
-    pub(crate) fn client_config(&self, c: usize) -> ClientConfig {
-        let builder = ClientConfig::builder()
-            .think_time(self.think_time)
-            .start_delay(SimDuration::from_micros(10 * c as u64));
-        if self.adaptive_pipeline {
-            builder.adaptive_pipeline(self.client_pipeline).build()
-        } else {
-            builder.pipeline(self.client_pipeline).build()
-        }
-    }
-}
-
-/// A fully assembled sharded OAR deployment: `num_groups` independent server
-/// groups plus routing clients, in one simulated world.
-pub struct ShardedCluster<S: StateMachine> {
-    /// The simulation world. Exposed so experiments can inject crashes,
-    /// partitions and custom calls.
-    pub world: World<OarWire<S::Command, S::Response>>,
-    /// Server identifiers per group, indexed by [`GroupId`].
-    pub groups: Vec<Vec<ProcessId>>,
-    /// Identifiers of the client processes.
-    pub clients: Vec<ProcessId>,
-    /// The router shared by all clients.
-    pub router: ShardRouter,
-    /// The protocol configuration the groups were built with (before
-    /// [`OarConfig::for_group`] stamping) — kept for replacement spawns.
-    oar: OarConfig,
-}
+/// A sharded deployment: `num_groups` independent server groups plus
+/// [`ShardedClient`]s routing every command to the group owning its key.
+pub type ShardedCluster<S> = Deployment<ShardedClient<S>>;
 
 impl<S: StateMachine> ShardedCluster<S>
 where
@@ -136,131 +59,13 @@ where
     ///
     /// Panics if the router's group count differs from `config.num_groups`.
     pub fn build(
-        config: &ShardedConfig,
-        mut make_sm: impl FnMut() -> S,
-        mut workload_for: impl FnMut(usize) -> Vec<S::Command>,
+        config: &ClusterConfig,
+        make_sm: impl FnMut() -> S,
+        workload_for: impl FnMut(usize) -> Vec<S::Command>,
     ) -> Self {
-        assert_eq!(
-            config.router.num_groups(),
-            config.num_groups,
-            "router and config disagree on the group count"
-        );
-        let mut world: World<OarWire<S::Command, S::Response>> =
-            World::new(config.net.clone(), config.seed);
-        let groups = build_group_servers(&mut world, config, &mut make_sm);
-        let first_client = config.num_groups * config.servers_per_group;
-        let mut clients = Vec::with_capacity(config.num_clients);
-        for c in 0..config.num_clients {
-            let client: ShardedClient<S> = ShardedClient::new(
-                ProcessId::new(first_client + c),
-                groups.clone(),
-                config.router.clone(),
-                workload_for(c),
-                config.client_config(c),
-            );
-            clients.push(world.add_process(client));
-        }
-        ShardedCluster {
-            world,
-            groups,
-            clients,
-            router: config.router.clone(),
-            oar: config.oar,
-        }
-    }
-
-    /// Runs the simulation until every client finished its workload or the
-    /// horizon is reached. Returns `true` if all clients finished.
-    pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        run_clients::<S, Sharded>(&mut self.world, &self.clients, horizon)
-    }
-
-    /// Whether every client finished its workload.
-    pub fn all_clients_done(&self) -> bool {
-        clients_done::<S, Sharded>(&self.world, &self.clients)
-    }
-
-    /// Read access to server `i` of group `g`.
-    pub fn server(&self, g: usize, i: usize) -> &OarServer<S> {
-        self.world.process_ref::<OarServer<S>>(self.groups[g][i])
-    }
-
-    /// Read access to client `i`.
-    pub fn client(&self, i: usize) -> &ShardedClient<S> {
-        self.world.process_ref::<ShardedClient<S>>(self.clients[i])
-    }
-
-    /// All completed requests of all clients, with their owning group.
-    pub fn completed_requests(&self) -> Vec<&CompletedRequest<S::Response>> {
-        self.clients
-            .iter()
-            .flat_map(|&c| {
-                self.world
-                    .process_ref::<ShardedClient<S>>(c)
-                    .completed()
-                    .iter()
-            })
-            .collect()
-    }
-
-    /// Client-observed latencies (milliseconds) of all completed requests.
-    pub fn latencies(&self) -> Samples {
-        let mut samples = Samples::new();
-        for r in self.completed_requests() {
-            samples.record_duration(r.latency());
-        }
-        samples
-    }
-
-    /// Simulated time of the last completion (zero if nothing completed).
-    pub fn last_completion(&self) -> SimTime {
-        self.completed_requests()
-            .iter()
-            .map(|r| r.completed_at)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Sums `f` over the server stats of group `g` (crashed servers
-    /// included — their counters froze at crash time).
-    pub fn sum_group_stats(&self, g: usize, f: impl Fn(&ServerStats) -> u64) -> u64 {
-        self.groups[g]
-            .iter()
-            .map(|&s| f(&self.world.process_ref::<OarServer<S>>(s).stats()))
-            .sum()
-    }
-
-    /// Sums `f` over the server stats of every group.
-    pub fn sum_stats(&self, f: impl Fn(&ServerStats) -> u64 + Copy) -> u64 {
-        (0..self.groups.len())
-            .map(|g| self.sum_group_stats(g, f))
-            .sum()
-    }
-
-    /// The maximum of `f` over the server stats of group `g` (used for
-    /// per-group gauges like the converged batch target, where only the
-    /// group's sequencer carries the signal).
-    pub fn max_group_stat(&self, g: usize, f: impl Fn(&ServerStats) -> u64) -> u64 {
-        self.groups[g]
-            .iter()
-            .map(|&s| f(&self.world.process_ref::<OarServer<S>>(s).stats()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The maximum of `f` over the server stats of every group (gauge peaks:
-    /// `|s| s.seen.peak()`).
-    pub fn max_stats(&self, f: impl Fn(&ServerStats) -> u64 + Copy) -> u64 {
-        (0..self.groups.len())
-            .map(|g| self.max_group_stat(g, f))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Network statistics attributed to group `g` (message sends by its
-    /// servers: ordering, replies, consensus, heartbeats, repair).
-    pub fn group_net_stats(&self, g: usize) -> NetStats {
-        self.world.group_stats(GroupId::new(g))
+        Self::deploy(config, make_sm, workload_for, |id, groups, router, w, c| {
+            ShardedClient::new(id, groups.to_vec(), router, w, c)
+        })
     }
 
     /// Migrates `range` from group `from` to group `to` online: injects one
@@ -325,32 +130,6 @@ where
         record
     }
 
-    /// Replaces server `old_index` of group `g` by a fresh replica: spawns
-    /// the replacement over the post-replacement roster (it joins through
-    /// the ordinary `CatchUp*` wires) and injects a [`ReconfigCmd::Replace`]
-    /// fence into the group's survivors, which settle it through their
-    /// conservative order. Other groups are untouched. Returns the
-    /// replacement's process id; `self.groups[g]` tracks the new roster.
-    pub fn inject_replace(
-        &mut self,
-        g: usize,
-        old_index: usize,
-        fence_command: S::Command,
-        make_sm: impl FnOnce() -> S,
-    ) -> ProcessId {
-        let new = crate::cluster::spawn_replacement(
-            &mut self.world,
-            &self.groups[g],
-            old_index,
-            self.oar.for_group(GroupId::new(g)),
-            fence_command,
-            make_sm(),
-        );
-        self.world.assign_group(new, GroupId::new(g));
-        self.groups[g][old_index] = new;
-        new
-    }
-
     /// The settled-state digest of `range` at every server of group `g`
     /// (`None` for servers whose machine does not expose range digests or
     /// are crashed).
@@ -368,147 +147,17 @@ where
             })
             .collect()
     }
-
-    /// Checks the single-group safety properties (total order, at-most-once,
-    /// digest agreement) *inside every group*, plus cross-group isolation:
-    /// no request settled by one group ever appears in another group's
-    /// sequence. Cross-group *ordering* is explicitly not checked — it is
-    /// not a property of the sharded deployment.
-    pub fn check_per_group_consistency(&self) -> Result<(), String> {
-        check_groups_consistency::<S>(&self.world, &self.groups)
-    }
-
-    /// Checks external consistency per group (Proposition 7): every adopted
-    /// reply matches, at every alive server of the *owning* group that
-    /// settled the request, the position at which that server processed it.
-    pub fn check_external_consistency(&self) -> Result<(), String> {
-        let adopted = self.clients.iter().flat_map(|&c| {
-            let client = self.world.process_ref::<ShardedClient<S>>(c);
-            client
-                .completed()
-                .iter()
-                .map(|done| (done.group, done.id, done.position))
-        });
-        check_adopted_positions::<S>(&self.world, &self.groups, adopted)
-    }
-}
-
-/// Builds the per-group server layout shared by [`ShardedCluster`] and
-/// [`crate::txn::TxnCluster`]: `num_groups` groups of `servers_per_group`
-/// consecutive process ids, each server stamped with its group identity and
-/// registered with the tracer. The two deployments differ only in the
-/// client processes added afterwards.
-pub(crate) fn build_group_servers<S: StateMachine>(
-    world: &mut World<OarWire<S::Command, S::Response>>,
-    config: &ShardedConfig,
-    make_sm: &mut impl FnMut() -> S,
-) -> Vec<Vec<ProcessId>> {
-    let mut groups = Vec::with_capacity(config.num_groups);
-    for g in 0..config.num_groups {
-        let base = g * config.servers_per_group;
-        let ids: Vec<ProcessId> = (base..base + config.servers_per_group)
-            .map(ProcessId::new)
-            .collect();
-        for &id in &ids {
-            let server = OarServer::new(
-                id,
-                ids.clone(),
-                config.oar.for_group(GroupId::new(g)),
-                make_sm(),
-            );
-            let assigned = world.add_process(server);
-            debug_assert_eq!(assigned, id);
-            world.assign_group(assigned, GroupId::new(g));
-        }
-        groups.push(ids);
-    }
-    groups
-}
-
-/// The per-group safety properties (total order, at-most-once, digest
-/// agreement) plus cross-group isolation, over any world holding `groups` of
-/// [`OarServer`]s — shared by [`ShardedCluster`] and
-/// [`crate::txn::TxnCluster`], whose worlds differ only in their client
-/// processes.
-pub(crate) fn check_groups_consistency<S: StateMachine>(
-    world: &World<OarWire<S::Command, S::Response>>,
-    groups: &[Vec<ProcessId>],
-) -> Result<(), String> {
-    let mut owner_of: HashMap<RequestId, usize> = HashMap::new();
-    for (g, servers) in groups.iter().enumerate() {
-        let alive = alive_servers::<S>(world, servers);
-        check_server_consistency(&alive).map_err(|e| format!("group {g}: {e}"))?;
-        for id in alive.iter().flat_map(|s| s.committed_sequence()) {
-            match owner_of.insert(id, g) {
-                Some(other) if other != g => {
-                    return Err(format!(
-                        "cross-group leak: {id} delivered by groups g{other} and g{g}"
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The replicas of one group that hold comparable state: not crashed, not
-/// mid-catch-up.
-pub(crate) fn alive_servers<'w, S: StateMachine>(
-    world: &'w World<OarWire<S::Command, S::Response>>,
-    servers: &[ProcessId],
-) -> Vec<&'w OarServer<S>> {
-    servers
-        .iter()
-        .filter(|&&s| !world.is_crashed(s))
-        .map(|&s| world.process_ref::<OarServer<S>>(s))
-        .filter(|server| !server.is_recovering())
-        .collect()
-}
-
-/// External consistency per group (Proposition 7): every `(group, request,
-/// position)` a client adopted matches, at every alive server of the owning
-/// group that still retains the request, the position at which that server
-/// processed it. Compaction-aware: positions are global, and a request a
-/// replica compacted into its snapshot is compared at the others.
-pub(crate) fn check_adopted_positions<S: StateMachine>(
-    world: &World<OarWire<S::Command, S::Response>>,
-    groups: &[Vec<ProcessId>],
-    adopted: impl IntoIterator<Item = (GroupId, RequestId, u64)>,
-) -> Result<(), String> {
-    let per_group: Vec<Vec<(ProcessId, HashMap<RequestId, u64>)>> = groups
-        .iter()
-        .map(|servers| {
-            alive_servers::<S>(world, servers)
-                .into_iter()
-                .map(|server| (server.id(), retained_positions(server)))
-                .collect()
-        })
-        .collect();
-    for (group, request, position) in adopted {
-        for (s, positions) in &per_group[group.index()] {
-            match positions.get(&request) {
-                Some(&pos) if pos != position => {
-                    return Err(format!(
-                        "a client adopted position {position} for {request} but server {s} \
-                         of {group} settled it at {pos}"
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{Client, Flavour, OarClient, TxnClient};
+    use crate::config::ClientConfig;
     use crate::message::{DeliveryKind, ReplyBatch, ReplyItem};
-    use crate::state_machine::StateMachine;
+    use crate::shard::ShardRouter;
     use crate::txn::MultiOp;
-    use oar_simnet::{Process, Runtime};
+    use oar_simnet::{Process, ProcessId, Runtime, SimTime};
     use std::collections::BTreeMap;
 
     /// A minimal keyed service for the sharded tests: per-key counters.
@@ -572,11 +221,12 @@ mod tests {
             .collect()
     }
 
-    fn config(num_groups: usize) -> ShardedConfig {
-        ShardedConfig {
+    fn config(num_groups: usize) -> ClusterConfig {
+        ClusterConfig {
             num_groups,
+            num_clients: 2,
             router: ShardRouter::hash(num_groups),
-            ..ShardedConfig::default()
+            ..ClusterConfig::default()
         }
     }
 
@@ -586,7 +236,7 @@ mod tests {
         let mut cluster: ShardedCluster<KeyedCounters> =
             ShardedCluster::build(&config, KeyedCounters::default, |c| workload(c, 12));
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-        assert_eq!(cluster.completed_requests().len(), 24);
+        assert_eq!(cluster.completed().len(), 24);
         cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
         assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
@@ -609,7 +259,7 @@ mod tests {
         let mut cluster: ShardedCluster<KeyedCounters> =
             ShardedCluster::build(&config, KeyedCounters::default, |c| workload(c, 8));
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-        for done in cluster.completed_requests() {
+        for done in cluster.completed() {
             // The adopting group is the one the router owns the key to; the
             // settled position must exist at that group's servers.
             assert!(done.group.index() < 2);
@@ -656,10 +306,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagree on the group count")]
     fn build_rejects_router_group_mismatch() {
-        let config = ShardedConfig {
+        let config = ClusterConfig {
             num_groups: 3,
             router: ShardRouter::hash(2),
-            ..ShardedConfig::default()
+            ..ClusterConfig::default()
         };
         let _cluster: ShardedCluster<KeyedCounters> =
             ShardedCluster::build(&config, KeyedCounters::default, |_| Vec::new());

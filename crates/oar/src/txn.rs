@@ -11,7 +11,7 @@
 //! # The commit protocol
 //!
 //! A transaction is a non-empty list of commands. [`TxnClient`] routes the
-//! transaction's key set with the [`ShardRouter`]:
+//! transaction's key set with the [`ShardRouter`](crate::ShardRouter):
 //!
 //! * **Single-group fast path.** If every key is owned by one group, the ops
 //!   collapse into one atomic command ([`MultiOp::multi`]) submitted exactly
@@ -51,20 +51,16 @@
 //! reported observes that commit's writes in every group, because each
 //! group's sequencer had already delivered them (the optimistic weight
 //! `{p, s}` contains the sequencer; the conservative weight is all of `Π`).
-
-use oar_simnet::{ProcessId, Samples, SimTime, World};
+//!
+//! The deployment is [`TxnCluster`]: the one [`Deployment`] harness running
+//! [`TxnClient`]s, whose run loop, statistics readers and per-group checks
+//! (external consistency per part included) every deployment shares. This
+//! module adds the transactional check, [`TxnCluster::check_txn_atomicity`].
 
 pub use crate::client::{TxnClient, TxnCompleted};
 
-use crate::client::Transactional;
-use crate::cluster::{clients_done, run_clients};
-use crate::message::OarWire;
-use crate::server::{OarServer, ServerStats};
-use crate::shard::{ShardKey, ShardRouter};
-use crate::sharded::{
-    alive_servers, build_group_servers, check_adopted_positions, check_groups_consistency,
-    ShardedConfig,
-};
+use crate::cluster::{ClusterConfig, Deployment};
+use crate::shard::ShardKey;
 use crate::state_machine::StateMachine;
 
 /// Commands that can carry a whole per-group transaction partition: several
@@ -90,137 +86,38 @@ pub trait MultiOp: ShardKey + Sized {
 }
 
 /// A sharded OAR deployment driven by transactional clients: the same
-/// per-group server layout as [`crate::sharded::ShardedCluster`], with
+/// per-group server layout as [`crate::ShardedCluster`], with
 /// [`TxnClient`]s submitting multi-key transactions.
-pub struct TxnCluster<S: StateMachine> {
-    /// The simulation world. Exposed so experiments can inject crashes,
-    /// partitions, and additional (plain) client processes.
-    pub world: World<OarWire<S::Command, S::Response>>,
-    /// Server identifiers per group, indexed by [`oar_simnet::GroupId`].
-    pub groups: Vec<Vec<ProcessId>>,
-    /// Identifiers of the transactional client processes.
-    pub clients: Vec<ProcessId>,
-    /// The router shared by all clients.
-    pub router: ShardRouter,
-}
+pub type TxnCluster<S> = Deployment<TxnClient<S>>;
 
 impl<S: StateMachine> TxnCluster<S>
 where
     S::Command: MultiOp,
 {
-    /// Builds a transactional cluster from the same configuration type as
-    /// the sharded deployment; `config.client_pipeline` is the per-client
-    /// window of outstanding *transactions*. `workload_for(client_index)` is
-    /// each client's transaction list (each transaction a non-empty op
-    /// list).
+    /// Builds a transactional cluster; `config.client_pipeline` is the
+    /// per-client window of outstanding *transactions*.
+    /// `workload_for(client_index)` is each client's transaction list (each
+    /// transaction a non-empty op list).
     ///
     /// # Panics
     ///
     /// Panics if the router's group count differs from `config.num_groups`.
     pub fn build(
-        config: &ShardedConfig,
-        mut make_sm: impl FnMut() -> S,
-        mut workload_for: impl FnMut(usize) -> Vec<Vec<S::Command>>,
+        config: &ClusterConfig,
+        make_sm: impl FnMut() -> S,
+        workload_for: impl FnMut(usize) -> Vec<Vec<S::Command>>,
     ) -> Self {
-        assert_eq!(
-            config.router.num_groups(),
-            config.num_groups,
-            "router and config disagree on the group count"
-        );
-        let mut world: World<OarWire<S::Command, S::Response>> =
-            World::new(config.net.clone(), config.seed);
-        let groups = build_group_servers(&mut world, config, &mut make_sm);
-        let first_client = config.num_groups * config.servers_per_group;
-        let mut clients = Vec::with_capacity(config.num_clients);
-        for c in 0..config.num_clients {
-            let client: TxnClient<S> = TxnClient::new(
-                ProcessId::new(first_client + c),
-                groups.clone(),
-                config.router.clone(),
-                workload_for(c),
-                config.client_config(c),
-            );
-            clients.push(world.add_process(client));
-        }
-        TxnCluster {
-            world,
-            groups,
-            clients,
-            router: config.router.clone(),
-        }
-    }
-
-    /// Runs the simulation until every client committed its workload or the
-    /// horizon is reached. Returns `true` if all clients finished.
-    pub fn run_to_completion(&mut self, horizon: SimTime) -> bool {
-        run_clients::<S, Transactional>(&mut self.world, &self.clients, horizon)
-    }
-
-    /// Whether every client committed its whole workload.
-    pub fn all_clients_done(&self) -> bool {
-        clients_done::<S, Transactional>(&self.world, &self.clients)
-    }
-
-    /// Read access to client `i`.
-    pub fn client(&self, i: usize) -> &TxnClient<S> {
-        self.world.process_ref::<TxnClient<S>>(self.clients[i])
-    }
-
-    /// All committed transactions of all clients.
-    pub fn completed_txns(&self) -> Vec<&TxnCompleted<S::Response>> {
-        self.clients
-            .iter()
-            .flat_map(|&c| self.world.process_ref::<TxnClient<S>>(c).completed().iter())
-            .collect()
+        Self::deploy(config, make_sm, workload_for, |id, groups, router, w, c| {
+            TxnClient::new(id, groups.to_vec(), router, w, c)
+        })
     }
 
     /// Committed transactions that spanned more than one group.
     pub fn multi_group_commits(&self) -> usize {
-        self.completed_txns()
+        self.completed()
             .iter()
             .filter(|t| t.is_multi_group())
             .count()
-    }
-
-    /// Client-observed commit latencies (milliseconds) of all transactions.
-    pub fn latencies(&self) -> Samples {
-        let mut samples = Samples::new();
-        for t in self.completed_txns() {
-            samples.record_duration(t.latency());
-        }
-        samples
-    }
-
-    /// Simulated time of the last commit (zero if nothing committed).
-    pub fn last_completion(&self) -> SimTime {
-        self.completed_txns()
-            .iter()
-            .map(|t| t.completed_at)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Sums `f` over the server stats of group `g` (crashed servers
-    /// included — their counters froze at crash time).
-    pub fn sum_group_stats(&self, g: usize, f: impl Fn(&ServerStats) -> u64) -> u64 {
-        self.groups[g]
-            .iter()
-            .map(|&s| f(&self.world.process_ref::<OarServer<S>>(s).stats()))
-            .sum()
-    }
-
-    /// Sums `f` over the server stats of every group.
-    pub fn sum_stats(&self, f: impl Fn(&ServerStats) -> u64 + Copy) -> u64 {
-        (0..self.groups.len())
-            .map(|g| self.sum_group_stats(g, f))
-            .sum()
-    }
-
-    /// The per-group safety propositions (total order, at-most-once, digest
-    /// agreement) plus cross-group isolation — identical to
-    /// [`crate::sharded::ShardedCluster::check_per_group_consistency`].
-    pub fn check_per_group_consistency(&self) -> Result<(), String> {
-        check_groups_consistency::<S>(&self.world, &self.groups)
     }
 
     /// Atomicity of committed transactions: every per-group prepare of every
@@ -228,38 +125,19 @@ where
     /// order — no group applies a committed transaction's writes while
     /// another participating group drops them.
     pub fn check_txn_atomicity(&self) -> Result<(), String> {
-        for (c_idx, &c) in self.clients.iter().enumerate() {
-            let client = self.world.process_ref::<TxnClient<S>>(c);
-            for txn in client.completed() {
-                for part in &txn.parts {
-                    let servers = alive_servers::<S>(&self.world, &self.groups[part.group.index()]);
-                    if !servers.iter().any(|s| s.has_delivered(&part.id)) {
-                        return Err(format!(
-                            "atomicity violated: client {c_idx} committed {} but group {} \
-                             has no trace of its prepare {}",
-                            txn.id, part.group, part.id
-                        ));
-                    }
+        for txn in self.completed() {
+            for part in &txn.parts {
+                let servers = self.checkable(part.group.index());
+                if !servers.iter().any(|s| s.has_delivered(&part.id)) {
+                    return Err(format!(
+                        "atomicity violated: {} committed but group {} has no trace of \
+                         its prepare {}",
+                        txn.id, part.group, part.id
+                    ));
                 }
             }
         }
         Ok(())
-    }
-
-    /// External consistency per part (Proposition 7 lifted to transactions):
-    /// every adopted per-group position matches, at every alive server of
-    /// the owning group that retains the prepare, the position at which that
-    /// server processed it.
-    pub fn check_external_consistency(&self) -> Result<(), String> {
-        let adopted = self.clients.iter().flat_map(|&c| {
-            let client = self.world.process_ref::<TxnClient<S>>(c);
-            client
-                .completed()
-                .iter()
-                .flat_map(|txn| &txn.parts)
-                .map(|part| (part.group, part.id, part.position))
-        });
-        check_adopted_positions::<S>(&self.world, &self.groups, adopted)
     }
 
     /// Runs every transactional check: per-group propositions, cross-group
@@ -274,8 +152,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardRouter;
     use crate::sharded::ShardedCluster;
-    use oar_simnet::{NetConfig, SimDuration};
+    use crate::{ClientConfig, OarConfig, OarServer};
+    use oar_simnet::{GroupId, NetConfig, ProcessId, SimTime, World};
     use std::collections::BTreeMap;
 
     /// A keyed counter store whose command type supports atomic multi-op
@@ -369,18 +249,13 @@ mod tests {
         }
     }
 
-    fn config(num_groups: usize, seed: u64) -> ShardedConfig {
-        ShardedConfig {
+    fn config(num_groups: usize, seed: u64) -> ClusterConfig {
+        ClusterConfig {
             num_groups,
-            servers_per_group: 3,
             num_clients: 2,
             router: ShardRouter::hash(num_groups),
-            net: NetConfig::lan(),
-            oar: crate::OarConfig::default(),
             seed,
-            think_time: SimDuration::ZERO,
-            client_pipeline: 1,
-            adaptive_pipeline: false,
+            ..ClusterConfig::default()
         }
     }
 
@@ -402,7 +277,7 @@ mod tests {
         let mut cluster: TxnCluster<TxnCounters> =
             TxnCluster::build(&config, TxnCounters::default, |c| txn_workload(c, 10));
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-        assert_eq!(cluster.completed_txns().len(), 20);
+        assert_eq!(cluster.completed().len(), 20);
         cluster.check_all().unwrap();
         assert_eq!(cluster.sum_stats(|s| s.misrouted), 0);
         // The 12-key pool spans groups: some transactions must have paid the
@@ -411,7 +286,7 @@ mod tests {
         assert!(cluster.sum_stats(|s| s.txn_prepares) > 0);
         // Every committed part reports a plausible weight: 2 (optimistic) in
         // this failure-free run.
-        for txn in cluster.completed_txns() {
+        for txn in cluster.completed() {
             for part in &txn.parts {
                 assert_eq!(part.adopted_weight, 2, "failure-free => optimistic");
             }
@@ -449,15 +324,12 @@ mod tests {
             0,
             "no envelopes on the fast path"
         );
-        assert_eq!(txn_cluster.completed_txns().len(), 2 * n);
+        assert_eq!(txn_cluster.completed().len(), 2 * n);
     }
 
     #[test]
     fn commit_survives_a_participating_groups_sequencer_crash() {
-        let config = ShardedConfig {
-            oar: crate::OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
-            ..config(3, 31)
-        };
+        let config = config(3, 31);
         let mut cluster: TxnCluster<TxnCounters> =
             TxnCluster::build(&config, TxnCounters::default, |c| txn_workload(c, 8));
         // Crash group 1's epoch-0 sequencer early: transactions with a part
@@ -481,5 +353,50 @@ mod tests {
         let mut cluster: TxnCluster<TxnCounters> =
             TxnCluster::build(&config, TxnCounters::default, |_| vec![vec![]]);
         cluster.run_to_completion(SimTime::from_secs(1));
+    }
+
+    /// A deployment assembled by hand — servers, group stamps and clients
+    /// added to a bare world, the way a benchmark builds its own — is
+    /// checked through the four-field struct literal of [`TxnCluster`].
+    #[test]
+    fn a_hand_built_world_is_checked_through_the_struct_literal() {
+        let router = ShardRouter::hash(2);
+        let mut world = World::new(NetConfig::lan(), 5);
+        let mut groups = Vec::new();
+        for g in 0..2 {
+            let ids: Vec<ProcessId> = (3 * g..3 * g + 3).map(ProcessId::new).collect();
+            for &id in &ids {
+                let oar = OarConfig::default().for_group(GroupId::new(g));
+                world.add_process(OarServer::new(id, ids.clone(), oar, TxnCounters::default()));
+                world.assign_group(id, GroupId::new(g));
+            }
+            groups.push(ids);
+        }
+        let clients: Vec<ProcessId> = (0..2)
+            .map(|c| {
+                let id = ProcessId::new(6 + c);
+                let workload = txn_workload(c, 6);
+                let config = ClientConfig::default();
+                let client = TxnClient::<TxnCounters>::new(
+                    id,
+                    groups.clone(),
+                    router.clone(),
+                    workload,
+                    config,
+                );
+                world.add_process(client)
+            })
+            .collect();
+        world.run_until(SimTime::from_secs(5));
+        let cluster: TxnCluster<TxnCounters> = TxnCluster {
+            world,
+            groups,
+            clients,
+            router,
+        };
+        assert!(cluster.all_clients_done());
+        assert_eq!(cluster.completed().len(), 12);
+        cluster.check_per_group_consistency().unwrap();
+        cluster.check_all().unwrap();
     }
 }

@@ -10,7 +10,7 @@
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::OarConfig;
 use oar_apps::bank::{BankCommand, BankMachine};
-use oar_simnet::{ProcessId, SimDuration, SimTime};
+use oar_simnet::{ProcessId, SimTime};
 
 fn workload(client: usize) -> Vec<BankCommand> {
     // Each client shuffles money between its two accounts and the shared
@@ -46,7 +46,7 @@ fn main() {
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 3,
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed: 7,
         ..ClusterConfig::default()
     };
@@ -63,7 +63,9 @@ fn main() {
 
     let done = cluster.run_to_completion(SimTime::from_secs(60));
     assert!(done, "workload did not finish after the sequencer crash");
-    cluster.check_replica_consistency().expect("replicas agree");
+    cluster
+        .check_per_group_consistency()
+        .expect("replicas agree");
     cluster
         .check_external_consistency()
         .expect("client replies are final");
@@ -71,7 +73,7 @@ fn main() {
     let deposited_per_client = 5 * 2; // five Deposit commands of 2 per client
     let expected_total =
         initial * accounts as i64 + deposited_per_client * config.num_clients as i64;
-    for (i, &server) in cluster.servers.clone().iter().enumerate() {
+    for (i, &server) in cluster.groups[0].clone().iter().enumerate() {
         if cluster.world.is_crashed(server) {
             println!("server {i}: crashed (was the sequencer)");
             continue;
@@ -93,7 +95,7 @@ fn main() {
     }
     println!(
         "completed {} requests; phase-2 entries: {}; latency: {}",
-        cluster.completed_requests().len(),
+        cluster.completed().len(),
         cluster.sum_stats(|s| s.phase2_entered),
         cluster.latencies().summary()
     );

@@ -60,7 +60,9 @@ fn run(workers: Option<usize>, seed: u64) -> Cluster<KvMachine> {
         cluster.run_to_completion(SimTime::from_secs(60)),
         "workload did not finish"
     );
-    cluster.check_replica_consistency().expect("replicas agree");
+    cluster
+        .check_per_group_consistency()
+        .expect("replicas agree");
     cluster
         .check_external_consistency()
         .expect("client replies are final");
@@ -76,8 +78,8 @@ fn main() {
     // the serial twin's.
     for s in 0..3 {
         assert_eq!(
-            parallel.server(s).state_machine().digest(),
-            serial.server(s).state_machine().digest(),
+            parallel.server(0, s).state_machine().digest(),
+            serial.server(0, s).state_machine().digest(),
             "replica {s} diverged from the serial twin"
         );
     }
@@ -85,7 +87,7 @@ fn main() {
     // Bit-identical replies: same responses at the same positions.
     let replies = |c: &Cluster<KvMachine>| {
         let mut r: Vec<_> = c
-            .completed_requests()
+            .completed()
             .iter()
             .map(|r| (r.id, r.response.clone(), r.position, r.epoch))
             .collect();
@@ -100,16 +102,16 @@ fn main() {
 
     println!(
         "completed {} requests on {WORKERS} workers; {} commands ran in multi-command waves",
-        parallel.completed_requests().len(),
+        parallel.completed().len(),
         parallel.sum_stats(|s| s.wave_commands()),
     );
     println!(
         "replica digests and all replies are bit-identical to the serial twin \
          (digest 0x{:016x})",
-        parallel.server(0).state_machine().digest()
+        parallel.server(0, 0).state_machine().digest()
     );
     println!(
         "hot key ended as {:?} in both runs",
-        parallel.server(0).state_machine().get("hot")
+        parallel.server(0, 0).state_machine().get("hot")
     );
 }

@@ -41,7 +41,7 @@ fn main() {
     }
 
     // Every replica holds the same state.
-    for (i, &server) in cluster.servers.clone().iter().enumerate() {
+    for (i, &server) in cluster.groups[0].clone().iter().enumerate() {
         let server = cluster
             .world
             .process_ref::<oar::OarServer<CounterMachine>>(server);
@@ -54,7 +54,9 @@ fn main() {
         );
     }
 
-    cluster.check_replica_consistency().expect("replicas agree");
+    cluster
+        .check_per_group_consistency()
+        .expect("replicas agree");
     cluster
         .check_external_consistency()
         .expect("client replies are final");

@@ -13,7 +13,8 @@
 //! ```
 
 use oar::shard::{KeyRange, ShardRouter};
-use oar::sharded::{ShardedCluster, ShardedConfig};
+use oar::sharded::ShardedCluster;
+use oar::ClusterConfig;
 use oar::OarConfig;
 use oar_apps::kv::{KvCommand, KvMachine};
 use oar_simnet::{SimDuration, SimTime};
@@ -44,14 +45,16 @@ fn workload(client: usize) -> Vec<KvCommand> {
 }
 
 fn main() {
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: 2,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: CLIENTS,
         router: ShardRouter::range(vec!["m".into()]),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 2001,
-        ..ShardedConfig::default()
+        ..ClusterConfig::default()
     };
     let mut cluster: ShardedCluster<KvMachine> =
         ShardedCluster::build(&config, KvMachine::new, workload);

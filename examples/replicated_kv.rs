@@ -35,7 +35,9 @@ fn main() {
     let config = ClusterConfig {
         num_servers: 5,
         num_clients: 4,
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 2001,
         ..ClusterConfig::default()
     };
@@ -50,21 +52,23 @@ fn main() {
 
     let done = cluster.run_to_completion(SimTime::from_secs(60));
     assert!(done, "workload did not finish");
-    cluster.check_replica_consistency().expect("replicas agree");
+    cluster
+        .check_per_group_consistency()
+        .expect("replicas agree");
     cluster
         .check_external_consistency()
         .expect("client replies are final");
 
-    let total: usize = cluster.completed_requests().len();
+    let total: usize = cluster.completed().len();
     let swaps = cluster
-        .completed_requests()
+        .completed()
         .iter()
         .filter(|r| matches!(r.response, KvResponse::Swapped(true)))
         .count();
     println!("completed {total} requests ({swaps} successful compare-and-swaps)");
     println!("latency summary (ms): {}", cluster.latencies().summary());
 
-    let store = cluster.server(0).state_machine();
+    let store = cluster.server(0, 0).state_machine();
     println!("replica 0 now stores {} keys; sample:", store.len());
     for c in 0..config.num_clients {
         let key = format!("user:{c}");

@@ -9,7 +9,8 @@
 //! ```
 
 use oar::shard::ShardRouter;
-use oar::sharded::{ShardedCluster, ShardedConfig};
+use oar::sharded::ShardedCluster;
+use oar::ClusterConfig;
 use oar::OarConfig;
 use oar_apps::kv::{KvCommand, KvMachine};
 use oar_simnet::{SimDuration, SimTime};
@@ -32,14 +33,16 @@ fn workload(client: usize) -> Vec<KvCommand> {
 
 fn main() {
     const GROUPS: usize = 4;
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: GROUPS,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: 4,
         router: ShardRouter::hash(GROUPS),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 2001,
-        ..ShardedConfig::default()
+        ..ClusterConfig::default()
     };
     let mut cluster: ShardedCluster<KvMachine> =
         ShardedCluster::build(&config, KvMachine::new, workload);
@@ -61,7 +64,7 @@ fn main() {
         .expect("client replies are final");
     assert_eq!(cluster.sum_stats(|s| s.misrouted), 0, "the router is exact");
 
-    println!("completed {} requests:", cluster.completed_requests().len());
+    println!("completed {} requests:", cluster.completed().len());
     println!(
         "{:<6} {:>8} {:>10} {:>12} {:>12} {:>10}",
         "group", "settled", "order-msgs", "reply-wires", "wire-sent", "phase2"

@@ -16,8 +16,8 @@
 //! ```
 
 use oar::shard::ShardRouter;
-use oar::sharded::ShardedConfig;
 use oar::txn::TxnCluster;
+use oar::ClusterConfig;
 use oar::OarConfig;
 use oar_apps::kv::{KvCommand, KvMachine};
 use oar_simnet::{SimDuration, SimTime};
@@ -38,14 +38,16 @@ fn main() {
     // "checking:*" sorts below "m" (group 0), "savings:*" above it (group 1):
     // every transfer between the two accounts crosses the group boundary.
     let router = ShardRouter::range(vec!["m".to_string()]);
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: 2,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: 1,
         router,
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 2001,
-        ..ShardedConfig::default()
+        ..ClusterConfig::default()
     };
 
     // The single writer precomputes the balance trajectory, so each transfer
@@ -91,11 +93,11 @@ fn main() {
 
     println!(
         "committed {} transactions ({} spanning both groups)",
-        cluster.completed_txns().len(),
+        cluster.completed().len(),
         cluster.multi_group_commits(),
     );
     let conservative = cluster
-        .completed_txns()
+        .completed()
         .iter()
         .flat_map(|t| t.parts.iter())
         .filter(|p| p.adopted_weight == 3)

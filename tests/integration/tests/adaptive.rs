@@ -33,12 +33,17 @@ fn adaptive_is_identical_to_unbatched_at_light_load() {
         let mut cluster: Cluster<CounterMachine> =
             Cluster::build(&config, CounterMachine::default, |_| workload(25));
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-        cluster.check_replica_consistency().unwrap();
+        cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
         cluster
     };
     let unbatched = run(OarConfig::default(), false);
-    let adaptive = run(OarConfig::adaptive(), true);
+    let adaptive = run(
+        OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build(),
+        true,
+    );
     let lat_a = adaptive.latencies();
     let lat_u = unbatched.latencies();
     assert_eq!(lat_a.len(), lat_u.len());
@@ -60,7 +65,9 @@ fn load_step_converges_and_load_drop_decays() {
     let config = ClusterConfig {
         num_servers: 3,
         num_clients: 8,
-        oar: OarConfig::adaptive(),
+        oar: OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build(),
         seed: 23,
         client_pipeline: 8,
         adaptive_pipeline: true,
@@ -76,9 +83,9 @@ fn load_step_converges_and_load_drop_decays() {
             workload(if c == 0 { 120 } else { 40 })
         });
     assert!(cluster.run_to_completion(SimTime::from_secs(60)));
-    assert_eq!(cluster.completed_requests().len(), 120 + 7 * 40);
+    assert_eq!(cluster.completed().len(), 120 + 7 * 40);
     // Propositions survive the whole ramp/decay cycle.
-    cluster.check_replica_consistency().unwrap();
+    cluster.check_per_group_consistency().unwrap();
     cluster.check_external_consistency().unwrap();
     // Convergence up: the burst formed real batches within the run.
     assert!(
@@ -121,7 +128,12 @@ fn adaptive_mode_flushes_partial_batches_by_deadline() {
         // Keep the failure detector far away from the stretched tick.
         .fd_timeout(SimDuration::from_millis(400))
         .build();
-    for oar in [OarConfig::adaptive(), stretched] {
+    for oar in [
+        OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build(),
+        stretched,
+    ] {
         let config = ClusterConfig {
             num_servers: 3,
             num_clients: 4,
@@ -134,7 +146,7 @@ fn adaptive_mode_flushes_partial_batches_by_deadline() {
         let mut cluster: Cluster<CounterMachine> =
             Cluster::build(&config, CounterMachine::default, |_| workload(40));
         assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-        cluster.check_replica_consistency().unwrap();
+        cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
         // Once the target ramps past 1, stragglers are flushed by the
         // deadline rather than a full batch or the tick; the p99 latency

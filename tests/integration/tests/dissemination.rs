@@ -144,7 +144,9 @@ fn pushes_are_confined_to_the_crash_window_and_bounded() {
             net: NetConfig::lan(),
             oar: OarConfig {
                 epoch_cut_after: Some(16),
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+                ..OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(20))
+                    .build()
             },
             client_pipeline: 4,
             seed,
@@ -157,11 +159,11 @@ fn pushes_are_confined_to_the_crash_window_and_bounded() {
                     .collect()
             });
         cluster.world.run_until(SimTime::from_millis(2));
-        let victim = cluster.server(0).current_sequencer();
+        let victim = cluster.server(0, 0).current_sequencer();
         let pushes = |cluster: &Cluster<CounterMachine>| -> u64 {
             (0..3)
-                .filter(|&i| cluster.servers[i] != victim)
-                .map(|i| cluster.server(i).stats().payload_pushes)
+                .filter(|&i| cluster.groups[0][i] != victim)
+                .map(|i| cluster.server(0, i).stats().payload_pushes)
                 .sum()
         };
         assert_eq!(pushes(&cluster), 0, "seed {seed}: quiet before the crash");
@@ -188,7 +190,7 @@ fn pushes_are_confined_to_the_crash_window_and_bounded() {
             in_window,
             "seed {seed}: no push once the survivors order again"
         );
-        cluster.check_replica_consistency().unwrap();
+        cluster.check_per_group_consistency().unwrap();
         cluster.check_external_consistency().unwrap();
     }
 }

@@ -54,14 +54,13 @@ fn run(workers: Option<usize>, seed: u64, requests: usize) -> Cluster<KvMachine>
         cluster.run_to_completion(SimTime::from_secs(120)),
         "run (workers={workers:?}, seed={seed}) did not finish"
     );
-    cluster.check_replica_consistency().unwrap();
+    cluster.check_per_group_consistency().unwrap();
     cluster.check_external_consistency().unwrap();
     cluster
 }
 
 fn digests(cluster: &Cluster<KvMachine>) -> Vec<u64> {
-    cluster
-        .servers
+    cluster.groups[0]
         .iter()
         .map(|&s| {
             cluster
@@ -75,7 +74,7 @@ fn digests(cluster: &Cluster<KvMachine>) -> Vec<u64> {
 
 fn replies(cluster: &Cluster<KvMachine>) -> Vec<(u64, String, u64, u64)> {
     let mut out: Vec<_> = cluster
-        .completed_requests()
+        .completed()
         .iter()
         .map(|r| (r.id.seq, format!("{:?}", r.response), r.position, r.epoch))
         .collect();

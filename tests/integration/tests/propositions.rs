@@ -28,7 +28,7 @@ fn counter_workload(client: usize, n: usize) -> Vec<CounterCommand> {
 
 fn run_checks<S: oar::StateMachine>(cluster: &Cluster<S>, label: &str) {
     cluster
-        .check_replica_consistency()
+        .check_per_group_consistency()
         .unwrap_or_else(|e| panic!("[{label}] replica consistency: {e}"));
     cluster
         .check_external_consistency()
@@ -53,7 +53,7 @@ fn failure_free_runs_over_many_seeds() {
             cluster.run_to_completion(SimTime::from_secs(60)),
             "seed {seed}: workload did not finish"
         );
-        assert_eq!(cluster.completed_requests().len(), 20, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 20, "seed {seed}");
         assert_eq!(
             cluster.sum_stats(|s| s.phase2_entered),
             0,
@@ -71,7 +71,9 @@ fn sequencer_crash_at_random_times() {
             num_servers: 3,
             num_clients: 2,
             net: NetConfig::lan(),
-            oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+            oar: OarConfig::builder()
+                .fd_timeout(SimDuration::from_millis(20))
+                .build(),
             seed,
             ..ClusterConfig::default()
         };
@@ -87,7 +89,7 @@ fn sequencer_crash_at_random_times() {
             "seed {seed}: workload did not finish after sequencer crash at {crash_at}"
         );
         // at-least-once: every request of every client completed
-        assert_eq!(cluster.completed_requests().len(), 30, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 30, "seed {seed}");
         run_checks(&cluster, &format!("sequencer-crash seed {seed}"));
     }
 }
@@ -114,7 +116,7 @@ fn crash_of_a_non_sequencer_replica_is_invisible_to_clients() {
             cluster.run_to_completion(SimTime::from_secs(60)),
             "seed {seed}"
         );
-        assert_eq!(cluster.completed_requests().len(), 30, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 30, "seed {seed}");
         run_checks(&cluster, &format!("replica-crash seed {seed}"));
     }
 }
@@ -130,7 +132,7 @@ fn minority_partition_with_sequencer_crash_recovers_consistently() {
             num_servers: 5,
             num_clients: 3,
             net: NetConfig::constant(SimDuration::from_micros(100)),
-            oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+            oar: OarConfig::default(),
             seed,
             client_start_delays: vec![
                 SimDuration::ZERO,
@@ -141,7 +143,7 @@ fn minority_partition_with_sequencer_crash_recovers_consistently() {
         };
         let mut cluster: Cluster<CounterMachine> =
             Cluster::build(&config, CounterMachine::default, |c| counter_workload(c, 4));
-        let servers = cluster.servers.clone();
+        let servers = cluster.groups[0].clone();
         let clients = cluster.clients.clone();
         let mut minority = vec![servers[0], servers[1], clients[1], clients[2]];
         let majority = vec![servers[2], servers[3], servers[4], clients[0]];
@@ -172,7 +174,9 @@ fn repeated_sequencer_crashes_across_epochs() {
         num_servers: 5,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 3,
         ..ClusterConfig::default()
     };
@@ -190,7 +194,7 @@ fn repeated_sequencer_crashes_across_epochs() {
         cluster.run_to_completion(SimTime::from_secs(300)),
         "workload did not finish"
     );
-    assert_eq!(cluster.completed_requests().len(), 40);
+    assert_eq!(cluster.completed().len(), 40);
     assert!(
         cluster.sum_stats(|s| s.phase2_entered) >= 2,
         "two fail-overs expected"
@@ -206,7 +210,9 @@ fn bank_invariants_hold_under_sequencer_crash() {
         num_servers: 3,
         num_clients: 3,
         net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(20)),
+        oar: OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build(),
         seed: 17,
         ..ClusterConfig::default()
     };
@@ -228,7 +234,7 @@ fn bank_invariants_hold_under_sequencer_crash() {
         .schedule_crash(ProcessId::new(0), SimTime::from_millis(2));
     assert!(cluster.run_to_completion(SimTime::from_secs(120)));
     run_checks(&cluster, "bank");
-    for (i, &server) in cluster.servers.clone().iter().enumerate() {
+    for (i, &server) in cluster.groups[0].clone().iter().enumerate() {
         if cluster.world.is_crashed(server) {
             continue;
         }
@@ -257,7 +263,9 @@ fn propositions_hold_with_batched_sequencer_under_crash() {
             net: NetConfig::lan(),
             oar: OarConfig {
                 max_batch: 8,
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+                ..OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(20))
+                    .build()
             },
             seed,
             ..ClusterConfig::default()
@@ -272,7 +280,7 @@ fn propositions_hold_with_batched_sequencer_under_crash() {
             cluster.run_to_completion(SimTime::from_secs(120)),
             "seed {seed}: batched workload did not finish after sequencer crash at {crash_at}"
         );
-        assert_eq!(cluster.completed_requests().len(), 30, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 30, "seed {seed}");
         run_checks(&cluster, &format!("batched sequencer-crash seed {seed}"));
     }
 }
@@ -289,14 +297,14 @@ fn propositions_hold_with_batched_sequencer_under_partition() {
             net: NetConfig::constant(SimDuration::from_micros(100)),
             oar: OarConfig {
                 max_batch: 8,
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
+                ..OarConfig::default()
             },
             seed,
             ..ClusterConfig::default()
         };
         let mut cluster: Cluster<CounterMachine> =
             Cluster::build(&config, CounterMachine::default, |c| counter_workload(c, 6));
-        let servers = cluster.servers.clone();
+        let servers = cluster.groups[0].clone();
         let clients = cluster.clients.clone();
         let minority = vec![servers[0], servers[1], clients[1], clients[2]];
         let majority = vec![servers[2], servers[3], servers[4], clients[0]];
@@ -342,7 +350,9 @@ fn payload_gc_bounded_after_sequencer_crash() {
             oar: OarConfig {
                 epoch_cut_after: Some(cut),
                 max_batch: 4,
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+                ..OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(20))
+                    .build()
             },
             client_pipeline: pipeline,
             seed,
@@ -359,7 +369,7 @@ fn payload_gc_bounded_after_sequencer_crash() {
             "seed {seed}: workload did not finish after sequencer crash"
         );
         // No reply lost to pruning: at-least-once still holds…
-        assert_eq!(cluster.completed_requests().len(), 80, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 80, "seed {seed}");
         // …and so do the consistency propositions.
         run_checks(&cluster, &format!("gc sequencer-crash seed {seed}"));
         // The collector actually ran and the bound is the epoch window, not
@@ -396,7 +406,7 @@ fn payload_gc_recovers_after_minority_partition() {
             oar: OarConfig {
                 epoch_cut_after: Some(cut),
                 max_batch: 4,
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
+                ..OarConfig::default()
             },
             client_pipeline: pipeline,
             seed,
@@ -406,7 +416,7 @@ fn payload_gc_recovers_after_minority_partition() {
             Cluster::build(&config, CounterMachine::default, |c| {
                 counter_workload(c, 20)
             });
-        let servers = cluster.servers.clone();
+        let servers = cluster.groups[0].clone();
         let clients = cluster.clients.clone();
         let minority = vec![servers[0], servers[1], clients[1], clients[2]];
         let majority = vec![servers[2], servers[3], servers[4], clients[0]];
@@ -421,7 +431,7 @@ fn payload_gc_recovers_after_minority_partition() {
             run_and_settle(&mut cluster, SimTime::from_secs(120)),
             "seed {seed}: workload did not finish after partition"
         );
-        assert_eq!(cluster.completed_requests().len(), 60, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 60, "seed {seed}");
         run_checks(&cluster, &format!("gc partition seed {seed}"));
         assert!(
             cluster.sum_stats(|s| s.payloads_pruned) > 0,
@@ -449,7 +459,9 @@ fn propositions_hold_with_pipelined_clients_under_crash() {
             net: NetConfig::lan(),
             oar: OarConfig {
                 max_batch: 8,
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+                ..OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(20))
+                    .build()
             },
             client_pipeline: 8,
             seed,
@@ -465,7 +477,7 @@ fn propositions_hold_with_pipelined_clients_under_crash() {
             cluster.run_to_completion(SimTime::from_secs(120)),
             "seed {seed}: pipelined workload did not finish after crash"
         );
-        assert_eq!(cluster.completed_requests().len(), 30, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 30, "seed {seed}");
         run_checks(&cluster, &format!("pipelined sequencer-crash seed {seed}"));
     }
 }
@@ -491,7 +503,7 @@ fn epoch_cutting_preserves_correctness() {
             counter_workload(c, 25)
         });
     assert!(cluster.run_to_completion(SimTime::from_secs(120)));
-    assert_eq!(cluster.completed_requests().len(), 50);
+    assert_eq!(cluster.completed().len(), 50);
     assert!(
         cluster.sum_stats(|s| s.phase2_entered) > 0,
         "epoch cutting should run phase 2"

@@ -16,7 +16,7 @@
 
 use oar::cluster::{Cluster, ClusterConfig};
 use oar::shard::{KeyRange, ShardRouter};
-use oar::sharded::{ShardedCluster, ShardedConfig};
+use oar::sharded::ShardedCluster;
 use oar::state_machine::{CounterCommand, CounterMachine};
 use oar::{OarConfig, StateMachine};
 use oar_apps::kv::{KvCommand, KvMachine};
@@ -30,7 +30,7 @@ fn counter_workload(client: usize, n: usize) -> Vec<CounterCommand> {
 
 fn run_cluster_checks<S: StateMachine>(cluster: &Cluster<S>, label: &str) {
     cluster
-        .check_replica_consistency()
+        .check_per_group_consistency()
         .unwrap_or_else(|e| panic!("[{label}] replica consistency: {e}"));
     cluster
         .check_external_consistency()
@@ -50,7 +50,9 @@ fn replaced_replica_restores_the_fault_budget() {
             oar: OarConfig {
                 epoch_cut_after: Some(4),
                 snapshot_every: Some(2),
-                ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+                ..OarConfig::builder()
+                    .fd_timeout(SimDuration::from_millis(20))
+                    .build()
             },
             client_pipeline: 4,
             seed,
@@ -60,10 +62,10 @@ fn replaced_replica_restores_the_fault_budget() {
             Cluster::build(&config, CounterMachine::default, |c| {
                 counter_workload(c, 150)
             });
-        let old = cluster.servers[2];
+        let old = cluster.groups[0][2];
         cluster.world.schedule_crash(old, SimTime::from_millis(2));
         cluster.world.run_until(SimTime::from_millis(4));
-        let new = cluster.inject_replace(2, CounterCommand::Add(0), CounterMachine::default);
+        let new = cluster.inject_replace(0, 2, CounterCommand::Add(0), CounterMachine::default);
 
         // Wait for the fence to settle and the replacement to catch up.
         let mut t = cluster.world.now();
@@ -71,8 +73,8 @@ fn replaced_replica_restores_the_fault_budget() {
             t += SimDuration::from_millis(5);
             cluster.world.run_until(t);
             let fenced =
-                cluster.server(0).members() == [cluster.servers[0], cluster.servers[1], new];
-            if fenced && !cluster.server(2).is_recovering() {
+                cluster.server(0, 0).members() == [cluster.groups[0][0], cluster.groups[0][1], new];
+            if fenced && !cluster.server(0, 2).is_recovering() {
                 break;
             }
             assert!(
@@ -86,17 +88,17 @@ fn replaced_replica_restores_the_fault_budget() {
         );
         // The fence removed `old` from the suspect sets (satellite a).
         assert!(
-            !cluster.server(0).is_suspecting(old),
+            !cluster.server(0, 0).is_suspecting(old),
             "seed {seed}: fenced-out replica still suspected"
         );
 
         // The further crash the replacement's fault budget must absorb.
-        cluster.world.crash_now(cluster.servers[1]);
+        cluster.world.crash_now(cluster.groups[0][1]);
         assert!(
             cluster.run_to_completion(SimTime::from_secs(120)),
             "seed {seed}: workload did not finish after the post-replace crash"
         );
-        assert_eq!(cluster.completed_requests().len(), 300, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 300, "seed {seed}");
         assert!(
             cluster.sum_stats(|s| s.reconfigs_applied) >= 2,
             "seed {seed}: both survivors must apply the fence"
@@ -105,8 +107,8 @@ fn replaced_replica_restores_the_fault_budget() {
         // alive.
         for i in [0usize, 2] {
             assert_eq!(
-                cluster.server(i).members(),
-                [cluster.servers[0], cluster.servers[1], new],
+                cluster.server(0, i).members(),
+                [cluster.groups[0][0], cluster.groups[0][1], new],
                 "seed {seed}: server {i} roster"
             );
         }
@@ -146,17 +148,15 @@ fn split_workload(client: usize, n: usize) -> Vec<KvCommand> {
 fn online_migration_loses_and_duplicates_nothing() {
     for seed in 0..4u64 {
         let per_client = 120usize;
-        let config = ShardedConfig {
+        let config = ClusterConfig {
             num_groups: 2,
-            servers_per_group: 3,
+            num_servers: 3,
             num_clients: 3,
             router: ShardRouter::range(vec!["m".into()]),
-            net: NetConfig::lan(),
-            oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+            oar: OarConfig::default(),
             seed,
-            think_time: SimDuration::ZERO,
             client_pipeline: 2,
-            adaptive_pipeline: false,
+            ..ClusterConfig::default()
         };
         let mut cluster: ShardedCluster<KvMachine> =
             ShardedCluster::build(&config, KvMachine::new, |c| split_workload(c, per_client));
@@ -258,15 +258,15 @@ fn corrupt_and_heal(cluster: &mut Cluster<KvMachine>, corruption: KvCommand, lab
     cluster.world.run_until(settle);
     let divergences = |cluster: &Cluster<KvMachine>| -> Vec<u64> {
         (0..3)
-            .map(|i| cluster.server(i).stats().divergences)
+            .map(|i| cluster.server(0, i).stats().divergences)
             .collect()
     };
     assert_eq!(divergences(cluster), [0, 0, 0], "[{label}] equal replicas");
 
-    let before = cluster.server(1).state_machine().digest();
-    cluster.inject_divergence(1, &corruption);
+    let before = cluster.server(0, 1).state_machine().digest();
+    cluster.inject_divergence(0, 1, &corruption);
     assert_ne!(
-        cluster.server(1).state_machine().digest(),
+        cluster.server(0, 1).state_machine().digest(),
         before,
         "[{label}] injection must change the state"
     );
@@ -279,13 +279,13 @@ fn corrupt_and_heal(cluster: &mut Cluster<KvMachine>, corruption: KvCommand, lab
         [0, 1, 0],
         "[{label}] the corrupted replica, and only it, counts the divergence"
     );
-    let rejoiner = cluster.server(1);
+    let rejoiner = cluster.server(0, 1);
     assert!(
         !rejoiner.is_recovering() && rejoiner.stats().catch_up_requests >= 1,
         "[{label}] the corrupted replica rejoined through catch-up"
     );
     let digests: Vec<u64> = (0..3)
-        .map(|i| cluster.server(i).state_machine().digest())
+        .map(|i| cluster.server(0, i).state_machine().digest())
         .collect();
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
@@ -303,7 +303,7 @@ fn detector_catches_and_heals_a_corrupted_value() {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed: 9,
         ..ClusterConfig::default()
     };
@@ -326,7 +326,7 @@ fn detector_catches_and_heals_a_deleted_key() {
         num_servers: 3,
         num_clients: 2,
         net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed: 11,
         ..ClusterConfig::default()
     };
@@ -340,11 +340,11 @@ fn detector_catches_and_heals_a_deleted_key() {
             .collect()
     });
     assert!(cluster.run_to_completion(SimTime::from_secs(30)));
-    assert_eq!(cluster.server(1).state_machine().len(), 9);
+    assert_eq!(cluster.server(0, 1).state_machine().len(), 9);
     let corruption = KvCommand::Delete { key: "k4".into() };
     corrupt_and_heal(&mut cluster, corruption, "deleted key");
     assert_eq!(
-        cluster.server(1).state_machine().len(),
+        cluster.server(0, 1).state_machine().len(),
         9,
         "the key is back"
     );

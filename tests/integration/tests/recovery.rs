@@ -34,7 +34,7 @@ fn counter_workload(client: usize, n: usize) -> Vec<CounterCommand> {
 
 fn run_checks<S: oar::StateMachine>(cluster: &Cluster<S>, label: &str) {
     cluster
-        .check_replica_consistency()
+        .check_per_group_consistency()
         .unwrap_or_else(|e| panic!("[{label}] replica consistency: {e}"));
     cluster
         .check_external_consistency()
@@ -52,7 +52,9 @@ fn recovery_oar() -> OarConfig {
     OarConfig {
         epoch_cut_after: Some(4),
         snapshot_every: Some(2),
-        ..OarConfig::with_fd_timeout(SimDuration::from_millis(20))
+        ..OarConfig::builder()
+            .fd_timeout(SimDuration::from_millis(20))
+            .build()
     }
 }
 
@@ -89,6 +91,7 @@ fn restarted_replica_catches_up_by_snapshot_plus_delta() {
             .schedule_crash(ProcessId::new(2), SimTime::from_micros(2_000 + seed * 300));
         cluster.schedule_server_restart(
             SimTime::from_micros(10_000 + seed * 500),
+            0,
             2,
             CounterMachine::default,
         );
@@ -96,8 +99,8 @@ fn restarted_replica_catches_up_by_snapshot_plus_delta() {
             run_and_settle(&mut cluster, SimTime::from_secs(120)),
             "seed {seed}: workload did not finish across the restart"
         );
-        assert_eq!(cluster.completed_requests().len(), 160, "seed {seed}");
-        let rejoined = cluster.server(2);
+        assert_eq!(cluster.completed().len(), 160, "seed {seed}");
+        let rejoined = cluster.server(0, 2);
         assert!(
             !rejoined.is_recovering(),
             "seed {seed}: replica 2 still mid-recovery at quiesce"
@@ -118,7 +121,7 @@ fn restarted_replica_catches_up_by_snapshot_plus_delta() {
             rejoined.total_settled()
         );
         // Bit-identical to a survivor at the common settled position.
-        let survivor = cluster.server(1);
+        let survivor = cluster.server(0, 1);
         let common = rejoined.total_settled().min(survivor.total_settled());
         assert_eq!(
             rejoined.order_hash_at(common),
@@ -162,26 +165,26 @@ fn fd_unsuspects_restarted_replica_after_fresh_heartbeats() {
     // Let the detectors time the silence out.
     cluster.world.run_until(SimTime::from_millis(80));
     assert!(
-        cluster.server(0).is_suspecting(ProcessId::new(2)),
+        cluster.server(0, 0).is_suspecting(ProcessId::new(2)),
         "peer 0 must suspect the crashed replica"
     );
     assert!(
-        cluster.server(1).is_suspecting(ProcessId::new(2)),
+        cluster.server(0, 1).is_suspecting(ProcessId::new(2)),
         "peer 1 must suspect the crashed replica"
     );
     // Restart: catch-up runs, heartbeats resume, peers re-admit it.
-    cluster.schedule_server_restart(SimTime::from_millis(85), 2, CounterMachine::default);
+    cluster.schedule_server_restart(SimTime::from_millis(85), 0, 2, CounterMachine::default);
     cluster.world.run_until(SimTime::from_millis(300));
     assert!(
-        !cluster.server(2).is_recovering(),
+        !cluster.server(0, 2).is_recovering(),
         "restarted replica must finish catch-up"
     );
     assert!(
-        !cluster.server(0).is_suspecting(ProcessId::new(2)),
+        !cluster.server(0, 0).is_suspecting(ProcessId::new(2)),
         "peer 0 must un-suspect the rejoined replica"
     );
     assert!(
-        !cluster.server(1).is_suspecting(ProcessId::new(2)),
+        !cluster.server(0, 1).is_suspecting(ProcessId::new(2)),
         "peer 1 must un-suspect the rejoined replica"
     );
     run_checks(&cluster, "fd-unsuspect");
@@ -212,6 +215,7 @@ fn no_settled_replay_and_bounded_seen_across_restart() {
             .schedule_crash(ProcessId::new(1), SimTime::from_micros(1_500 + seed * 400));
         cluster.schedule_server_restart(
             SimTime::from_micros(9_000 + seed * 700),
+            0,
             1,
             CounterMachine::default,
         );
@@ -221,7 +225,7 @@ fn no_settled_replay_and_bounded_seen_across_restart() {
         );
         // At-least-once with no duplicate adoption: every request completed
         // exactly once per client.
-        assert_eq!(cluster.completed_requests().len(), 120, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 120, "seed {seed}");
         // At-most-once on every replica (duplicate sweep) + digest equality.
         run_checks(&cluster, &format!("seen-aging seed {seed}"));
         // The seen set was aged across the restart: at quiesce the settled
@@ -262,19 +266,20 @@ fn sequencer_restart_catches_up_after_failover() {
         cluster.schedule_server_restart(
             SimTime::from_millis(60 + seed * 5),
             0,
+            0,
             CounterMachine::default,
         );
         assert!(
             run_and_settle(&mut cluster, SimTime::from_secs(120)),
             "seed {seed}: workload did not finish after sequencer restart"
         );
-        assert_eq!(cluster.completed_requests().len(), 120, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 120, "seed {seed}");
         assert!(
             cluster.sum_stats(|s| s.phase2_entered) > 0,
             "seed {seed}: fail-over expected"
         );
         assert!(
-            !cluster.server(0).is_recovering(),
+            !cluster.server(0, 0).is_recovering(),
             "seed {seed}: old sequencer still mid-recovery at quiesce"
         );
         run_checks(&cluster, &format!("sequencer-restart seed {seed}"));
@@ -311,6 +316,7 @@ fn restart_during_epoch_change_stays_consistent() {
             .schedule_crash(ProcessId::new(0), SimTime::from_millis(8));
         cluster.schedule_server_restart(
             SimTime::from_millis(8 + seed * 3),
+            0,
             4,
             CounterMachine::default,
         );
@@ -318,9 +324,9 @@ fn restart_during_epoch_change_stays_consistent() {
             run_and_settle(&mut cluster, SimTime::from_secs(120)),
             "seed {seed}: workload did not finish across restart + epoch change"
         );
-        assert_eq!(cluster.completed_requests().len(), 100, "seed {seed}");
+        assert_eq!(cluster.completed().len(), 100, "seed {seed}");
         assert!(
-            !cluster.server(4).is_recovering(),
+            !cluster.server(0, 4).is_recovering(),
             "seed {seed}: rejoiner still mid-recovery at quiesce"
         );
         run_checks(
@@ -355,14 +361,14 @@ fn catch_up_rotates_donors_past_a_dead_peer() {
     cluster
         .world
         .schedule_crash(ProcessId::new(2), SimTime::from_millis(2));
-    cluster.schedule_server_restart(SimTime::from_millis(10), 2, CounterMachine::default);
+    cluster.schedule_server_restart(SimTime::from_millis(10), 0, 2, CounterMachine::default);
     assert!(
         run_and_settle(&mut cluster, SimTime::from_secs(120)),
         "workload did not finish"
     );
-    assert_eq!(cluster.completed_requests().len(), 60);
+    assert_eq!(cluster.completed().len(), 60);
     assert!(
-        !cluster.server(2).is_recovering(),
+        !cluster.server(0, 2).is_recovering(),
         "rejoiner must find a live donor despite the dead peer"
     );
     run_checks(&cluster, "dead-donor rotation");
@@ -412,7 +418,7 @@ fn equal_settled_watermarks_hold_equal_settled_digests() {
                 cluster.world.run_until(next);
                 let mut watermarks = Vec::new();
                 for i in 0..3 {
-                    let server = cluster.server(i);
+                    let server = cluster.server(0, i);
                     if cluster.world.is_crashed(server.id()) || server.is_recovering() {
                         continue;
                     }
@@ -428,14 +434,14 @@ fn equal_settled_watermarks_hold_equal_settled_digests() {
                 watermarks.sort_unstable();
                 shared += u64::from(watermarks.windows(2).any(|w| w[0] == w[1]));
                 if samples % 40 == 0 {
-                    if !crashed && cluster.completed_requests().len() >= 400 {
-                        cluster.world.crash_now(cluster.servers[victim]);
+                    if !crashed && cluster.completed().len() >= 400 {
+                        cluster.world.crash_now(cluster.groups[0][victim]);
                         let restart =
                             cluster.world.now() + SimDuration::from_millis(20 + seed * 13 % 41);
-                        cluster.schedule_server_restart(restart, victim, KvMachine::new);
+                        cluster.schedule_server_restart(restart, 0, victim, KvMachine::new);
                         crashed = true;
                     }
-                    let victim = cluster.server(victim);
+                    let victim = cluster.server(0, victim);
                     let rejoined = victim.stats().catch_up_requests > 0 && !victim.is_recovering();
                     if rejoined && cluster.all_clients_done() {
                         break;

@@ -5,10 +5,10 @@
 //! memory stays window-bounded.
 
 use oar::shard::ShardRouter;
-use oar::sharded::{ShardedCluster, ShardedConfig};
-use oar::{OarConfig, OarServer};
+use oar::sharded::ShardedCluster;
+use oar::{Cluster, ClusterConfig, OarConfig, OarServer, StateMachine};
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
-use oar_simnet::{NetConfig, SimDuration, SimTime};
+use oar_simnet::SimTime;
 
 fn kv_workload(client: usize, n: usize) -> Vec<KvCommand> {
     (0..n)
@@ -26,18 +26,15 @@ fn kv_workload(client: usize, n: usize) -> Vec<KvCommand> {
         .collect()
 }
 
-fn sharded_config(groups: usize, seed: u64) -> ShardedConfig {
-    ShardedConfig {
+fn sharded_config(groups: usize, seed: u64) -> ClusterConfig {
+    ClusterConfig {
         num_groups: groups,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: 3,
         router: ShardRouter::hash(groups),
-        net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed,
-        think_time: SimDuration::ZERO,
-        client_pipeline: 1,
-        adaptive_pipeline: false,
+        ..ClusterConfig::default()
     }
 }
 
@@ -66,7 +63,7 @@ fn failure_free_sharded_runs_over_many_seeds() {
             cluster.run_to_completion(SimTime::from_secs(30)),
             "seed {seed}: workload did not finish"
         );
-        assert_eq!(cluster.completed_requests().len(), 30);
+        assert_eq!(cluster.completed().len(), 30);
         run_checks(&cluster, &format!("seed {seed}"));
     }
 }
@@ -87,7 +84,7 @@ fn crashing_one_groups_sequencer_leaves_the_rest_delivering() {
         cluster.run_to_completion(SimTime::from_secs(60)),
         "every group (including the failed-over one) must finish"
     );
-    assert_eq!(cluster.completed_requests().len(), 36);
+    assert_eq!(cluster.completed().len(), 36);
     run_checks(&cluster, "one-group crash");
     assert!(
         cluster.sum_group_stats(1, |st| st.phase2_entered) > 0,
@@ -139,7 +136,7 @@ fn parallel_failovers_across_all_groups() {
 fn range_partitioned_deployment_is_consistent() {
     let keys: Vec<String> = (0..24).map(|i| format!("k{i:02}")).collect();
     let router = ShardRouter::range_from_keys(keys, 3);
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: 3,
         router: router.clone(),
         ..sharded_config(3, 11)
@@ -149,7 +146,7 @@ fn range_partitioned_deployment_is_consistent() {
     assert!(cluster.run_to_completion(SimTime::from_secs(30)));
     run_checks(&cluster, "range");
     // Every completion landed in the group the router owns the key to.
-    for done in cluster.completed_requests() {
+    for done in cluster.completed() {
         let settled = cluster.groups[done.group.index()].iter().any(|&s| {
             cluster
                 .world
@@ -198,10 +195,10 @@ fn per_key_reads_see_the_owning_groups_order() {
 /// observed at the deployment level).
 #[test]
 fn seen_sets_stay_window_bounded_under_epoch_cuts() {
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         oar: OarConfig {
             epoch_cut_after: Some(16),
-            ..OarConfig::with_batching(4)
+            ..OarConfig::builder().max_batch(4).build()
         },
         client_pipeline: 4,
         ..sharded_config(2, 5)
@@ -223,7 +220,7 @@ fn seen_sets_stay_window_bounded_under_epoch_cuts() {
         cluster.max_stats(|s| s.seen.peak())
     );
     // Responses still correct: a Get that completed adopted a real value.
-    for done in cluster.completed_requests() {
+    for done in cluster.completed() {
         match &done.response {
             KvResponse::Value(_)
             | KvResponse::Previous(_)
@@ -232,4 +229,37 @@ fn seen_sets_stay_window_bounded_under_epoch_cuts() {
             | KvResponse::Installed(_) => {}
         }
     }
+}
+
+/// A single-group `Cluster` is the one-group case of the sharded layout:
+/// the same KV workload and seed, run as a `Cluster` and as a
+/// `ShardedCluster` over `ShardRouter::hash(1)`, end with identical replica
+/// digests, identical client latencies and identical wire traffic.
+#[test]
+fn a_cluster_runs_exactly_like_a_one_group_sharded_cluster() {
+    let config = ClusterConfig {
+        num_clients: 3,
+        seed: 19,
+        client_pipeline: 2,
+        ..ClusterConfig::default()
+    };
+    let mut plain: Cluster<KvMachine> =
+        Cluster::build(&config, KvMachine::new, |c| kv_workload(c, 20));
+    let mut sharded: ShardedCluster<KvMachine> =
+        ShardedCluster::build(&config, KvMachine::new, |c| kv_workload(c, 20));
+    assert!(plain.run_to_completion(SimTime::from_secs(30)));
+    assert!(sharded.run_to_completion(SimTime::from_secs(30)));
+    let plain_digests: Vec<u64> = (0..3)
+        .map(|i| plain.server(0, i).state_machine().digest())
+        .collect();
+    let sharded_digests: Vec<u64> = (0..3)
+        .map(|i| sharded.server(0, i).state_machine().digest())
+        .collect();
+    assert_eq!(plain_digests, sharded_digests);
+    let latencies = |done: Vec<&oar::CompletedRequest<KvResponse>>| -> Vec<_> {
+        done.iter().map(|r| (r.id, r.latency())).collect()
+    };
+    assert_eq!(latencies(plain.completed()), latencies(sharded.completed()));
+    assert_eq!(plain.completed().len(), 60);
+    assert_eq!(plain.world.stats(), sharded.world.stats());
 }

@@ -6,11 +6,11 @@
 //! single-key traffic.
 
 use oar::shard::ShardRouter;
-use oar::sharded::ShardedConfig;
 use oar::txn::TxnCluster;
-use oar::{OarConfig, OarServer, ShardedClient};
+use oar::ClusterConfig;
+use oar::{AdaptiveConfig, OarConfig, OarServer, ShardedClient};
 use oar_apps::kv::{KvCommand, KvMachine, KvResponse};
-use oar_simnet::{NetConfig, SimDuration, SimTime};
+use oar_simnet::{SimDuration, SimTime};
 
 fn put(key: &str, value: &str) -> KvCommand {
     KvCommand::Put {
@@ -23,18 +23,15 @@ fn get(key: &str) -> KvCommand {
     KvCommand::Get { key: key.into() }
 }
 
-fn txn_config(groups: usize, seed: u64) -> ShardedConfig {
-    ShardedConfig {
+fn txn_config(groups: usize, seed: u64) -> ClusterConfig {
+    ClusterConfig {
         num_groups: groups,
-        servers_per_group: 3,
+        num_servers: 3,
         num_clients: 2,
         router: ShardRouter::hash(groups),
-        net: NetConfig::lan(),
-        oar: OarConfig::with_fd_timeout(SimDuration::from_millis(25)),
+        oar: OarConfig::default(),
         seed,
-        think_time: SimDuration::ZERO,
-        client_pipeline: 1,
-        adaptive_pipeline: false,
+        ..ClusterConfig::default()
     }
 }
 
@@ -84,7 +81,7 @@ fn committed_multi_group_txns_settle_in_every_participating_group() {
             cluster.run_to_completion(SimTime::from_secs(30)),
             "seed {seed}: workload did not commit"
         );
-        assert_eq!(cluster.completed_txns().len(), 24);
+        assert_eq!(cluster.completed().len(), 24);
         run_checks(&cluster, &format!("seed {seed}"));
         assert!(
             cluster.multi_group_commits() > 0,
@@ -93,7 +90,7 @@ fn committed_multi_group_txns_settle_in_every_participating_group() {
         // Direct cross-check of the atomicity property: for every committed
         // transaction, every per-group prepare appears in the owning group's
         // delivery order at some alive server.
-        for txn in cluster.completed_txns() {
+        for txn in cluster.completed() {
             for part in &txn.parts {
                 let settled = cluster.groups[part.group.index()].iter().any(|&s| {
                     cluster
@@ -121,11 +118,11 @@ fn committed_multi_group_txns_settle_in_every_participating_group() {
 /// compacted prepare as missing.)
 #[test]
 fn checks_are_compaction_aware_with_snapshots_on() {
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         oar: OarConfig {
             epoch_cut_after: Some(4),
             snapshot_every: Some(2),
-            ..OarConfig::with_fd_timeout(SimDuration::from_millis(25))
+            ..OarConfig::default()
         },
         client_pipeline: 4,
         ..txn_config(2, 11)
@@ -136,7 +133,7 @@ fn checks_are_compaction_aware_with_snapshots_on() {
         cluster.run_to_completion(SimTime::from_secs(30)),
         "workload did not commit"
     );
-    assert_eq!(cluster.completed_txns().len(), 120);
+    assert_eq!(cluster.completed().len(), 120);
     assert!(cluster.multi_group_commits() > 0);
     let compacted = cluster.sum_stats(|st| st.compacted);
     assert!(
@@ -148,7 +145,7 @@ fn checks_are_compaction_aware_with_snapshots_on() {
         .process_ref::<OarServer<KvMachine>>(cluster.groups[0][0]);
     assert!(some_replica.a_base() > 0);
     assert!(
-        cluster.completed_txns().iter().any(|txn| txn
+        cluster.completed().iter().any(|txn| txn
             .parts
             .iter()
             .any(|part| !some_replica.committed_sequence().contains(&part.id)
@@ -168,7 +165,7 @@ fn checks_are_compaction_aware_with_snapshots_on() {
 fn reads_across_groups_observe_the_readers_committed_writes() {
     // Range router pinning `a*` keys to group 0 and `z*` keys to group 1.
     let router = ShardRouter::range(vec!["m".to_string()]);
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_groups: 2,
         num_clients: 1,
         router,
@@ -229,7 +226,7 @@ fn commits_survive_one_participating_groups_sequencer_crash() {
         cluster.run_to_completion(SimTime::from_secs(60)),
         "every transaction must commit despite the crash"
     );
-    assert_eq!(cluster.completed_txns().len(), 24);
+    assert_eq!(cluster.completed().len(), 24);
     run_checks(&cluster, "sequencer crash");
     assert!(
         cluster.sum_group_stats(1, |st| st.phase2_entered) > 0,
@@ -245,7 +242,7 @@ fn commits_survive_one_participating_groups_sequencer_crash() {
     // At least one commit was confirmed conservatively: a part adopted with
     // the full group weight (3), not the optimistic {p, s} (2).
     let conservative_parts = cluster
-        .completed_txns()
+        .completed()
         .iter()
         .flat_map(|t| t.parts.iter())
         .filter(|p| p.adopted_weight == 3)
@@ -293,7 +290,7 @@ fn txns_are_isolated_from_concurrent_single_key_traffic() {
         }
     }
     run_checks(&cluster, "mixed traffic");
-    assert_eq!(cluster.completed_txns().len(), 20);
+    assert_eq!(cluster.completed().len(), 20);
     let plain = cluster
         .world
         .process_ref::<ShardedClient<KvMachine>>(plain_id);
@@ -326,7 +323,7 @@ fn txns_are_isolated_from_concurrent_single_key_traffic() {
 #[test]
 fn concurrent_overlapping_txns_stay_atomic_over_many_seeds() {
     for seed in 0..4u64 {
-        let config = ShardedConfig {
+        let config = ClusterConfig {
             num_clients: 3,
             client_pipeline: 2,
             ..txn_config(2 + (seed % 2) as usize, seed)
@@ -337,7 +334,7 @@ fn concurrent_overlapping_txns_stay_atomic_over_many_seeds() {
             cluster.run_to_completion(SimTime::from_secs(30)),
             "seed {seed}: workload did not commit"
         );
-        assert_eq!(cluster.completed_txns().len(), 24);
+        assert_eq!(cluster.completed().len(), 24);
         run_checks(&cluster, &format!("overlap seed {seed}"));
     }
 }
@@ -350,11 +347,13 @@ fn concurrent_overlapping_txns_stay_atomic_over_many_seeds() {
 fn adaptive_windows_follow_each_groups_load() {
     let clients = 8;
     let per_client = 40;
-    let config = ShardedConfig {
+    let config = ClusterConfig {
         num_clients: clients,
         // `a*` keys belong to group 0 (heavy), `z*` keys to group 1 (light).
         router: ShardRouter::range(vec!["m".to_string()]),
-        oar: OarConfig::adaptive(),
+        oar: OarConfig::builder()
+            .adaptive(AdaptiveConfig::default())
+            .build(),
         client_pipeline: 16,
         adaptive_pipeline: true,
         ..txn_config(2, 5)
@@ -374,7 +373,7 @@ fn adaptive_windows_follow_each_groups_load() {
     };
     let mut cluster: TxnCluster<KvMachine> = TxnCluster::build(&config, KvMachine::new, workload);
     assert!(cluster.run_to_completion(SimTime::from_secs(60)));
-    assert_eq!(cluster.completed_txns().len(), clients * per_client);
+    assert_eq!(cluster.completed().len(), clients * per_client);
     assert!(cluster.multi_group_commits() > 0);
     cluster
         .check_all()
