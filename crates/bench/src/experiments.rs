@@ -72,7 +72,7 @@ fn consistent<S: StateMachine>(c: &Cluster<S>) -> bool {
 
 /// What a finished single-group deployment can tell about itself, by metric
 /// name. Every family that measures a [`Cluster`] builds its rows from these
-/// (see [`with_metrics`]), so a counter is read from [`ServerStats`] in one
+/// (see `with_metrics`), so a counter is read from [`ServerStats`] in one
 /// place, whatever rows it appears in. Panics on a name it does not know.
 pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
     let sum = |f: fn(&ServerStats) -> u64| Cell::from(c.sum_stats(f));
@@ -151,11 +151,7 @@ pub fn metric<S: StateMachine>(c: &Cluster<S>, name: &str) -> Cell {
 }
 
 /// Appends the [`metric`]s called `names`, read from `cluster`, to `row`.
-pub fn with_metrics<S: StateMachine>(
-    row: Row,
-    cluster: &Cluster<S>,
-    names: &[&'static str],
-) -> Row {
+fn with_metrics<S: StateMachine>(row: Row, cluster: &Cluster<S>, names: &[&'static str]) -> Row {
     names
         .iter()
         .fold(row, |row, name| row.with(name, metric(cluster, name)))
@@ -350,21 +346,18 @@ fn run_undo_scenario(
 }
 
 /// Sequencer batch size used by the `oar-batched` throughput variant.
-pub const BATCHED_MAX_BATCH: usize = 8;
+const BATCHED_MAX_BATCH: usize = 8;
 
 /// Pipeline depth of the `oar-pipelined` throughput variant: deep enough to
 /// keep a full `OrderMsg` batch of each client's requests in flight, which is
 /// what lets the servers coalesce their replies into `ReplyBatch` wires.
-pub const PIPELINE_DEPTH: usize = BATCHED_MAX_BATCH;
+const PIPELINE_DEPTH: usize = BATCHED_MAX_BATCH;
 
 /// Builds the KV deployment used by the throughput experiment. `pipeline` is
 /// the per-client outstanding-request window (1 = the paper's closed loop).
 /// When `oar_config` runs the adaptive batch controller, the clients run the
-/// matching adaptive pipeline with `pipeline` as the window *cap*. Also
-/// reused by the `throughput` criterion bench, so the measured workload
-/// cannot drift from the experiment (the bench times only the run, not the
-/// consistency checks).
-pub fn build_throughput_cluster(
+/// matching adaptive pipeline with `pipeline` as the window *cap*.
+fn build_throughput_cluster(
     oar_config: OarConfig,
     servers: usize,
     clients: usize,
@@ -792,11 +785,10 @@ fn sharded_workload(client: usize, requests: usize) -> Vec<KvCommand> {
         .collect()
 }
 
-/// Builds the sharded KV deployment measured by T-SHARD (also reused by the
-/// `sharded` criterion bench): `groups` hash-partitioned OAR groups of
-/// [`SHARDED_SERVERS_PER_GROUP`] replicas, `clients_per_group × groups`
-/// pipelined clients, batched sequencers.
-pub fn build_sharded_cluster(
+/// Builds the sharded KV deployment measured by T-SHARD: `groups`
+/// hash-partitioned OAR groups of [`SHARDED_SERVERS_PER_GROUP`] replicas,
+/// `clients_per_group × groups` pipelined clients, batched sequencers.
+fn build_sharded_cluster(
     groups: usize,
     clients_per_group: usize,
     requests_per_client: usize,
@@ -966,12 +958,12 @@ fn txn_shard_config(groups: usize, clients: usize, seed: u64) -> ClusterConfig {
     }
 }
 
-/// Builds the transactional KV deployment measured by T-TXN (also reused by
-/// the `txn` criterion bench): `groups` hash-partitioned OAR groups of
-/// [`SHARDED_SERVERS_PER_GROUP`] replicas and `clients` closed-loop
-/// transactional clients. `multi_group` selects the spanning workload; the
-/// fast-path workload keeps every transaction in one group.
-pub fn build_txn_cluster(
+/// Builds the transactional KV deployment measured by T-TXN: `groups`
+/// hash-partitioned OAR groups of [`SHARDED_SERVERS_PER_GROUP`] replicas and
+/// `clients` closed-loop transactional clients. `multi_group` selects the
+/// spanning workload; the fast-path workload keeps every transaction in one
+/// group.
+fn build_txn_cluster(
     groups: usize,
     clients: usize,
     txns_per_client: usize,
@@ -991,7 +983,7 @@ pub fn build_txn_cluster(
 /// The plain sharded deployment the fast-path gate compares against: the
 /// identical configuration, the identical commands, submitted without the
 /// transaction layer.
-pub fn build_txn_plain_cluster(
+fn build_txn_plain_cluster(
     groups: usize,
     clients: usize,
     txns_per_client: usize,
@@ -2341,28 +2333,12 @@ mod tests {
         );
     }
 
-    /// A size small enough for `cargo test` for each gated experiment (the
-    /// `mc` control arms are capped low; everything it gates on is swept
-    /// exhaustively regardless).
-    fn test_size(name: &str) -> Params {
-        match name {
-            "soak" => Params(&[("clients", 2), ("per_client", 120)]),
-            "recovery" => Params(&[("clients", 4), ("per_client", 200)]),
-            "sharded" => Params(&[("clients_per_group", 2), ("per_client", 20)]),
-            "txn" => Params(&[("clients", 2), ("per_client", 8)]),
-            "adaptive" => Params(&[("per_client", 30), ("repeats", 1), ("skew_per_client", 24)]),
-            "parallel" => Params(&[
-                ("commands", 24),
-                ("block_us", 0),
-                ("repeats", 1),
-                ("clients", 2),
-                ("per_client", 16),
-            ]),
-            "reconfig" => Params(&[("per_client", 60)]),
-            "mc" => Params(&[("state_cap", 500)]),
-            other => panic!("no test size for gated experiment `{other}`"),
-        }
-    }
+    /// The size the mutation test runs `mc` at, in place of its smoke size
+    /// (whose 200 000-state budget is a release CI step). The cap bounds
+    /// only the three control arms (`*-fixed`, `membership-change`), which
+    /// run to the cap at every size; the other seven rows are the same at
+    /// any cap.
+    const MC_TEST_SIZE: Params = Params(&[("state_cap", 500)]);
 
     /// The JSON keys of every gated family, in order.
     fn golden_keys(label: &str) -> &'static str {
@@ -2444,12 +2420,20 @@ mod tests {
     /// bound's violation — and no violation about any other cell. (Two
     /// bounds on the same cell can be entangled: a throughput pushed below
     /// `1.15 × unbatched` is necessarily below `0.5 × best static` too.) So
-    /// no limit was lost, inverted or attached to the wrong metric.
+    /// no limit was lost, inverted or attached to the wrong metric. Each
+    /// experiment runs at its registry smoke size (`mc` at [`MC_TEST_SIZE`]),
+    /// so the clean pass is the `harness <name>-smoke` gate itself.
     #[test]
     fn every_bound_is_violated_by_its_own_mutation_and_only_there() {
         for experiment in EXPERIMENTS.iter().filter(|e| !e.bounds.is_empty()) {
-            let params = test_size(experiment.name);
-            let mut rows = (experiment.run)(&params);
+            let params = match experiment.name {
+                "mc" => &MC_TEST_SIZE,
+                _ => experiment
+                    .smoke
+                    .as_ref()
+                    .expect("a gated experiment has a smoke size"),
+            };
+            let mut rows = (experiment.run)(params);
             for row in &rows {
                 assert_eq!(keys(row), golden_keys(row.label), "{} row shape", row.label);
             }
@@ -2461,7 +2445,7 @@ mod tests {
                     rows[at - 1].set("ops_per_sec", 1_000.0);
                 }
             }
-            let clean = violations(experiment.bounds, &params, &rows);
+            let clean = violations(experiment.bounds, params, &rows);
             assert!(clean.is_empty(), "{}: {clean:?}", experiment.name);
 
             for (i, bound) in experiment.bounds.iter().enumerate() {
@@ -2473,7 +2457,7 @@ mod tests {
                     mutated[at].set(bound.metric, "mutated");
                 } else {
                     let ctx = Ctx {
-                        params: &params,
+                        params,
                         row: &rows[at],
                         rows: &rows,
                     };
@@ -2486,7 +2470,7 @@ mod tests {
                     };
                     set_metric(&mut mutated[at], bound.metric, broken);
                 }
-                let found = check(experiment.bounds, &params, &mutated);
+                let found = check(experiment.bounds, params, &mutated);
                 let what = format!("{} bound {i} (`{}`)", experiment.name, bound.metric);
                 assert!(
                     found.iter().any(|v| v.bound == i),

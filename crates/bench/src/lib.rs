@@ -12,8 +12,10 @@
 //!   the docs are derived from.
 //!
 //! The `harness` binary (`cargo run -p oar-bench --bin harness -- <experiment>`)
-//! prints the rows as a table plus JSON; the Criterion benches under
-//! `benches/` measure the wall-clock cost of the same workloads.
+//! prints the rows as a table plus JSON. Every gated experiment also runs at
+//! its smoke size under `cargo test`, against its own bounds; host-time
+//! measurement lives in the separate benchmark package
+//! (`crates/bench/src/bin/benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +23,6 @@
 pub mod experiments;
 pub mod figures;
 pub mod gate;
-pub mod json;
 pub mod registry;
 pub mod row;
 

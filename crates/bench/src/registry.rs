@@ -1,15 +1,16 @@
 //! The experiment registry: every experiment the `harness` binary knows, as
 //! one [`Experiment`] value in [`EXPERIMENTS`]. `harness <name>`,
 //! `harness <name>-smoke`, `harness all`, the usage text, the wall-clock
-//! budgets and the gate table of `docs/BENCHMARKS.md` (`harness gates`) are
-//! all derived from that table.
+//! budgets, the gate table of `docs/BENCHMARKS.md` (`harness gates`) and the
+//! `cargo test` run of every gate at its smoke size
+//! (`experiments::tests::every_bound_is_violated_by_its_own_mutation_and_only_there`)
+//! are all derived from that table.
 
 use std::fmt::Write as _;
 
 use crate::experiments as x;
 use crate::figures;
 use crate::gate::{check, Bound, Params};
-use crate::json::{bench_line, bench_out_dir, merge_bench_rows};
 use crate::row::{render_tables, Row};
 
 /// Seed of every harness run: the rows are reproducible bit for bit, host
@@ -26,16 +27,13 @@ pub struct Experiment {
     /// Size of `harness <name>` and `harness all`. A `budget_s` parameter is
     /// the run's wall-clock budget in seconds.
     pub full: Params,
-    /// Size of `harness <name>-smoke`, the CI gate (gated experiments only).
+    /// Size of `harness <name>-smoke` and, `mc` aside, of the gate's run
+    /// under `cargo test` (gated experiments only).
     pub smoke: Option<Params>,
     /// Runs the experiment at a size.
     pub run: fn(&Params) -> Vec<Row>,
     /// What must hold of the rows; a violation makes the harness exit 1.
     pub bounds: &'static [Bound],
-    /// The group of `BENCH_throughput.json` a **full** run replaces with its
-    /// rows (id `<row key>/<first parameter>`). Smoke runs gate in-process
-    /// and leave the tree clean.
-    pub bench_group: Option<&'static str>,
 }
 
 fn size(params: &Params, name: &str) -> usize {
@@ -58,7 +56,6 @@ const fn ungated(
         smoke: None,
         run,
         bounds: &[],
-        bench_group: None,
     }
 }
 
@@ -147,7 +144,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             )]
         },
         bounds: x::SOAK_BOUNDS,
-        bench_group: None,
     },
     Experiment {
         name: "recovery",
@@ -162,7 +158,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             )]
         },
         bounds: x::RECOVERY_BOUNDS,
-        bench_group: None,
     },
     Experiment {
         name: "sharded",
@@ -174,7 +169,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             x::sharded_experiment(&[1, 2, 4], clients, requests, SEED)
         },
         bounds: x::SHARDED_BOUNDS,
-        bench_group: None,
     },
     Experiment {
         name: "txn",
@@ -183,7 +177,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         smoke: Some(Params(&[("clients", 2), ("per_client", 20)])),
         run: |p| x::txn_experiment(&[1, 2, 4], size(p, "clients"), size(p, "per_client"), SEED),
         bounds: x::TXN_BOUNDS,
-        bench_group: None,
     },
     Experiment {
         name: "adaptive",
@@ -206,7 +199,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             rows
         },
         bounds: x::ADAPTIVE_BOUNDS,
-        bench_group: None,
     },
     // The extra repeats of the smoke size keep the min-over-repeats
     // wall-clock robust on noisy shared runners (each repeat costs ~15 ms).
@@ -243,7 +235,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             rows
         },
         bounds: x::PARALLEL_BOUNDS,
-        bench_group: None,
     },
     Experiment {
         name: "reconfig",
@@ -252,7 +243,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         smoke: Some(Params(&[("per_client", 60), ("budget_s", 240)])),
         run: |p| x::reconfig_experiment(size(p, "per_client"), SEED),
         bounds: x::RECONFIG_BOUNDS,
-        bench_group: Some("reconfig"),
     },
     Experiment {
         name: "mc",
@@ -261,7 +251,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         smoke: Some(Params(&[("state_cap", 200_000), ("budget_s", 240)])),
         run: |p| x::mc_experiment(p.get("state_cap")),
         bounds: x::MC_BOUNDS,
-        bench_group: None,
     },
 ];
 
@@ -290,8 +279,7 @@ pub fn usage() -> String {
 
 /// Runs `experiment` at its full or its smoke size: prints the heading, the
 /// rows as tables and as `JSON <label> {...}` lines, then every violated
-/// bound on stderr. A full-size run also refreshes the experiment's
-/// `BENCH_throughput.json` group. Returns whether the gate passed.
+/// bound on stderr. Returns whether the gate passed.
 ///
 /// # Panics
 ///
@@ -321,18 +309,6 @@ pub fn run(experiment: &Experiment, smoke: bool) -> bool {
             "wall-clock budget exceeded: {elapsed:.0}s > {budget}s"
         ));
     }
-    if let (Some(group), false) = (experiment.bench_group, smoke) {
-        let size = params.0.first().map_or(0, |(_, v)| *v);
-        let lines: Vec<String> = rows
-            .iter()
-            .map(|row| bench_line(group, &format!("{}/{size}", row.key), row))
-            .collect();
-        let path = bench_out_dir().join("BENCH_throughput.json");
-        match merge_bench_rows(&path, "throughput", group, &lines) {
-            Ok(()) => println!("merged {group} rows into {}", path.display()),
-            Err(e) => eprintln!("could not update {}: {e}", path.display()),
-        }
-    }
     for violation in &violations {
         eprintln!("{} VIOLATION: {violation}", experiment.name.to_uppercase());
     }
@@ -343,8 +319,8 @@ pub fn run(experiment: &Experiment, smoke: bool) -> bool {
 /// of every experiment (one line for an ungated experiment).
 pub fn gates_markdown() -> String {
     let mut out = String::from(
-        "| experiment (`harness <name>`) | sizes: full; `-smoke` (CI job `<name>-smoke`) \
-         | rows | must hold | because |\n|---|---|---|---|---|\n",
+        "| experiment (`harness <name>`) | sizes: full; smoke (`harness <name>-smoke`, \
+         run by `cargo test`) | rows | must hold | because |\n|---|---|---|---|---|\n",
     );
     for e in EXPERIMENTS {
         let sizes = match (&e.smoke, e.full.0) {
@@ -371,7 +347,7 @@ pub fn gates_markdown() -> String {
             let _ = writeln!(
                 out,
                 "| | | the run | wall clock ≤ budget_s ({budget} s at the smoke size) \
-                 | the CI gate stays interactive |"
+                 | a smoke run stays interactive |"
             );
         }
     }
@@ -449,7 +425,8 @@ mod tests {
         );
     }
 
-    /// Every `` `path:line` `symbol` `` and `` `symbol` (`path:line` ``
+    /// Every `` `path:line` `symbol` ``, `` `symbol` (`path:line` ``,
+    /// `` `symbol` words (`path:line` `` and `` `symbol` at `path:line` ``
     /// anchor in the docs (a bare `` `:line` `` continues the last path)
     /// names a symbol that occurs within two lines of the cited line, so
     /// code that moves cannot leave the docs pointing at something else.
@@ -496,10 +473,18 @@ mod tests {
                 if !file.is_empty() {
                     path = file;
                 }
-                // The symbol right after the anchor, or right before its
-                // opening parenthesis.
-                let after = pieces[i + 1].trim().is_empty().then(|| pieces[i + 2]);
-                let before = (i >= 2 && pieces[i - 1].trim() == "(").then(|| pieces[i - 2]);
+                // The symbol right after the anchor; the one before it when
+                // only `(` or `at` stands between them, or, if no symbol
+                // follows the anchor, plain words and a `(`.
+                let after = (pieces[i + 1].trim().is_empty() && is_symbol(pieces[i + 2]))
+                    .then(|| pieces[i + 2]);
+                let between = pieces[i - 1].trim();
+                let words = between.strip_suffix('(').map(str::trim_end);
+                let plain = |w: &str| w.chars().all(|c| c.is_alphabetic() || c.is_whitespace());
+                let before = (i >= 2
+                    && (["(", "at"].contains(&between)
+                        || (after.is_none() && words.is_some_and(plain))))
+                .then(|| pieces[i - 2]);
                 for symbol in [after, before]
                     .into_iter()
                     .flatten()

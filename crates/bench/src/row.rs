@@ -1,6 +1,5 @@
 //! An experiment row as a value: an ordered list of named cells, with the
-//! one JSON writer, the one table printer and the one criterion-counter view
-//! every experiment family shares.
+//! one JSON writer and the one table printer every experiment family shares.
 //!
 //! The build environment has no crates.io access, so the JSON is written by
 //! hand; the output is one plain JSON object per row, keys in cell order.
@@ -185,35 +184,6 @@ impl Row {
             .collect();
         format!("{{{}}}", fields.join(","))
     }
-
-    /// The integer view attached to criterion bench points and merged into
-    /// `BENCH_*.json`: counts as they are, verdicts as 0/1, list elements as
-    /// `name[i]`, simulated latencies `*_latency_ms` as integer
-    /// `*_latency_us`. Host times and rates have no integer view.
-    pub fn counters(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::new();
-        for (name, cell) in &self.cells {
-            match cell {
-                Cell::U64(v) => out.push((name.to_string(), *v)),
-                Cell::Bool(v) => out.push((name.to_string(), u64::from(*v))),
-                Cell::List(items) => {
-                    out.extend(
-                        items
-                            .iter()
-                            .enumerate()
-                            .map(|(i, v)| (format!("{name}[{i}]"), *v)),
-                    );
-                }
-                Cell::F64(ms) => {
-                    if let Some(stem) = name.strip_suffix("latency_ms") {
-                        out.push((format!("{stem}latency_us"), (ms * 1_000.0).round() as u64));
-                    }
-                }
-                Cell::Str(_) | Cell::Summary(_) => {}
-            }
-        }
-        out
-    }
 }
 
 /// The row with key `key`. Panics, naming the key and the keys there are, if
@@ -226,7 +196,7 @@ pub fn by_key<'a>(rows: &'a [Row], key: &str) -> &'a Row {
 }
 
 /// Escapes a string for inclusion in a JSON document.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -405,21 +375,6 @@ mod tests {
     #[should_panic(expected = "`per_group[2]` names no element")]
     fn an_out_of_range_list_element_panics() {
         sample().num("per_group[2]");
-    }
-
-    #[test]
-    fn counters_are_the_integer_view() {
-        let counters = sample().counters();
-        let expected = [
-            ("count", 3),
-            ("ok", 1),
-            ("per_group[0]", 5),
-            ("per_group[1]", 6),
-            ("p99_latency_us", 483),
-        ];
-        let expected: Vec<(String, u64)> =
-            expected.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-        assert_eq!(counters, expected);
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! element plus O(n) memory, and is rebuilt in O(n) by the few operations
 //! that remove elements ([`Seq::split_prefix`], [`Seq::clear`]). The naive
 //! reference implementations are kept in the [`naive`] module; the crate's
-//! property tests check every indexed operation against them, and the
-//! `protocol_internals` bench of `oar-bench` measures the asymptotic gap.
+//! property tests check every indexed operation against them, and a unit
+//! test counts the `Eq`/`Hash` calls of both at n = m = 4 096 to pin the
+//! asymptotic gap (linear vs quadratic).
 //!
 //! The algebra is generic over the element type so that it can be unit-tested
 //! and property-tested with small types (`u32`) while the protocol
@@ -539,10 +540,10 @@ pub mod naive {
     //! slices.
     //!
     //! These exist for two reasons: the crate's differential property tests
-    //! check every indexed [`Seq`](crate::Seq) operation against them, and the
-    //! `protocol_internals` bench of `oar-bench` measures the indexed
-    //! representation's speedup relative to them. They are **not** used by the
-    //! protocol.
+    //! check every indexed [`Seq`](crate::Seq) operation against them, and a
+    //! unit test counts the `Eq`/`Hash` calls of both to show the indexed
+    //! representation linear where these are quadratic. They are **not**
+    //! used by the protocol.
 
     /// `a ⊖ b` by linear scan: O(|a|·|b|).
     pub fn subtract<T: Clone + PartialEq>(a: &[T], b: &[T]) -> Vec<T> {
@@ -1030,6 +1031,105 @@ mod differential_proptests {
             prop_assert_eq!(seq.as_slice(), model.as_slice());
             prop_assert_eq!(seq.position(&probe), naive::position(&model, &probe));
             prop_assert_eq!(prefix.position(&probe), naive::position(&model_prefix, &probe));
+        }
+    }
+}
+
+#[cfg(test)]
+mod cost_tests {
+    //! The asymptotic gap between the indexed algebra and the [`naive`]
+    //! reference, counted instead of timed: an element that counts every
+    //! `Eq` and `Hash` call it takes part in shows the indexed operators
+    //! linear in |a| + |b| and the naive scans quadratic, at a size (4 096)
+    //! past the largest the benchmark's `sequence.*_ns` rows time (512).
+    //! Counts are exact in any build and on any host.
+
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_call() {
+        CALLS.with(|calls| calls.set(calls.get() + 1));
+    }
+
+    /// A `u64` whose `==` and `hash` each count one call.
+    #[derive(Clone)]
+    struct Counted(u64);
+
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            count_call();
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Counted {}
+
+    impl Hash for Counted {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            count_call();
+            self.0.hash(state);
+        }
+    }
+
+    /// The `Eq` and `Hash` calls `f` makes.
+    fn calls<R>(f: impl FnOnce() -> R) -> u64 {
+        CALLS.with(|calls| calls.set(0));
+        std::hint::black_box(f());
+        CALLS.with(Cell::get)
+    }
+
+    /// |a| = |b| = number of probes.
+    const N: u64 = 4_096;
+
+    /// Calls per input element a linear pass may make: a probe of the other
+    /// side's index, the push into the result's, and the rehashes of a
+    /// growing result (`dedup_append` makes 3.0 per element, the most).
+    const PER_ELEMENT: u64 = 4;
+
+    #[test]
+    fn indexed_operators_are_linear_and_the_naive_ones_quadratic() {
+        // Half of each side is in the other, as in an epoch's
+        // `O_delivered` against a lagging replica's.
+        let a: Seq<Counted> = (0..N).map(Counted).collect();
+        let b: Seq<Counted> = (N / 2..N * 3 / 2).map(Counted).collect();
+        let misses: Vec<Counted> = (N * 2..N * 3).map(Counted).collect();
+        let (av, bv) = (a.as_slice().to_vec(), b.as_slice().to_vec());
+        let (seqs, vecs) = ([a.clone(), b.clone()], [av.clone(), bv.clone()]);
+        let measured = [
+            (
+                "subtract",
+                calls(|| a.subtract(&b)),
+                calls(|| naive::subtract(&av, &bv)),
+            ),
+            (
+                "intersection",
+                calls(|| a.intersection(&b)),
+                calls(|| naive::intersection(&av, &bv)),
+            ),
+            (
+                "dedup_append",
+                calls(|| dedup_append(seqs)),
+                calls(|| naive::dedup_append(&vecs)),
+            ),
+            (
+                "contains (miss)",
+                calls(|| misses.iter().filter(|m| a.contains(m)).count()),
+                calls(|| misses.iter().filter(|m| naive::contains(&av, m)).count()),
+            ),
+        ];
+        for (op, indexed, naive) in measured {
+            assert!(
+                indexed <= PER_ELEMENT * (N + N),
+                "{op}: {indexed} calls at n = m = {N} is not linear"
+            );
+            assert!(
+                naive >= N * N / 4,
+                "{op}: the naive reference made only {naive} calls at n = m = {N}"
+            );
         }
     }
 }
